@@ -12,24 +12,41 @@ form (optionally with weakly-enforced clamped boundary conditions), the
 C0 interior-penalty biharmonic form, and the clamped-plate Nitsche form
 as printed in its source (assembly and symmetry checks only).
 
-Results are deterministic for a fixed cell/facet iteration order; all
-kernels are pure per-cell computations.
+The operator, load and (in solver) L2-error passes share one cell-batched
+pipeline, cell_blocks: geometry and M are built with array operations for
+a fixed-size block of cells at once, and the cell and facet kernels run on
+whole blocks as batched matmuls.  Each kernel performs, per cell, the same
+floating-point operations as a cell-by-cell evaluation would, so batching
+changes no result bit; blocks, facets and COO triplets come in a fixed
+order, so results are deterministic.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh import TriangleMesh, cell_geometry, vertex_size_field
+from . import transform
+from .mesh import TriangleMesh, batch_geometry, vertex_size_field
 from .quadrature import interval_rule, triangle_rule
 from .refelem import (EDGE_VERTICES, REF_VERTICES, ReferenceElement,
                       tabulate_coeffs)
-from .transform import cell_transform, hessian_pushforward, scaling_diagonal
+from .transform import hessian_pushforward, scaling_diagonal
+
+# The one-cell entry points stay importable from here for per-cell callers
+# (studybench's traced mode wraps them on this module).  The passes use the
+# batched forms instead, so this module's cell_transform only ever sees one
+# cell and returns a 2-D M.
+from .mesh import cell_geometry  # noqa: E402,F401
+from .transform import cell_transform  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function with optional derivatives, for loads and interpolation."""
+    """A scalar function with optional derivatives, for loads and interpolation.
+
+    f, grad and hess take coordinate arrays x, y of any one shape and return
+    arrays of shape x.shape, (2,) + x.shape and (2, 2) + x.shape.
+    """
 
     f: callable
     grad: callable = None
@@ -37,7 +54,7 @@ class ScalarField:
 
     def __call__(self, points):
         pts = np.atleast_2d(points)
-        return np.asarray(self.f(pts[:, 0], pts[:, 1]), dtype=float)
+        return np.asarray(self.f(pts[..., 0], pts[..., 1]), dtype=float)
 
 
 @dataclass
@@ -146,31 +163,47 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
     cell_signs = np.ones((C, n_local))
     normal_dof = any(f.kind == "edge_normal_deriv" for f in element.functionals)
 
-    for c in range(C):
-        cell = mesh.cells[c]
-        for v_loc in range(3):
-            base = cell[v_loc] * n_v
-            for k, i in enumerate(ent[0][v_loc]):
-                cell_dofs[c, i] = base + k
-        for e_loc, (a, b) in enumerate(EDGE_VERTICES):
-            e = mesh.cell_edges[c, e_loc]
-            base = edge_offset + e * n_e
-            forward = cell[a] < cell[b]
-            for k, i in enumerate(ent[1][e_loc]):
-                if normal_dof:
-                    # outward normal agrees with the global edge normal iff
-                    # the cell traverses the edge against stored order
-                    cell_dofs[c, i] = base + k
-                    cell_signs[c, i] = -mesh.cell_edge_signs[c, e_loc]
-                else:
-                    # point DoFs are matched by position along the edge
-                    cell_dofs[c, i] = base + (k if forward else n_e - 1 - k)
-        base = cell_offset + c * n_c
-        for k, i in enumerate(ent[2][0]):
-            cell_dofs[c, i] = base + k
+    for v_loc in range(3):
+        cell_dofs[:, ent[0][v_loc]] = mesh.cells[:, v_loc, None] * n_v + np.arange(n_v)
+    k = np.arange(n_e)
+    for e_loc, (a, b) in enumerate(EDGE_VERTICES):
+        base = edge_offset + mesh.cell_edges[:, e_loc, None] * n_e
+        if normal_dof:
+            # outward normal agrees with the global edge normal iff the
+            # cell traverses the edge against stored order
+            cell_dofs[:, ent[1][e_loc]] = base + k
+            cell_signs[:, ent[1][e_loc]] = -mesh.cell_edge_signs[:, e_loc, None]
+        else:
+            # point DoFs are matched by position along the edge
+            forward = (mesh.cells[:, a] < mesh.cells[:, b])[:, None]
+            cell_dofs[:, ent[1][e_loc]] = base + np.where(forward, k, n_e - 1 - k)
+    cell_dofs[:, ent[2][0]] = cell_offset + np.arange(C)[:, None] * n_c + np.arange(n_c)
     return DofMap(cell_dofs=cell_dofs, cell_signs=cell_signs, total_dofs=total,
                   n_local=n_local, vertex_width=n_v, edge_width=n_e,
                   cell_width=n_c)
+
+
+# Cells (or interior edges) per block: bounds the per-block M, kernel and
+# trace arrays independently of the mesh size.
+BLOCK = 512
+
+
+def cell_blocks(mesh: TriangleMesh, element: ReferenceElement, scale: bool):
+    """The per-cell pipeline every pass shares.
+
+    Yields (cells, geometry, M) for consecutive blocks of at most
+    BLOCK cells: a slice of cell indices, their batched geometry and
+    their (scaled) transformation matrices, shape (cells, n_dofs, n_tab).
+    M is None for Lagrange, whose M is the identity.
+    """
+    size_field = vertex_size_field(mesh) if scale else None
+    geom = batch_geometry(mesh, size_field)
+    for lo in range(0, mesh.n_cells, BLOCK):
+        cells = slice(lo, lo + BLOCK)
+        g = geom[cells]
+        M = None if element.family == "lagrange" else \
+            transform.cell_transform(element, g, scale).matrix
+        yield cells, g, M
 
 
 FORM_KINDS = ("poisson_nitsche", "plate", "plate_ip", "plate_clamped_nitsche")
@@ -257,30 +290,44 @@ def _resolve_form(element: ReferenceElement, form: FormSpec) -> FormSpec:
     return replace(form, **updates) if updates else form
 
 
-def _physical_gradients(tab, J):
-    gx = J[0, 0] * tab[(1, 0)] + J[1, 0] * tab[(0, 1)]
-    gy = J[0, 1] * tab[(1, 0)] + J[1, 1] * tab[(0, 1)]
-    return gx, gy
+def _per(x):
+    """Per-cell (or per-facet) scalars (B,) against rows (B, n, q)."""
+    return x[:, None, None]
+
+
+def _T(x):
+    return np.swapaxes(x, -1, -2)
+
+
+def _push(J, d):
+    """J d for Jacobians (B, 2, 2) and directions (B, 2) or (2,), as (2, B)."""
+    return (J @ np.broadcast_to(d, J.shape[:-1])[:, :, None])[:, :, 0].T
 
 
 def _physical_hessian(tab, J):
     T = hessian_pushforward(J)
     href = (tab[(2, 0)], tab[(1, 1)], tab[(0, 2)])
-    return tuple(T[k, 0] * href[0] + T[k, 1] * href[1] + T[k, 2] * href[2]
-                 for k in range(3))
+    return tuple(_per(T[:, k, 0]) * href[0] + _per(T[:, k, 1]) * href[1]
+                 + _per(T[:, k, 2]) * href[2] for k in range(3))
+
+
+def _directional_first(tab, J, d):
+    """d . grad of the pullbacks: reference gradients contracted with J d."""
+    e = _push(J, d)
+    return _per(e[0]) * tab[(1, 0)] + _per(e[1]) * tab[(0, 1)]
 
 
 def _directional_third(tab, J, d1, d2, d3):
     """Third directional derivative of pullbacks: contract reference third
     derivatives with J d1, J d2, J d3 (affine cells only)."""
-    e1, e2, e3 = J @ d1, J @ d2, J @ d3
+    e1, e2, e3 = _push(J, d1), _push(J, d2), _push(J, d3)
     t30, t21, t12, t03 = tab[(3, 0)], tab[(2, 1)], tab[(1, 2)], tab[(0, 3)]
-    return (e1[0] * e2[0] * e3[0] * t30
-            + (e1[0] * e2[0] * e3[1] + e1[0] * e2[1] * e3[0]
-               + e1[1] * e2[0] * e3[0]) * t21
-            + (e1[0] * e2[1] * e3[1] + e1[1] * e2[0] * e3[1]
-               + e1[1] * e2[1] * e3[0]) * t12
-            + e1[1] * e2[1] * e3[1] * t03)
+    return (_per(e1[0] * e2[0] * e3[0]) * t30
+            + _per(e1[0] * e2[0] * e3[1] + e1[0] * e2[1] * e3[0]
+                   + e1[1] * e2[0] * e3[0]) * t21
+            + _per(e1[0] * e2[1] * e3[1] + e1[1] * e2[0] * e3[1]
+                   + e1[1] * e2[1] * e3[0]) * t12
+            + _per(e1[1] * e2[1] * e3[1]) * t03)
 
 
 _EX = np.array([1.0, 0.0])
@@ -295,204 +342,200 @@ def _edge_ref_points(rule):
     return pts
 
 
+def _congruence(M, A):
+    """M A M^T for a batch; Lagrange (M None) skips it, since M = I."""
+    return A if M is None else M @ A @ _T(M)
+
+
+def _triplets(dofs, signs, local):
+    """COO triplets of local matrices (B, n, n) through DoFs and signs (B, n)."""
+    n = dofs.shape[1]
+    return (np.repeat(dofs, n, axis=1).ravel(), np.tile(dofs, (1, n)).ravel(),
+            (local * (signs[:, :, None] * signs[:, None, :])).ravel())
+
+
+def _interior_facets(mesh: TriangleMesh):
+    """Both sides of every interior edge, in edge order, as ((cA, eA), (cB, eB))
+    cell and local-edge arrays; side A is the lower cell index."""
+    flat = mesh.cell_edges.ravel()
+    counts = np.bincount(flat, minlength=mesh.n_edges)
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    order = np.argsort(flat, kind="stable")
+    return np.divmod(order[first], 3), np.divmod(order[first + 1], 3)
+
+
 class _Kernels:
-    """Shared tabulations and per-cell transforms for one assembly pass."""
+    """Shared tabulations and the cell and facet kernels of one form, each
+    evaluated for a batch of cells or facets at once.
 
-    def __init__(self, mesh, element, form, scale):
-        self.mesh = mesh
-        self.element = element
+    Kernels work pointwise: rows (B, n, q) of physical derivatives at the
+    quadrature points, weighted and contracted by batched matmul.  A batch
+    is one block of cells (or facets), which bounds these arrays.
+    """
+
+    def __init__(self, element, form):
         self.form = _resolve_form(element, form)
-        self.scale = scale
-        self.size_field = vertex_size_field(mesh) if scale else None
-        self.coeffs = element.tabulation_coeffs()
-        self.poly = element.poly
-
-        second_order = self.form.kind != "poisson_nitsche"
+        coeffs, poly = element.tabulation_coeffs(), element.poly
+        poisson = self.form.kind == "poisson_nitsche"
         if self.form.cell_degree > 12:
             import warnings
             warnings.warn(f"cell quadrature degree {self.form.cell_degree} "
                           "exceeds the available rules; clamping to 12",
                           stacklevel=2)
         self.cell_rule = triangle_rule(min(self.form.cell_degree, 12))
-        self.cell_tab = tabulate_coeffs(self.poly, self.coeffs,
-                                        self.cell_rule.points,
-                                        2 if second_order else 1)
+        self.cell_tab = tabulate_coeffs(poly, coeffs, self.cell_rule.points,
+                                        1 if poisson else 2)
         self.facet_rule = interval_rule(self.form.facet_degree)
-        facet_order = 1 if self.form.kind == "poisson_nitsche" else 3
-        self.facet_tab = [tabulate_coeffs(self.poly, self.coeffs, pts, facet_order)
-                          for pts in _edge_ref_points(self.facet_rule)]
+        tabs = [tabulate_coeffs(poly, coeffs, pts, 1 if poisson else 3)
+                for pts in _edge_ref_points(self.facet_rule)]
+        self.facet_tab = {alpha: np.stack([t[alpha] for t in tabs])
+                          for alpha in tabs[0]}
 
-    def geometry(self, c):
-        return cell_geometry(self.mesh, c, self.size_field)
-
-    def transform(self, geom):
-        return cell_transform(self.element, geom, self.scale).matrix
-
-    def cell_matrix(self, geom):
+    def cell_matrices(self, geom):
+        """Element matrices (B, n, n) in the pulled-back basis."""
         form, tab = self.form, self.cell_tab
-        w = self.cell_rule.weights * geom.detJinv_abs
+        w = (self.cell_rule.weights * geom.detJinv_abs[:, None])[:, None, :]
         if form.kind == "poisson_nitsche":
-            gx, gy = _physical_gradients(tab, geom.J)
-            return (gx * w) @ gx.T + (gy * w) @ gy.T
+            gx, gy = (_directional_first(tab, geom.J, d) for d in (_EX, _EY))
+            return (gx * w) @ _T(gx) + (gy * w) @ _T(gy)
         hxx, hxy, hyy = _physical_hessian(tab, geom.J)
         lap = hxx + hyy
-        A = (lap * w) @ lap.T
+        A = (lap * w) @ _T(lap)
         if form.kind in ("plate", "plate_clamped_nitsche"):
             c = 1.0 - form.nu
-            A -= c * (2.0 * (hxx * w) @ hyy.T + 2.0 * (hyy * w) @ hxx.T
-                      - 4.0 * (hxy * w) @ hxy.T)
+            A -= c * (2.0 * (hxx * w) @ _T(hyy) + 2.0 * (hyy * w) @ _T(hxx)
+                      - 4.0 * (hxy * w) @ _T(hxy))
         return A
 
     def _facet_rows(self, geom, e_loc, order):
-        tab = self.facet_tab[e_loc]
-        n = geom.normals[e_loc]
+        """Trace rows (F, n, q) on local edges e_loc (F,) of the cells in geom."""
+        tab = {alpha: t[e_loc] for alpha, t in self.facet_tab.items()}
+        n = geom.normals[np.arange(len(e_loc)), e_loc]
         rows = {"v": tab[(0, 0)]}
         if order >= 1:
-            dvec = geom.J @ n
-            rows["vn"] = dvec[0] * tab[(1, 0)] + dvec[1] * tab[(0, 1)]
+            rows["vn"] = _directional_first(tab, geom.J, n)
         if order >= 2:
             hxx, hxy, hyy = _physical_hessian(tab, geom.J)
             rows["lap"] = hxx + hyy
-            t = np.array([-n[1], n[0]])  # facet tangent, CCW rotation of n
-            tt = np.array([t[0] ** 2, 2.0 * t[0] * t[1], t[1] ** 2])
-            rows["vtt"] = tt[0] * hxx + tt[1] * hxy + tt[2] * hyy
+            t = np.stack([-n[:, 1], n[:, 0]], axis=-1)  # facet tangent, CCW rotation of n
+            tt = (t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2)
+            rows["vtt"] = _per(tt[0]) * hxx + _per(tt[1]) * hxy + _per(tt[2]) * hyy
             if order >= 3:
                 rows["lap_n"] = (_directional_third(tab, geom.J, n, _EX, _EX)
                                  + _directional_third(tab, geom.J, n, _EY, _EY))
                 rows["vntt"] = _directional_third(tab, geom.J, n, t, t)
         return rows
 
-    def poisson_boundary_matrix(self, geom, e_loc):
-        ell = geom.edge_lengths[e_loc]
+    def boundary_matrices(self, geom, e_loc):
+        """Boundary-facet matrices (F, n, n) on local edges e_loc (F,) of the
+        cells in geom, for the form's boundary terms."""
+        ell = _per(geom.edge_lengths[np.arange(len(e_loc)), e_loc])
         w = self.facet_rule.weights * ell
+        if self.form.kind == "poisson_nitsche":
+            return self.poisson_boundary_matrices(geom, e_loc, ell, w)
+        if self.form.kind == "plate_clamped_nitsche":
+            return self.clamped_nitsche_verbatim_matrices(geom, e_loc, ell, w)
+        return self.clamped_boundary_matrices(geom, e_loc, ell, w)
+
+    def poisson_boundary_matrices(self, geom, e_loc, ell, w):
         r = self._facet_rows(geom, e_loc, order=1)
         v, vn = r["v"], r["vn"]
-        return (-(vn * w) @ v.T - (v * w) @ vn.T
-                + (self.form.alpha / ell) * (v * w) @ v.T)
+        return (-(vn * w) @ _T(v) - (v * w) @ _T(vn)
+                + (self.form.alpha / ell) * (v * w) @ _T(v))
 
-    def clamped_boundary_matrix(self, geom, e_loc):
+    def clamped_boundary_matrices(self, geom, e_loc, ell, w):
         """Consistent symmetric Nitsche terms for u = du/dn = 0 on the boundary."""
         form = self.form
-        ell = geom.edge_lengths[e_loc]
-        w = self.facet_rule.weights * ell
         r = self._facet_rows(geom, e_loc, order=3)
         c = (1.0 - form.nu) if form.kind == "plate" else 0.0
         gn = r["lap_n"] - 2.0 * c * r["vntt"]
         gl = r["lap"] - 2.0 * c * r["vtt"]
         v, vn = r["v"], r["vn"]
-        return ((gn * w) @ v.T + (v * w) @ gn.T
-                - (gl * w) @ vn.T - (vn * w) @ gl.T
-                + (form.beta1 / ell ** 3) * (v * w) @ v.T
-                + (form.beta2 / ell) * (vn * w) @ vn.T)
+        return ((gn * w) @ _T(v) + (v * w) @ _T(gn)
+                - (gl * w) @ _T(vn) - (vn * w) @ _T(gl)
+                + (form.beta1 / ell ** 3) * (v * w) @ _T(v)
+                + (form.beta2 / ell) * (vn * w) @ _T(vn))
 
-    def clamped_nitsche_verbatim_matrix(self, geom, e_loc):
+    def clamped_nitsche_verbatim_matrices(self, geom, e_loc, ell, w):
         """The six boundary terms of the clamped-plate form as printed."""
         form = self.form
-        ell = geom.edge_lengths[e_loc]
-        w = self.facet_rule.weights * ell
         r = self._facet_rows(geom, e_loc, order=3)
         c = 1.0 - form.nu
         gn = r["lap_n"] - 2.0 * c * r["vntt"]
         gl = r["lap"] - 2.0 * c * r["vtt"]
         v, vn, lap = r["v"], r["vn"], r["lap"]
-        return ((form.beta1 / ell ** 2) * (v * w) @ v.T
-                + (form.beta2 / ell) * (lap * w) @ lap.T
-                + (gn * w) @ v.T + (v * w) @ gn.T
-                + (gl * w) @ vn.T + (vn * w) @ gl.T)
+        return ((form.beta1 / ell ** 2) * (v * w) @ _T(v)
+                + (form.beta2 / ell) * (lap * w) @ _T(lap)
+                + (gn * w) @ _T(v) + (v * w) @ _T(gn)
+                + (gl * w) @ _T(vn) + (vn * w) @ _T(gl))
 
-    def ip_facet_blocks(self, gA, eA, gB, eB, forwardA, forwardB, ell):
-        """Interior-penalty jump/average blocks over the two traces.
+    def ip_facet_triplets(self, mesh, dofmap):
+        """Interior-penalty jump/average blocks over all interior edges, as
+        COO triplets in edge order.
 
         Jumps and averages use the master side A's outward normal; the
         facet quadrature runs along the stored edge direction, so a side
         whose local parametrization is reversed gets its point axis
-        flipped (the Gauss rule is symmetric).
+        flipped (the Gauss rule is symmetric).  Only Lagrange elements
+        take this form, so M = I and there is no congruence.
         """
-        form = self.form
-        w = self.facet_rule.weights * ell
-        n = gA.normals[eA]
+        geom = batch_geometry(mesh)
+        (cA, eA), (cB, eB) = _interior_facets(mesh)
+        parts = []
+        for lo in range(0, len(cA), BLOCK):
+            blk = slice(lo, lo + BLOCK)
+            sides = ((cA[blk], eA[blk]), (cB[blk], eB[blk]))
+            n = geom.normals[cA[blk], eA[blk]]
+            ell = _per(geom.edge_lengths[cA[blk], eA[blk]])
+            (vnA, lapA), (vnB, lapB) = (self._ip_traces(mesh, geom, c, e, n)
+                                        for c, e in sides)
+            jump = np.concatenate([vnA, -vnB], axis=1)
+            avg = 0.5 * np.concatenate([lapA, lapB], axis=1)
+            w = self.facet_rule.weights * ell
+            local = ((self.form.alpha / ell) * (jump * w) @ _T(jump)
+                     - (avg * w) @ _T(jump) - (jump * w) @ _T(avg))
+            parts.append(_triplets(
+                np.concatenate([dofmap.cell_dofs[c] for c, _ in sides], axis=1),
+                np.concatenate([dofmap.cell_signs[c] for c, _ in sides], axis=1),
+                local))
+        return parts
 
-        def side_rows(geom, e_loc, forward):
-            tab = self.facet_tab[e_loc]
-            sl = slice(None) if forward else slice(None, None, -1)
-            dvec = geom.J @ n
-            vn = (dvec[0] * tab[(1, 0)] + dvec[1] * tab[(0, 1)])[:, sl]
-            hxx, hxy, hyy = _physical_hessian(tab, geom.J)
-            return vn, (hxx + hyy)[:, sl]
-
-        vnA, lapA = side_rows(gA, eA, True if forwardA else False)
-        vnB, lapB = side_rows(gB, eB, True if forwardB else False)
-        jump = np.vstack([vnA, -vnB])
-        avg = 0.5 * np.vstack([lapA, lapB])
-        return ((form.alpha / ell) * (jump * w) @ jump.T
-                - (avg * w) @ jump.T - (jump * w) @ avg.T)
-
-
-def _scatter(triplets, dofs, signs, local):
-    rows, cols, vals = triplets
-    sgn = np.outer(signs, signs)
-    n = len(dofs)
-    rows.append(np.repeat(dofs, n))
-    cols.append(np.tile(dofs, n))
-    vals.append((local * sgn).ravel())
+    def _ip_traces(self, mesh, geom, cells, e_loc, n):
+        """Derivative along n and Laplacian of one side's traces on its local
+        edges e_loc, with the point axis along the stored edge direction."""
+        tab = {alpha: t[e_loc] for alpha, t in self.facet_tab.items()}
+        J = geom.J[cells]
+        hxx, _, hyy = _physical_hessian(tab, J)
+        a, b = np.array(EDGE_VERTICES)[e_loc].T
+        forward = _per(mesh.cells[cells, a] < mesh.cells[cells, b])
+        return [np.where(forward, x, x[..., ::-1])
+                for x in (_directional_first(tab, J, n), hxx + hyy)]
 
 
 def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
                       form: FormSpec, scale: bool = True) -> SparseMatrix:
     """Assemble the global operator of the requested form (CSR, symmetric)."""
-    kern = _Kernels(mesh, element, form, scale)
+    kern = _Kernels(element, form)
     form = kern.form
     dofmap = build_dof_map(mesh, element)
-    triplets = ([], [], [])
+    boundary_terms = (form.kind in ("poisson_nitsche", "plate_clamped_nitsche")
+                      or form.clamped_boundary)
+    on_boundary = np.isin(mesh.cell_edges, mesh.boundary_edges)
 
-    geoms = {}
-    transforms = {}
-    for c in range(mesh.n_cells):
-        geom = kern.geometry(c)
-        M = kern.transform(geom)
-        geoms[c], transforms[c] = geom, M
-        A = kern.cell_matrix(geom)
-        if form.kind == "poisson_nitsche" or form.clamped_boundary \
-                or form.kind == "plate_clamped_nitsche":
-            for e_loc in range(3):
-                e = mesh.cell_edges[c, e_loc]
-                if len(mesh.edge_cells[e]) != 1:
-                    continue
-                if form.kind == "poisson_nitsche":
-                    A = A + kern.poisson_boundary_matrix(geom, e_loc)
-                elif form.kind == "plate_clamped_nitsche":
-                    A = A + kern.clamped_nitsche_verbatim_matrix(geom, e_loc)
-                else:
-                    A = A + kern.clamped_boundary_matrix(geom, e_loc)
-        _scatter(triplets, dofmap.cell_dofs[c], dofmap.cell_signs[c], M @ A @ M.T)
-
+    parts = []
+    for cells, geom, M in cell_blocks(mesh, element, scale):
+        A = kern.cell_matrices(geom)
+        if boundary_terms:
+            # (cell, local edge) pairs in cell order, so each cell's facet
+            # terms are added in local edge order
+            fc, fe = np.nonzero(on_boundary[cells])
+            np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
+        parts.append(_triplets(dofmap.cell_dofs[cells], dofmap.cell_signs[cells],
+                               _congruence(M, A)))
     if form.kind == "plate_ip":
-        for e in range(mesh.n_edges):
-            cells = mesh.edge_cells[e]
-            if len(cells) != 2:
-                continue
-            cA, cB = sorted(cells)
-            eA = int(np.flatnonzero(mesh.cell_edges[cA] == e)[0])
-            eB = int(np.flatnonzero(mesh.cell_edges[cB] == e)[0])
-            gA, gB = geoms[cA], geoms[cB]
-            aA, bA = EDGE_VERTICES[eA]
-            aB, bB = EDGE_VERTICES[eB]
-            forwardA = mesh.cells[cA][aA] < mesh.cells[cA][bA]
-            forwardB = mesh.cells[cB][aB] < mesh.cells[cB][bB]
-            ell = gA.edge_lengths[eA]
-            F = kern.ip_facet_blocks(gA, eA, gB, eB, forwardA, forwardB, ell)
-            MA, MB = transforms[cA], transforms[cB]
-            nA = MA.shape[1]
-            local = np.block([
-                [MA @ F[:nA, :nA] @ MA.T, MA @ F[:nA, nA:] @ MB.T],
-                [MB @ F[nA:, :nA] @ MA.T, MB @ F[nA:, nA:] @ MB.T]])
-            dofs = np.concatenate([dofmap.cell_dofs[cA], dofmap.cell_dofs[cB]])
-            signs = np.concatenate([dofmap.cell_signs[cA], dofmap.cell_signs[cB]])
-            _scatter(triplets, dofs, signs, local)
+        parts += kern.ip_facet_triplets(mesh, dofmap)
 
-    rows = np.concatenate(triplets[0])
-    cols = np.concatenate(triplets[1])
-    vals = np.concatenate(triplets[2])
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     return csr_from_coo(dofmap.total_dofs, rows, cols, vals)
 
 
@@ -500,44 +543,56 @@ def assemble_load(mesh: TriangleMesh, element: ReferenceElement,
                   f: ScalarField, form: FormSpec, scale: bool = True) -> np.ndarray:
     """Cellwise load vector (f, v); homogeneous essential data assumed, so
     there are no boundary contributions."""
-    kern = _Kernels(mesh, element, form, scale)
+    kern = _Kernels(element, form)
+    rule, tab0 = kern.cell_rule, kern.cell_tab[(0, 0)]
     dofmap = build_dof_map(mesh, element)
     b = np.zeros(dofmap.total_dofs)
-    tab0 = kern.cell_tab[(0, 0)]
-    for c in range(mesh.n_cells):
-        geom = kern.geometry(c)
-        M = kern.transform(geom)
-        w = kern.cell_rule.weights * geom.detJinv_abs
-        fvals = f(geom.ref_to_phys(kern.cell_rule.points))
-        local = M @ (tab0 @ (w * fvals))
-        np.add.at(b, dofmap.cell_dofs[c], dofmap.cell_signs[c] * local)
+    for cells, geom, M in cell_blocks(mesh, element, scale):
+        w = rule.weights * geom.detJinv_abs[:, None]
+        local = tab0 @ (w * f(geom.ref_to_phys(rule.points)))[:, :, None]
+        if M is not None:
+            local = M @ local
+        np.add.at(b, dofmap.cell_dofs[cells],
+                  dofmap.cell_signs[cells] * local[:, :, 0])
     return b
+
+
+_HESS_INDEX = {"xx": (0, 0), "xy": (0, 1), "yy": (1, 1)}
 
 
 def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
                 scale: bool = True) -> np.ndarray:
     """Global DoF vector of the nodal interpolant, consistent with the
-    (scaled) transformation pipeline."""
+    (scaled) transformation pipeline.  A DoF shared by several cells takes
+    the value of the last of them."""
     dofmap = build_dof_map(mesh, element)
-    size_field = vertex_size_field(mesh) if scale else None
+    geom = batch_geometry(mesh, vertex_size_field(mesh) if scale else None)
+    fns = element.functionals
+    X = geom.ref_to_phys(np.array([fn.point for fn in fns]))
+    x, y = X[..., 0], X[..., 1]
+    kinds = {fn.kind for fn in fns}
+    value = np.broadcast_to(f(X), x.shape)
+    grad = (np.asarray(f.grad(x, y), dtype=float)
+            if kinds & {"point_deriv", "edge_normal_deriv"} else None)
+    hess = (np.asarray(f.hess(x, y), dtype=float)
+            if "point_second_deriv" in kinds else None)
+
+    local = np.empty(x.shape)
+    for i, fn in enumerate(fns):
+        if fn.kind == "point_eval":
+            local[:, i] = value[:, i]
+        elif fn.kind in ("point_deriv", "edge_normal_deriv"):
+            d = fn.direction if fn.kind == "point_deriv" else geom.normals[:, fn.edge].T
+            local[:, i] = d[0] * grad[0, :, i] + d[1] * grad[1, :, i]
+        else:
+            local[:, i] = hess[_HESS_INDEX[fn.component]][:, i]
+    if scale and element.family != "lagrange":
+        local = local / scaling_diagonal(element.family, geom)
+
     u = np.zeros(dofmap.total_dofs)
-    for c in range(mesh.n_cells):
-        geom = cell_geometry(mesh, c, size_field)
-        local = np.zeros(element.n_dofs)
-        for i, fn in enumerate(element.functionals):
-            x = geom.ref_to_phys(np.asarray(fn.point)[None, :])[0]
-            if fn.kind == "point_eval":
-                local[i] = f.f(x[0], x[1])
-            elif fn.kind == "point_deriv":
-                local[i] = np.dot(fn.direction, f.grad(x[0], x[1]))
-            elif fn.kind == "edge_normal_deriv":
-                local[i] = np.dot(geom.normals[fn.edge], f.grad(x[0], x[1]))
-            else:
-                comp = {"xx": (0, 0), "xy": (0, 1), "yy": (1, 1)}[fn.component]
-                local[i] = np.asarray(f.hess(x[0], x[1]))[comp]
-        if scale and element.family != "lagrange":
-            local = local / scaling_diagonal(element.family, geom)
-        u[dofmap.cell_dofs[c]] = dofmap.cell_signs[c] * local
+    dofs = dofmap.cell_dofs.ravel()
+    last = len(dofs) - 1 - np.unique(dofs[::-1], return_index=True)[1]
+    u[dofs[last]] = (dofmap.cell_signs * local).ravel()[last]
     return u
 
 
@@ -545,7 +600,7 @@ def matrix_stats(A: SparseMatrix, solve) -> dict:
     """DoF count, mean nonzeros per row and a power-iteration condition estimate.
 
     solve must apply A^{-1} (SPD assumed); extreme eigenvalues are iterated
-    to a relative tolerance of 1e-3.
+    to a relative tolerance of 1e-5.
     """
     lam_max = _power_iteration(A.matvec, A.n)
     lam_min_inv = _power_iteration(solve, A.n)

@@ -178,7 +178,9 @@ def run_convergence_study(spec: StudySpec):
             failure = exc
             break
         err = solver.l2_error(msh, element, rep.x, u, scale=spec.scaling)
-        rate = None if not rows else float(np.log2(rows[-1].error / err))
+        # order of convergence per halving of h: ladders need not double
+        rate = None if not rows else float(np.log2(rows[-1].error / err)
+                                           / np.log2(n / rows[-1].n))
         rows.append(ConvergenceRow(n=n, dofs=A.n, error=err, rate=rate,
                                    iterations=rep.iterations,
                                    residual=rep.residual))

@@ -7,7 +7,7 @@ that single convention drives tangent signs and the sign consistency of
 shared derivative DoFs downstream.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,45 +47,48 @@ class TriangleMesh:
 
 
 def signed_area(vertices, cell):
-    a, b, c = vertices[cell]
-    u, v = b - a, c - a
-    return 0.5 * (u[0] * v[1] - u[1] * v[0])
+    """Signed area of a vertex-index triple, or of each row of an (n, 3) array."""
+    v = vertices[cell]
+    u, w = v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :]
+    return 0.5 * (u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
 
 
 def build_mesh(vertices, cells) -> TriangleMesh:
-    """Assemble connectivity for given vertices and positively-oriented cells."""
+    """Assemble connectivity for given vertices and positively-oriented cells.
+
+    Edges are numbered in order of first appearance, cell by cell and local
+    edge by local edge.  Raises ValueError for a degenerate or negatively
+    oriented cell and for an edge shared by more than two cells.
+    """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=int)
-    for c in range(len(cells)):
-        if signed_area(vertices, cells[c]) <= 1e-14:
-            raise ValueError(f"cell {c} is degenerate or negatively oriented")
+    bad = np.flatnonzero(signed_area(vertices, cells) <= 1e-14)
+    if len(bad):
+        raise ValueError(f"cell {bad[0]} is degenerate or negatively oriented")
 
-    edge_index = {}
-    edges = []
-    edge_cells = []
-    cell_edges = np.zeros((len(cells), 3), dtype=int)
-    cell_edge_signs = np.zeros((len(cells), 3), dtype=int)
-    for c, cell in enumerate(cells):
-        for i, (a, b) in enumerate(EDGE_VERTICES):
-            va, vb = cell[a], cell[b]
-            key = (min(va, vb), max(va, vb))
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edges)
-                edge_index[key] = e
-                edges.append(key)
-                edge_cells.append([])
-            edge_cells[e].append(c)
-            cell_edges[c, i] = e
-            # CCW traversal of edge i runs v1->v2, v2->v0, v0->v1
-            ccw = (va, vb) if i != 1 else (vb, va)
-            cell_edge_signs[c, i] = 1 if ccw == key else -1
+    ends = np.array(EDGE_VERTICES)
+    va, vb = cells[:, ends[:, 0]], cells[:, ends[:, 1]]
+    lo, hi = np.minimum(va, vb), np.maximum(va, vb)
+    _, first, inverse = np.unique((lo * len(vertices) + hi).ravel(),
+                                  return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    cell_edges = np.argsort(appearance)[inverse].reshape(cells.shape)
+    edges = np.column_stack([lo.ravel(), hi.ravel()])[first[appearance]]
+    # CCW traversal of edge i runs v1->v2, v2->v0, v0->v1: forward for
+    # edges 0 and 2, backward for edge 1
+    ccw_forward = np.where([True, False, True], va < vb, vb < va)
+    cell_edge_signs = np.where(ccw_forward, 1, -1)
 
-    edges = np.array(edges, dtype=int)
-    boundary_edges = np.array(sorted(e for e, cs in enumerate(edge_cells)
-                                     if len(cs) == 1), dtype=int)
-    boundary_vertices = np.unique(edges[boundary_edges].ravel()) \
-        if len(boundary_edges) else np.array([], dtype=int)
+    counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
+    crowded = np.flatnonzero(counts > 2)
+    if len(crowded):
+        a, b = edges[crowded[0]]
+        raise ValueError(f"edge ({a}, {b}) is shared by {counts[crowded[0]]} "
+                         "cells; at most two are allowed")
+    by_edge = np.argsort(cell_edges.ravel(), kind="stable") // 3
+    edge_cells = [c.tolist() for c in np.split(by_edge, np.cumsum(counts)[:-1])]
+    boundary_edges = np.flatnonzero(counts == 1)
+    boundary_vertices = np.unique(edges[boundary_edges].ravel())
     return TriangleMesh(vertices=vertices, cells=cells, edges=edges,
                         cell_edges=cell_edges, cell_edge_signs=cell_edge_signs,
                         edge_cells=edge_cells, boundary_edges=boundary_edges,
@@ -129,32 +132,39 @@ def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
 
 @dataclass
 class CellGeometry:
-    """Affine geometry of one cell.
+    """Affine geometry of one cell, or of a batch of cells along a leading axis.
 
     J is the Jacobian of the physical-to-reference map F: K -> Khat
     (entries d xhat_a / d x_b), so physical gradients obey
     grad = J^T refgrad.  normals are outward unit normals per local edge;
     tangents run from the lower- to the higher-numbered local endpoint.
+    Indexing a batch (geom[i], geom[slice], geom[index_array]) selects cells.
     """
 
-    cell: int
+    cell: np.ndarray
     vertices: np.ndarray
     J: np.ndarray
     Jinv: np.ndarray
-    detJinv_abs: float
+    detJinv_abs: np.ndarray
     normals: np.ndarray
     tangents: np.ndarray
     edge_lengths: np.ndarray
-    diameter: float
+    diameter: np.ndarray
     vertex_h: np.ndarray = None
 
+    def __getitem__(self, index):
+        return CellGeometry(**{f.name: None if getattr(self, f.name) is None
+                               else getattr(self, f.name)[index]
+                               for f in fields(self)})
+
     def ref_to_phys(self, points):
+        """Reference points (n, 2) to physical points (..., n, 2)."""
         pts = np.atleast_2d(points)
-        return self.vertices[0] + pts @ self.Jinv.T
+        return self.vertices[..., :1, :] + pts @ np.swapaxes(self.Jinv, -1, -2)
 
     def phys_to_ref(self, points):
         pts = np.atleast_2d(points)
-        return (pts - self.vertices[0]) @ self.J.T
+        return (pts - self.vertices[..., :1, :]) @ np.swapaxes(self.J, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -164,36 +174,49 @@ class VertexSizeField:
     h: np.ndarray
 
 
+def _edge_vectors(verts):
+    """Edge vectors (..., 3, 2) from the lower- to the higher-numbered local
+    endpoint of each local edge, for cell vertices (..., 3, 2)."""
+    ends = np.array(EDGE_VERTICES)
+    return verts[..., ends[:, 1], :] - verts[..., ends[:, 0], :]
+
+
+def batch_geometry(mesh: TriangleMesh, size_field: VertexSizeField = None,
+                   cells=None) -> CellGeometry:
+    """Geometry of the given cells (all by default), batched along axis 0."""
+    index = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
+    verts = mesh.vertices[mesh.cells[index]]
+    B = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
+                 axis=-1)  # d x / d xhat
+    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    bad = np.flatnonzero(np.abs(det) < 2e-14)
+    if len(bad):
+        raise ValueError(f"cell {index[bad[0]]} is degenerate")
+    J = np.stack([np.stack([B[:, 1, 1], -B[:, 0, 1]], axis=-1),
+                  np.stack([-B[:, 1, 0], B[:, 0, 0]], axis=-1)],
+                 axis=1) / det[:, None, None]
+
+    d = _edge_vectors(verts)
+    lengths = np.hypot(d[..., 0], d[..., 1])
+    tangents = d / lengths[..., None]
+    normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
+    # edge e is opposite vertex e: flip normals that point at it
+    mids = 0.5 * (verts[:, [a for a, _ in EDGE_VERTICES]]
+                  + verts[:, [b for _, b in EDGE_VERTICES]])
+    inward = np.einsum("cek,cek->ce", normals, mids - verts) < 0
+    normals[inward] *= -1.0
+
+    vertex_h = size_field.h[mesh.cells[index]] if size_field is not None else None
+    return CellGeometry(cell=index, vertices=verts, J=J, Jinv=B,
+                        detJinv_abs=np.abs(det), normals=normals,
+                        tangents=tangents, edge_lengths=lengths,
+                        diameter=lengths.max(axis=-1), vertex_h=vertex_h)
+
+
 def cell_geometry(mesh: TriangleMesh, cell_index: int,
                   size_field: VertexSizeField = None) -> CellGeometry:
-    """Geometric quantities of one cell (pure; safe to evaluate concurrently)."""
-    cell = mesh.cells[cell_index]
-    verts = mesh.vertices[cell]
-    B = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])  # d x / d xhat
-    det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    if abs(det) < 2e-14:
-        raise ValueError(f"cell {cell_index} is degenerate")
-    J = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
-
-    tangents = np.zeros((3, 2))
-    normals = np.zeros((3, 2))
-    lengths = np.zeros(3)
-    for e, (a, b) in enumerate(EDGE_VERTICES):
-        d = verts[b] - verts[a]
-        lengths[e] = np.hypot(*d)
-        t = d / lengths[e]
-        tangents[e] = t
-        nrm = np.array([t[1], -t[0]])
-        mid = 0.5 * (verts[a] + verts[b])
-        if np.dot(nrm, mid - verts[e]) < 0:
-            nrm = -nrm
-        normals[e] = nrm
-
-    vertex_h = size_field.h[cell] if size_field is not None else None
-    return CellGeometry(cell=cell_index, vertices=verts, J=J, Jinv=B,
-                        detJinv_abs=abs(det), normals=normals,
-                        tangents=tangents, edge_lengths=lengths,
-                        diameter=lengths.max(), vertex_h=vertex_h)
+    """Geometric quantities of one cell: a batch of one, unbatched."""
+    return batch_geometry(mesh, size_field, [cell_index])[0]
 
 
 def reference_cell_geometry() -> CellGeometry:
@@ -204,13 +227,11 @@ def reference_cell_geometry() -> CellGeometry:
 
 def vertex_size_field(mesh: TriangleMesh) -> VertexSizeField:
     """h(v) = arithmetic mean of the diameters of the cells incident to v."""
-    sums = np.zeros(mesh.n_vertices)
-    counts = np.zeros(mesh.n_vertices)
-    for c in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cells[c]]
-        diam = max(np.hypot(*(verts[b] - verts[a])) for a, b in EDGE_VERTICES)
-        np.add.at(sums, mesh.cells[c], diam)
-        np.add.at(counts, mesh.cells[c], 1.0)
+    d = _edge_vectors(mesh.vertices[mesh.cells])
+    diam = np.hypot(d[..., 0], d[..., 1]).max(axis=-1)
+    v = mesh.cells.ravel()
+    sums = np.bincount(v, weights=np.repeat(diam, 3), minlength=mesh.n_vertices)
+    counts = np.bincount(v, minlength=mesh.n_vertices)
     return VertexSizeField(h=sums / counts)
 
 

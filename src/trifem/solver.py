@@ -12,10 +12,13 @@ import numpy as np
 import scipy.linalg
 
 from .assembly import SparseMatrix
-from .mesh import cell_geometry, vertex_size_field
 from .quadrature import triangle_rule
 from .refelem import ReferenceElement, tabulate_coeffs
-from .transform import cell_transform
+
+# One-cell entry points kept importable from here, as from assembly; the
+# error pass uses the batched pipeline (assembly.cell_blocks).
+from .mesh import cell_geometry, vertex_size_field  # noqa: E402,F401
+from .transform import cell_transform  # noqa: E402,F401
 
 DENSE_GUARD = 20000
 
@@ -153,21 +156,19 @@ def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
              scale: bool = True) -> float:
     """L2 norm of (u_h - u_exact), with u_h reconstructed per cell through the
     transformed basis and integrated at degree 2*embedded_degree + 2."""
-    from .assembly import build_dof_map
+    from .assembly import build_dof_map, cell_blocks
     dofmap = build_dof_map(mesh, element)
     rule = triangle_rule(min(2 * element.degree + 2, 12))
     tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
                            rule.points, 0)[(0, 0)]
-    size_field = vertex_size_field(mesh) if scale else None
     ue = u_exact.f if hasattr(u_exact, "f") else u_exact
 
-    total = 0.0
-    for c in range(mesh.n_cells):
-        geom = cell_geometry(mesh, c, size_field)
-        M = cell_transform(element, geom, scale).matrix
-        local = dofmap.cell_signs[c] * u_h[dofmap.cell_dofs[c]]
-        vals = local @ (M @ tab0)
+    # per-cell integrals, summed in cell order by a sequential cumsum
+    terms = []
+    for cells, geom, M in cell_blocks(mesh, element, scale):
+        local = dofmap.cell_signs[cells] * u_h[dofmap.cell_dofs[cells]]
+        vals = (local[:, None, :] @ (tab0 if M is None else M @ tab0))[:, 0]
         X = geom.ref_to_phys(rule.points)
-        diff = vals - ue(X[:, 0], X[:, 1])
-        total += geom.detJinv_abs * np.dot(rule.weights, diff * diff)
-    return float(np.sqrt(total))
+        diff = vals - ue(X[..., 0], X[..., 1])
+        terms.append(geom.detJinv_abs * np.vecdot(rule.weights, diff * diff))
+    return float(np.sqrt(np.cumsum(np.concatenate(terms))[-1]))

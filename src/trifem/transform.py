@@ -8,6 +8,10 @@ identity; Hermite gets per-vertex Jacobian blocks; Morley and Argyris use
 the three-step extended-node construction with edge blocks
 B^i = Ghat_i J^{-T} G_i^T; Bell restricts a mapped enriched quintic.
 
+Every builder takes the geometry of one cell or of a batch of cells
+(mesh.batch_geometry) and returns matrices with the same leading axes, so
+a single cell is the batch of one and there is one code path.
+
 All constructions are pinned by nodal duality: applying the physical
 functionals to the transformed basis must give the identity.
 """
@@ -24,7 +28,7 @@ from .refelem import (EDGE_VERTICES, REF_NORMALS, REF_TANGENTS, REF_VERTICES,
 
 @dataclass
 class TransformMatrix:
-    """Transformation for one cell: matrix has shape (n_dofs, n_tab_basis).
+    """Transformation: matrix has shape (..., n_dofs, n_tab_basis).
 
     scaling records the diagonal applied by scale_M (None while unscaled).
     """
@@ -44,27 +48,29 @@ class ThreeStepFactors:
     B: np.ndarray
 
 
+def _eye(n, batch):
+    return np.broadcast_to(np.eye(n), batch + (n, n)).copy()
+
+
 def edge_blocks(geom: CellGeometry) -> np.ndarray:
-    """B^i = Ghat_i J^{-T} G_i^T coupling (normal, tangent) derivative pairs."""
-    B = np.zeros((3, 2, 2))
-    JinvT = geom.Jinv.T
-    for e in range(3):
-        Ghat = np.array([REF_NORMALS[e], REF_TANGENTS[e]])
-        G = np.array([geom.normals[e], geom.tangents[e]])
-        B[e] = Ghat @ JinvT @ G.T
-    return B
+    """B^i = Ghat_i J^{-T} G_i^T coupling (normal, tangent) derivative pairs,
+    shape (..., 3, 2, 2)."""
+    Ghat = np.stack([REF_NORMALS, REF_TANGENTS], axis=1)
+    G = np.stack([geom.normals, geom.tangents], axis=-2)
+    JinvT = np.swapaxes(geom.Jinv, -1, -2)[..., None, :, :]
+    return Ghat @ JinvT @ np.swapaxes(G, -1, -2)
+
+
+_VOIGT_UNITS = np.array([[[1.0, 0.0], [0.0, 0.0]],
+                         [[0.0, 1.0], [1.0, 0.0]],
+                         [[0.0, 0.0], [0.0, 1.0]]])
 
 
 def hessian_pushforward(J: np.ndarray) -> np.ndarray:
     """3x3 matrix T with voigt(J^T H J) = T voigt(H), Voigt order (xx, xy, yy)."""
-    units = [np.array([[1.0, 0.0], [0.0, 0.0]]),
-             np.array([[0.0, 1.0], [1.0, 0.0]]),
-             np.array([[0.0, 0.0], [0.0, 1.0]])]
-    cols = []
-    for E in units:
-        P = J.T @ E @ J
-        cols.append([P[0, 0], P[0, 1], P[1, 1]])
-    return np.array(cols).T
+    J = J[..., None, :, :]
+    P = np.swapaxes(J, -1, -2) @ _VOIGT_UNITS @ J
+    return np.stack([P[..., 0, 0], P[..., 0, 1], P[..., 1, 1]], axis=-2)
 
 
 def hermite_M(geom: CellGeometry) -> TransformMatrix:
@@ -74,26 +80,27 @@ def hermite_M(geom: CellGeometry) -> TransformMatrix:
     (J^{-1}), which is what nodal duality requires: a unit physical slope
     needs a 1/slope-of-pullback coefficient.
     """
-    M = np.eye(10)
+    M = _eye(10, geom.J.shape[:-2])
     for v in range(3):
-        M[3 * v + 1:3 * v + 3, 3 * v + 1:3 * v + 3] = geom.Jinv
+        M[..., 3 * v + 1:3 * v + 3, 3 * v + 1:3 * v + 3] = geom.Jinv
     return TransformMatrix(matrix=M, family="hermite")
 
 
 def _morley_V(geom: CellGeometry) -> np.ndarray:
-    V = np.eye(6)
+    V = _eye(6, geom.J.shape[:-2])
     B = edge_blocks(geom)
     for e, (a, b) in enumerate(EDGE_VERTICES):
-        ell = geom.edge_lengths[e]
-        V[3 + e, 3 + e] = B[e, 0, 0]
-        V[3 + e, a] = -B[e, 0, 1] / ell
-        V[3 + e, b] = B[e, 0, 1] / ell
+        ell = geom.edge_lengths[..., e]
+        V[..., 3 + e, 3 + e] = B[..., e, 0, 0]
+        V[..., 3 + e, a] = -B[..., e, 0, 1] / ell
+        V[..., 3 + e, b] = B[..., e, 0, 1] / ell
     return V
 
 
 def morley_M(geom: CellGeometry) -> TransformMatrix:
     """Morley: closed-form V with entries -+B^i_01/l_i and B^i_00; M = V^T."""
-    return TransformMatrix(matrix=_morley_V(geom).T, family="morley")
+    return TransformMatrix(matrix=np.swapaxes(_morley_V(geom), -1, -2),
+                           family="morley")
 
 
 def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
@@ -103,18 +110,19 @@ def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
     by differencing the endpoint values; VC is block diagonal with B^i on the
     extended derivative pairs; E selects the 6 Morley nodes.
     """
+    batch = geom.J.shape[:-2]
     B = edge_blocks(geom)
-    D = np.zeros((9, 6))
-    VC = np.eye(9)
+    D = np.zeros(batch + (9, 6))
+    VC = _eye(9, batch)
     E = np.zeros((6, 9))
-    D[:3, :3] = np.eye(3)
+    D[..., :3, :3] = np.eye(3)
     E[:3, :3] = np.eye(3)
     for e, (a, b) in enumerate(EDGE_VERTICES):
-        ell = geom.edge_lengths[e]
-        D[3 + 2 * e, 3 + e] = 1.0
-        D[4 + 2 * e, a] = -1.0 / ell
-        D[4 + 2 * e, b] = 1.0 / ell
-        VC[3 + 2 * e:5 + 2 * e, 3 + 2 * e:5 + 2 * e] = B[e]
+        ell = geom.edge_lengths[..., e]
+        D[..., 3 + 2 * e, 3 + e] = 1.0
+        D[..., 4 + 2 * e, a] = -1.0 / ell
+        D[..., 4 + 2 * e, b] = 1.0 / ell
+        VC[..., 3 + 2 * e:5 + 2 * e, 3 + 2 * e:5 + 2 * e] = B[..., e, :, :]
         E[3 + e, 3 + 2 * e] = 1.0
     return ThreeStepFactors(D=D, VC=VC, E=E, B=B)
 
@@ -126,31 +134,33 @@ _Q5_VALUE, _Q5_SLOPE, _Q5_CURV = 15.0 / 8.0, 7.0 / 16.0, 1.0 / 32.0
 
 def argyris_three_step(geom: CellGeometry) -> ThreeStepFactors:
     """Argyris factors: vertex jets plus (normal, tangential) midpoint pairs."""
+    batch = geom.J.shape[:-2]
     B = edge_blocks(geom)
-    JinvT = geom.Jinv.T
+    JinvT = np.swapaxes(geom.Jinv, -1, -2)
     Theta = np.linalg.inv(hessian_pushforward(geom.J))
 
-    VC = np.eye(24)
+    VC = _eye(24, batch)
     for v in range(3):
-        VC[6 * v + 1:6 * v + 3, 6 * v + 1:6 * v + 3] = JinvT
-        VC[6 * v + 3:6 * v + 6, 6 * v + 3:6 * v + 6] = Theta
+        VC[..., 6 * v + 1:6 * v + 3, 6 * v + 1:6 * v + 3] = JinvT
+        VC[..., 6 * v + 3:6 * v + 6, 6 * v + 3:6 * v + 6] = Theta
     for e in range(3):
-        VC[18 + 2 * e:20 + 2 * e, 18 + 2 * e:20 + 2 * e] = B[e]
+        VC[..., 18 + 2 * e:20 + 2 * e, 18 + 2 * e:20 + 2 * e] = B[..., e, :, :]
 
-    D = np.zeros((24, 21))
-    D[:18, :18] = np.eye(18)
+    D = np.zeros(batch + (24, 21))
+    D[..., :18, :18] = np.eye(18)
     for e, (a, b) in enumerate(EDGE_VERTICES):
-        ell = geom.edge_lengths[e]
-        t = geom.tangents[e]
-        tt = np.array([t[0] ** 2, 2.0 * t[0] * t[1], t[1] ** 2])
-        D[18 + 2 * e, 18 + e] = 1.0
-        row = D[19 + 2 * e]
-        row[6 * a] = -_Q5_VALUE / ell
-        row[6 * b] = _Q5_VALUE / ell
-        row[6 * a + 1:6 * a + 3] = -_Q5_SLOPE * t
-        row[6 * b + 1:6 * b + 3] = -_Q5_SLOPE * t
-        row[6 * a + 3:6 * a + 6] = -_Q5_CURV * ell * tt
-        row[6 * b + 3:6 * b + 6] = _Q5_CURV * ell * tt
+        ell = geom.edge_lengths[..., e, None]
+        t = geom.tangents[..., e, :]
+        tt = np.stack([t[..., 0] ** 2, 2.0 * t[..., 0] * t[..., 1],
+                       t[..., 1] ** 2], axis=-1)
+        D[..., 18 + 2 * e, 18 + e] = 1.0
+        row = D[..., 19 + 2 * e, :]
+        row[..., 6 * a] = -_Q5_VALUE / ell[..., 0]
+        row[..., 6 * b] = _Q5_VALUE / ell[..., 0]
+        row[..., 6 * a + 1:6 * a + 3] = -_Q5_SLOPE * t
+        row[..., 6 * b + 1:6 * b + 3] = -_Q5_SLOPE * t
+        row[..., 6 * a + 3:6 * a + 6] = -_Q5_CURV * ell * tt
+        row[..., 6 * b + 3:6 * b + 6] = _Q5_CURV * ell * tt
 
     E = np.zeros((21, 24))
     E[:18, :18] = np.eye(18)
@@ -162,7 +172,7 @@ def argyris_three_step(geom: CellGeometry) -> ThreeStepFactors:
 def argyris_M(geom: CellGeometry) -> TransformMatrix:
     f = argyris_three_step(geom)
     V = f.E @ f.VC @ f.D
-    return TransformMatrix(matrix=V.T, family="argyris")
+    return TransformMatrix(matrix=np.swapaxes(V, -1, -2), family="argyris")
 
 
 def _bell_reference_data(element: ReferenceElement):
@@ -191,23 +201,26 @@ def _bell_reference_data(element: ReferenceElement):
 def _bell_pushforward_matrix(element: ReferenceElement,
                              geom: CellGeometry) -> np.ndarray:
     """Physical Bell vertex jets and quartic edge modes applied to the
-    pulled-back enriched quintic basis (21 x 21)."""
+    pulled-back enriched quintic basis (..., 21, 21)."""
     vertex_tab, edge_grads = _bell_reference_data(element)
     J = geom.J
     T = hessian_pushforward(J)
+    JT = np.swapaxes(J, -1, -2)
 
-    W = np.zeros((21, 21))
+    W = np.zeros(J.shape[:-2] + (21, 21))
     tab = vertex_tab
     for v in range(3):
-        W[6 * v] = tab[(0, 0)][:, v]
+        W[..., 6 * v, :] = tab[(0, 0)][:, v]
         ghat = np.array([tab[(1, 0)][:, v], tab[(0, 1)][:, v]])
-        W[6 * v + 1:6 * v + 3] = J.T @ ghat
+        W[..., 6 * v + 1:6 * v + 3, :] = JT @ ghat
         hhat = np.array([tab[(2, 0)][:, v], tab[(1, 1)][:, v], tab[(0, 2)][:, v]])
-        W[6 * v + 3:6 * v + 6] = T @ hhat
+        W[..., 6 * v + 3:6 * v + 6, :] = T @ hhat
 
     for e in range(3):
-        dvec = J @ geom.normals[e]  # n . grad_phys = (J n) . grad_ref
-        W[18 + e] = dvec[0] * edge_grads[e][0] + dvec[1] * edge_grads[e][1]
+        # n . grad_phys = (J n) . grad_ref
+        dvec = (J @ geom.normals[..., e, :, None])[..., 0]
+        W[..., 18 + e, :] = (dvec[..., 0, None] * edge_grads[e][0]
+                             + dvec[..., 1, None] * edge_grads[e][1])
     return W
 
 
@@ -217,13 +230,14 @@ def bell_M(geom: CellGeometry, element: ReferenceElement) -> TransformMatrix:
     if element.family != "bell":
         raise ValueError("bell_M needs a bell reference element")
     W = _bell_pushforward_matrix(element, geom)
-    M_full = np.linalg.inv(W.T)
-    return TransformMatrix(matrix=M_full[:18], family="bell")
+    M_full = np.linalg.inv(np.swapaxes(W, -1, -2))
+    return TransformMatrix(matrix=M_full[..., :18, :], family="bell")
 
 
 def transform_matrix(element: ReferenceElement,
                      geom: CellGeometry) -> TransformMatrix:
-    """Unscaled transformation for any supported family."""
+    """Unscaled transformation for any supported family.  Lagrange gets one
+    identity that stands for every cell of a batch."""
     fam = element.family
     if fam == "lagrange":
         return TransformMatrix(matrix=np.eye(element.n_dofs), family="lagrange")
@@ -253,18 +267,19 @@ def scaling_diagonal(family: str, geom: CellGeometry) -> np.ndarray:
     if h is None:
         raise ValueError("scaling requires vertex sizes in the cell geometry")
     inv_ell = 1.0 / geom.edge_lengths
+    one, inv_h, inv_h2 = np.ones_like(h), 1.0 / h, 1.0 / h ** 2
+    batch = h.shape[:-1]
     if family == "hermite":
-        s = [([1.0, 1.0 / h[v], 1.0 / h[v]]) for v in range(3)]
-        return np.array(sum(s, []) + [1.0])
+        jets = np.stack([one, inv_h, inv_h], axis=-1).reshape(batch + (9,))
+        return np.concatenate([jets, np.ones(batch + (1,))], axis=-1)
     if family == "morley":
-        return np.concatenate([np.ones(3), inv_ell])
-    jets = [np.array([1.0, 1.0 / h[v], 1.0 / h[v],
-                      1.0 / h[v] ** 2, 1.0 / h[v] ** 2, 1.0 / h[v] ** 2])
-            for v in range(3)]
+        return np.concatenate([np.ones(batch + (3,)), inv_ell], axis=-1)
+    jets = np.stack([one, inv_h, inv_h, inv_h2, inv_h2, inv_h2],
+                    axis=-1).reshape(batch + (18,))
     if family == "argyris":
-        return np.concatenate(jets + [inv_ell])
+        return np.concatenate([jets, inv_ell], axis=-1)
     if family == "bell":
-        return np.concatenate(jets)
+        return jets
     raise ValueError(f"unsupported family {family}")
 
 
@@ -274,12 +289,13 @@ def scale_M(tm: TransformMatrix, geom: CellGeometry) -> TransformMatrix:
         return TransformMatrix(matrix=tm.matrix, family=tm.family,
                                scaling=np.ones(tm.matrix.shape[0]))
     S = scaling_diagonal(tm.family, geom)
-    return TransformMatrix(matrix=S[:, None] * tm.matrix, family=tm.family,
+    return TransformMatrix(matrix=S[..., :, None] * tm.matrix, family=tm.family,
                            scaling=S)
 
 
 def cell_transform(element: ReferenceElement, geom: CellGeometry,
                    scale: bool) -> TransformMatrix:
+    """(Scaled) M of one cell, or of every cell of a batched geometry."""
     tm = transform_matrix(element, geom)
     return scale_M(tm, geom) if scale else tm
 

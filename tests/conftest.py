@@ -47,18 +47,25 @@ def sample_points(degree=10):
 
 
 def poly_field(expr) -> ScalarField:
-    """ScalarField with exact derivatives of a sympy expression in X, Y."""
+    """ScalarField with exact derivatives of a sympy expression in X, Y.
+
+    Every component has the shape of x, constant ones included, so the
+    field can be evaluated at one point or at arrays of points."""
     fns = {}
     for name, e in [("f", expr), ("fx", expr.diff(X)), ("fy", expr.diff(Y)),
                     ("fxx", expr.diff(X, 2)), ("fxy", expr.diff(X, Y)),
                     ("fyy", expr.diff(Y, 2))]:
         fns[name] = sympy.lambdify((X, Y), e, "numpy")
+
+    def ev(name, x, y):
+        return np.broadcast_to(np.asarray(fns[name](x, y), dtype=float),
+                               np.shape(x)).copy()
+
     return ScalarField(
-        f=lambda x, y: np.broadcast_to(np.asarray(fns["f"](x, y), dtype=float),
-                                       np.shape(x)).copy() if np.shape(x) else float(fns["f"](x, y)),
-        grad=lambda x, y: np.array([fns["fx"](x, y), fns["fy"](x, y)], dtype=float),
-        hess=lambda x, y: np.array([[fns["fxx"](x, y), fns["fxy"](x, y)],
-                                    [fns["fxy"](x, y), fns["fyy"](x, y)]], dtype=float))
+        f=lambda x, y: ev("f", x, y),
+        grad=lambda x, y: np.array([ev("fx", x, y), ev("fy", x, y)]),
+        hess=lambda x, y: np.array([[ev("fxx", x, y), ev("fxy", x, y)],
+                                    [ev("fxy", x, y), ev("fyy", x, y)]]))
 
 
 def physical_functional_matrix(element, geom):

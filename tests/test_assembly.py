@@ -63,6 +63,60 @@ def test_edge_normal_dof_signs_opposite():
         assert sorted(signs) == [-1.0, 1.0]
 
 
+def _traces(m, el, dm, u, c, x, normal):
+    """Value and normal derivative of the global function with DoF vector u,
+    evaluated on cell c at physical points x through its own M."""
+    from trifem.mesh import cell_geometry, vertex_size_field
+    from trifem.refelem import tabulate_coeffs
+    from trifem.transform import cell_transform
+    geom = cell_geometry(m, c, vertex_size_field(m))
+    coef = (dm.cell_signs[c] * u[dm.cell_dofs[c]]) @ cell_transform(el, geom, True).matrix
+    tab = tabulate_coeffs(el.poly, el.tabulation_coeffs(), geom.phys_to_ref(x), 1)
+    grad_ref = np.array([coef @ tab[(1, 0)], coef @ tab[(0, 1)]])
+    return coef @ tab[(0, 0)], (geom.J @ normal) @ grad_ref
+
+
+GLOBAL_SPACES = {"lagrange:3": False, "hermite": False, "argyris": True,
+                 "bell": True, "morley": None}
+
+
+@pytest.mark.parametrize("name", GLOBAL_SPACES)
+def test_global_space_continuity_across_interior_edges(name):
+    # random global DoF vectors, evaluated from both sides of every interior
+    # edge: the assembled space is C0 (values agree along the edge), C1 for
+    # Argyris and Bell (normal derivatives agree too), and for Morley the
+    # vertex values and midpoint normal derivatives agree
+    from trifem.harness import parse_element
+    from trifem.mesh import global_edge_normal
+    from trifem.quadrature import interval_rule
+    m = build_unit_square_mesh(4, 0.2)
+    el = parse_element(name)
+    dm = build_dof_map(m, el)
+    s = interval_rule(10).points if name != "morley" else np.array([0.0, 0.5, 1.0])
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        u = rng.standard_normal(dm.total_dofs)
+        jumps, sizes = [], []
+        for e in range(m.n_edges):
+            cells = m.edge_cells[e]
+            if len(cells) != 2:
+                continue
+            a, b = m.vertices[m.edges[e]]
+            x = a + s[:, None] * (b - a)
+            n = global_edge_normal(m, e)
+            (vA, dA), (vB, dB) = (_traces(m, el, dm, u, c, x, n) for c in cells)
+            if name == "morley":
+                jumps.append([*(vA - vB)[[0, 2]], (dA - dB)[1]])
+                sizes.append([*vA[[0, 2]], dA[1]])
+            elif GLOBAL_SPACES[name]:
+                jumps.append(np.concatenate([vA - vB, dA - dB]))
+                sizes.append(np.concatenate([vA, dA]))
+            else:
+                jumps.append(vA - vB)
+                sizes.append(vA)
+        assert np.abs(jumps).max() <= 1e-10 * np.abs(sizes).max()
+
+
 def test_csr_roundtrip_and_sorted_columns():
     A = csr_from_coo(3, [0, 2, 0, 1, 2, 0], [1, 2, 1, 0, 0, 0],
                      [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

@@ -58,6 +58,44 @@ def test_poisson_p1_study_rate(tmp_path):
     assert header == "N,dofs,error,rate"
 
 
+def test_rate_is_per_halving_on_non_doubling_ladders():
+    # 4 -> 16 spans two halvings of h: the rate is their mean, near P1's 2,
+    # not log2 of the whole error ratio
+    skip = run_convergence_study(StudySpec(problem="poisson", element="lagrange:1",
+                                           levels=(4, 16)))
+    step = run_convergence_study(StudySpec(problem="poisson", element="lagrange:1",
+                                           levels=(4, 8, 16)))
+    assert skip[1].error == step[2].error
+    assert abs(skip[1].rate - 0.5 * (step[1].rate + step[2].rate)) < 1e-12
+    assert abs(skip[1].rate - 2.0) <= 0.3
+
+
+# Errors of the N=8 rung (perturbation 0.2, scaling on) as the per-cell
+# assembly loops computed them, before the passes were batched over cells,
+# printed with 17 significant digits.  On the biharmonic rungs a random
+# one-ulp perturbation of A or b already moves the error by up to about
+# 5e-10 relative, so these pins hold only while the assembly, load and
+# error passes keep their floating-point operations, one for one.
+PINNED_N8_ERRORS = {
+    ("poisson", "lagrange:3"): 1.8679413280718128e-05,
+    ("poisson", "hermite"): 6.122873286218006e-05,
+    ("poisson", "bell"): 4.030918413401861e-07,
+    ("poisson", "argyris"): 9.675216211993858e-08,
+    ("biharmonic", "morley"): 0.0004124120103737379,
+    ("biharmonic", "argyris"): 1.4009154419593382e-08,
+    ("biharmonic", "bell"): 5.6400518480651144e-08,
+    ("biharmonic", "lagrange:3"): 9.703219089353569e-06,
+}
+
+
+@pytest.mark.parametrize("problem,element", PINNED_N8_ERRORS)
+def test_study_errors_pinned_n8(problem, element):
+    rows = run_convergence_study(StudySpec(problem=problem, element=element,
+                                           levels=(8,)))
+    pinned = PINNED_N8_ERRORS[(problem, element)]
+    assert abs(rows[0].error - pinned) <= 1e-10 * pinned
+
+
 def test_study_csv_reproducible(tmp_path):
     spec1 = StudySpec(problem="poisson", element="lagrange:2", levels=(4, 8),
                       out=str(tmp_path / "a.csv"))

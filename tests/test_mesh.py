@@ -141,6 +141,16 @@ def test_degenerate_cell_rejected():
         build_mesh(verts, np.array([[0, 1, 2]]))
 
 
+def test_edge_shared_by_three_cells_rejected():
+    # three positively oriented triangles on the edge (0, 1)
+    verts = np.array([[0., 0.], [1., 0.], [0.5, 1.], [0.5, -1.], [0.3, 0.5]])
+    cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    assert all(signed_area(verts, c) > 0 for c in cells)
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by 3 cells"):
+        build_mesh(verts, cells)
+    build_mesh(verts, cells[:2])
+
+
 def test_vertex_size_field_small():
     m = build_unit_square_mesh(1)
     field = vertex_size_field(m)

@@ -7,7 +7,7 @@ import sympy
 from conftest import (X, Y, interpolate_on_cell, make_rng,
                       physical_functional_matrix, poly_field, random_triangle,
                       sample_points, triangle_geometry)
-from trifem import transform
+from trifem import mesh, transform
 from trifem.mesh import reference_cell_geometry
 from trifem.quadrature import interval_rule
 from trifem.refelem import build_reference_element, legendre4, tabulate_coeffs
@@ -79,6 +79,25 @@ def test_bell_physical_quartic_edge_modes_vanish():
             dn = np.einsum("k,kl,liq->iq", n, geom.J.T, ghat)
             worst = max(worst, np.abs(ell * dn @ leg).max())
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_batched_transform_matches_cell_by_cell(scale):
+    # one batch over a whole mesh gives, cell for cell and bit for bit, the
+    # geometry and M of the per-cell calls
+    m = mesh.build_unit_square_mesh(3, 0.2)
+    sizes = mesh.vertex_size_field(m)
+    batch = mesh.batch_geometry(m, sizes)
+    cells = [mesh.cell_geometry(m, c, sizes) for c in range(m.n_cells)]
+    for name in ("J", "Jinv", "detJinv_abs", "normals", "tangents",
+                 "edge_lengths", "diameter", "vertex_h"):
+        assert np.array_equal(getattr(batch, name),
+                              np.array([getattr(g, name) for g in cells]))
+    for fam, el in ELEMENTS.items():
+        Ms = cell_transform(el, batch, scale).matrix
+        assert Ms.shape == (m.n_cells,) + cell_transform(el, cells[0], scale).matrix.shape
+        for c, g in enumerate(cells):
+            assert np.array_equal(Ms[c], cell_transform(el, g, scale).matrix), fam
 
 
 def test_hermite_translation_is_identity():
