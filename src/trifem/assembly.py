@@ -24,6 +24,7 @@ order, so results are deterministic.
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from . import transform
 from .mesh import TriangleMesh, batch_geometry, vertex_size_field
@@ -57,80 +58,40 @@ class ScalarField:
         return np.asarray(self.f(pts[..., 0], pts[..., 1]), dtype=float)
 
 
-@dataclass
-class SparseMatrix:
-    """Square CSR matrix; column indices strictly increasing within each row."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    n: int
+class SparseMatrix(scipy.sparse.csr_array):
+    """Square CSR matrix: scipy's csr_array plus its order n and a matvec."""
 
     @property
-    def shape(self):
-        return (self.n, self.n)
-
-    @property
-    def nnz(self):
-        return len(self.data)
-
-    def _rows(self):
-        rows = getattr(self, "_row_cache", None)
-        if rows is None:
-            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            object.__setattr__(self, "_row_cache", rows)
-        return rows
+    def n(self):
+        return self.shape[0]
 
     def matvec(self, x):
-        return np.bincount(self._rows(), weights=self.data * x[self.indices],
-                           minlength=self.n)
-
-    def diagonal(self):
-        d = np.zeros(self.n)
-        rows = self._rows()
-        on_diag = rows == self.indices
-        d[rows[on_diag]] = self.data[on_diag]
-        return d
-
-    def to_dense(self):
-        A = np.zeros(self.shape)
-        A[self._rows(), self.indices] = self.data
-        return A
-
-    def to_scipy(self):
-        from scipy.sparse import csr_matrix
-        return csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return self @ x
 
 
 def csr_from_coo(n, rows, cols, vals) -> SparseMatrix:
-    """Build CSR from triplets; duplicate entries are summed."""
+    """Build CSR from triplets; duplicate entries are summed in input order.
+
+    scipy's own COO-to-CSR conversion sums duplicates in another order: that
+    moves some entries by an ulp, and the biharmonic study errors far more.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
     keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
     summed = np.add.reduceat(vals, starts) if len(vals) else vals
-    urows, ucols = rows[starts], cols[starts]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, urows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SparseMatrix(indptr=indptr, indices=ucols, data=summed, n=n)
+    indptr = np.searchsorted(keys[starts], np.arange(n + 1) * n)
+    return SparseMatrix((summed, keys[starts] % n, indptr), shape=(n, n))
 
 
 def symmetry_error(A: SparseMatrix) -> float:
     """max |A - A^T|, computed sparsely."""
-    rows = A._rows()
-    At = csr_from_coo(A.n, A.indices, rows, A.data)
-    if np.array_equal(At.indptr, A.indptr) and np.array_equal(At.indices, A.indices):
-        return float(np.abs(At.data - A.data).max()) if A.nnz else 0.0
-    both = csr_from_coo(A.n, np.concatenate([rows, A.indices]),
-                        np.concatenate([A.indices, rows]),
-                        np.concatenate([A.data, -A.data]))
-    return float(np.abs(both.data).max()) if both.nnz else 0.0
+    return float(abs(A - A.T).max())
 
 
 @dataclass
@@ -629,12 +590,12 @@ def _power_iteration(op, n, rtol=1e-5, max_iter=50000):
 
 def export_matrix_market(A: SparseMatrix, path) -> None:
     """MatrixMarket coordinate format, real symmetric (lower triangle)."""
-    rows = np.repeat(np.arange(A.n), np.diff(A.indptr))
-    keep = rows >= A.indices
+    C = A.tocoo()
+    keep = C.row >= C.col
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{A.n} {A.n} {int(keep.sum())}\n")
-        for r, c, v in zip(rows[keep], A.indices[keep], A.data[keep]):
+        for r, c, v in zip(C.row[keep], C.col[keep], C.data[keep]):
             fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 

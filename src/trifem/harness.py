@@ -22,10 +22,6 @@ from .assembly import FormSpec, ScalarField
 from .mesh import build_unit_square_mesh
 from .refelem import ReferenceElement, build_reference_element
 
-# dense LU is the reference path but too slow past a few thousand DoFs on
-# one desk-scale core; the harness switches to sparse LU above this
-DENSE_CUTOVER = 1500
-
 
 class SolverFailure(RuntimeError):
     """A study rung failed to solve; partial results were written."""
@@ -142,15 +138,8 @@ class ConvergenceRow:
     residual: float = 0.0
 
 
-def _study_solve(A, b, choice):
-    if choice == "cg":
-        rep = solver.cg_solve(A, b, rtol=1e-11)
-        if rep.converged:
-            return rep
-        # non-convergence is reported, not fatal: fall back to the direct path
-    if A.shape[0] <= DENSE_CUTOVER:
-        return solver.dense_lu_solve(A, b)
-    return solver.sparse_lu_solve(A, b)
+# the study's solve, resolved by this name at each rung
+_study_solve = solver.solve
 
 
 def run_convergence_study(spec: StudySpec):

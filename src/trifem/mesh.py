@@ -53,6 +53,19 @@ def signed_area(vertices, cell):
     return 0.5 * (u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
 
 
+# A cell is degenerate when its area is at most this share of its squared
+# longest edge (a right isosceles cell has 1/4): the condition number of
+# its Jacobian is then of order 1e10 or more, whatever the cell's size.
+DEGENERACY_RTOL = 1e-10
+
+
+def _degenerate(area, verts):
+    """Which cells of vertices (..., 3, 2) with (signed) areas `area` are
+    degenerate or, for a signed area, negatively oriented."""
+    d = _edge_vectors(verts)
+    return area <= DEGENERACY_RTOL * (d * d).sum(axis=-1).max(axis=-1)
+
+
 def build_mesh(vertices, cells) -> TriangleMesh:
     """Assemble connectivity for given vertices and positively-oriented cells.
 
@@ -62,7 +75,8 @@ def build_mesh(vertices, cells) -> TriangleMesh:
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=int)
-    bad = np.flatnonzero(signed_area(vertices, cells) <= 1e-14)
+    bad = np.flatnonzero(_degenerate(signed_area(vertices, cells),
+                                     vertices[cells]))
     if len(bad):
         raise ValueError(f"cell {bad[0]} is degenerate or negatively oriented")
 
@@ -189,7 +203,7 @@ def batch_geometry(mesh: TriangleMesh, size_field: VertexSizeField = None,
     B = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
                  axis=-1)  # d x / d xhat
     det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    bad = np.flatnonzero(np.abs(det) < 2e-14)
+    bad = np.flatnonzero(_degenerate(0.5 * np.abs(det), verts))
     if len(bad):
         raise ValueError(f"cell {index[bad[0]]} is degenerate")
     J = np.stack([np.stack([B[:, 1, 1], -B[:, 0, 1]], axis=-1),

@@ -2,16 +2,18 @@
 
 The reference path is dense LU with partial pivoting plus one step of
 iterative refinement; the scalable paths are Jacobi-preconditioned
-conjugate gradients and (for systems past the dense guard rail) a sparse
-LU factorization.  All solvers are deterministic.
+conjugate gradients and (for systems past the dense cutover) a sparse
+LU factorization; solve() is the one policy that chooses among them.  All
+solvers are deterministic.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .assembly import SparseMatrix
 from .quadrature import triangle_rule
 from .refelem import ReferenceElement, tabulate_coeffs
 
@@ -20,7 +22,13 @@ from .refelem import ReferenceElement, tabulate_coeffs
 from .mesh import cell_geometry, vertex_size_field  # noqa: E402,F401
 from .transform import cell_transform  # noqa: E402,F401
 
-DENSE_GUARD = 20000
+# Dense LU runs up to this order, sparse LU (SuperLU) beyond it: dense LU
+# is the reference path but too slow past a few thousand DoFs
+DENSE_CUTOVER = 1500
+# memory budget of dense LU: A plus its LU copy, 16 n^2 bytes
+DENSE_BUDGET = 1 << 30
+# CG iteration cap: 50 n would allow millions of iterations on large systems
+CG_MAX_ITER = 10_000
 
 
 @dataclass
@@ -37,28 +45,24 @@ class SolveReport:
     method: str = "lu"
 
 
-def _as_matvec(A):
-    if isinstance(A, SparseMatrix):
-        return A.matvec
-    A = np.asarray(A)
-    return lambda x: A @ x
-
-
-def _relative_residual(matvec, x, b):
+def _relative_residual(A, x, b):
     nb = np.linalg.norm(b)
     if nb == 0.0:
-        return np.linalg.norm(matvec(x))
-    return np.linalg.norm(matvec(x) - b) / nb
+        return np.linalg.norm(A @ x)
+    return np.linalg.norm(A @ x - b) / nb
 
 
 def dense_lu_solve(A, b, refine: bool = True) -> SolveReport:
     """Dense LU with partial pivoting and one iterative-refinement step."""
     n = A.shape[0]
-    if n > DENSE_GUARD:
-        raise ValueError(f"dense LU guard rail exceeded: {n} > {DENSE_GUARD}")
-    dense = A.to_dense() if isinstance(A, SparseMatrix) else np.asarray(A, dtype=float)
+    if 16 * n * n > DENSE_BUDGET:
+        raise ValueError(f"dense LU of order {n} needs {16 * n * n} bytes, "
+                         f"over the budget of {DENSE_BUDGET}")
+    if scipy.sparse.issparse(A):
+        dense = A.toarray()
+    else:
+        A = dense = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    import warnings
     with warnings.catch_warnings():
         # singularity is detected and raised below; silence scipy's warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -71,55 +75,59 @@ def dense_lu_solve(A, b, refine: bool = True) -> SolveReport:
     if refine:
         r = b - dense @ x
         x = x + scipy.linalg.lu_solve((lu, piv), r)
-    matvec = _as_matvec(A)
-    return SolveReport(x=x, residual=_relative_residual(matvec, x, b),
+    return SolveReport(x=x, residual=_relative_residual(A, x, b),
                        pivot_growth=growth, refined=refine, method="lu")
 
 
-def sparse_lu_solve(A: SparseMatrix, b, refine: bool = True) -> SolveReport:
-    """Sparse LU (SuperLU) direct path for systems past the dense guard rail."""
-    from scipy.sparse.linalg import splu
+def sparse_lu_solve(A, b, refine: bool = True) -> SolveReport:
+    """Sparse LU (SuperLU) direct path for systems past the dense cutover."""
+    from scipy.sparse.linalg import splu  # kept out of `import trifem`
     b = np.asarray(b, dtype=float)
-    lu = splu(A.to_scipy().tocsc())
+    lu = splu(A.tocsc())
     x = lu.solve(b)
     if refine:
-        x = x + lu.solve(b - A.matvec(x))
-    return SolveReport(x=x, residual=_relative_residual(A.matvec, x, b),
+        x = x + lu.solve(b - A @ x)
+    return SolveReport(x=x, residual=_relative_residual(A, x, b),
                        refined=refine, method="sparse_lu")
 
 
-def direct_solve(A: SparseMatrix, b, refine: bool = True) -> SolveReport:
-    """Dense LU up to the guard rail, sparse LU beyond it."""
-    if A.shape[0] <= DENSE_GUARD:
-        return dense_lu_solve(A, b, refine=refine)
-    return sparse_lu_solve(A, b, refine=refine)
+def solve(A, b, method: str = "lu") -> SolveReport:
+    """The study solve: method "cg" runs Jacobi-CG to 1e-11 and falls back
+    to the direct path if it does not converge; the direct path is dense LU
+    up to DENSE_CUTOVER and sparse LU beyond."""
+    if method == "cg":
+        rep = cg_solve(A, b, rtol=1e-11)
+        if rep.converged:
+            return rep
+    if A.shape[0] <= DENSE_CUTOVER:
+        return dense_lu_solve(A, b)
+    return sparse_lu_solve(A, b)
 
 
-def factorized(A: SparseMatrix, dense_limit: int = 1500):
+def factorized(A):
     """Factor once, return a solve handle (for repeated inverse applications)."""
-    if A.shape[0] <= dense_limit:
-        lu_piv = scipy.linalg.lu_factor(A.to_dense())
+    if A.shape[0] <= DENSE_CUTOVER:
+        lu_piv = scipy.linalg.lu_factor(A.toarray())
         return lambda b: scipy.linalg.lu_solve(lu_piv, b)
     from scipy.sparse.linalg import splu
-    lu = splu(A.to_scipy().tocsc())
-    return lu.solve
+    return splu(A.tocsc()).solve
 
 
 def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
              precondition: bool = True) -> SolveReport:
     """Jacobi-preconditioned conjugate gradients on an SPD system.
 
-    precondition=False runs plain CG; note that Jacobi preconditioning is
-    invariant under diagonal rescaling of the system, so the effect of the
-    derivative-DoF scaling on iteration counts only shows without it.
+    max_iter defaults to min(50 n, CG_MAX_ITER).  precondition=False runs
+    plain CG; note that Jacobi preconditioning is invariant under diagonal
+    rescaling of the system, so the effect of the derivative-DoF scaling on
+    iteration counts only shows without it.
     """
-    matvec = _as_matvec(A)
     b = np.asarray(b, dtype=float)
     n = len(b)
     if max_iter is None:
-        max_iter = 50 * n
+        max_iter = min(50 * n, CG_MAX_ITER)
     if precondition:
-        diag = A.diagonal() if isinstance(A, SparseMatrix) else np.diag(np.asarray(A))
+        diag = A.diagonal()
         if np.any(diag <= 0):
             raise ValueError("Jacobi preconditioner needs a positive diagonal")
         dinv = 1.0 / diag
@@ -138,7 +146,7 @@ def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
     while it < max_iter:
         if np.linalg.norm(r) <= rtol * nb:
             break
-        Ap = matvec(p)
+        Ap = A @ p
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap

@@ -120,7 +120,7 @@ def test_global_space_continuity_across_interior_edges(name):
 def test_csr_roundtrip_and_sorted_columns():
     A = csr_from_coo(3, [0, 2, 0, 1, 2, 0], [1, 2, 1, 0, 0, 0],
                      [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    D = A.to_dense()
+    D = A.toarray()
     expect = np.array([[6.0, 4.0, 0.0], [4.0, 0.0, 0.0], [5.0, 0.0, 2.0]])
     assert np.array_equal(D, expect)
     for r in range(3):
@@ -156,7 +156,7 @@ def test_operator_symmetry(make_el, form):
 def test_poisson_p1_single_cell_spd():
     m = build_unit_square_mesh(1)
     A = assemble_operator(m, lagrange(1), assembly.poisson_nitsche(alpha=10.0))
-    D = A.to_dense()
+    D = A.toarray()
     assert np.abs(D - D.T).max() < 1e-12
     assert np.linalg.eigvalsh(D).min() > 0
 
@@ -345,7 +345,7 @@ def test_matrix_market_export(tmp_path):
         r, c, v = line.split()
         D[int(r) - 1, int(c) - 1] = float(v)
         D[int(c) - 1, int(r) - 1] = float(v)
-    assert np.abs(D - A.to_dense()).max() < 1e-15
+    assert np.abs(D - A.toarray()).max() < 1e-15
 
 
 def test_vector_export(tmp_path):

@@ -1,9 +1,12 @@
 """Mesh construction, connectivity and per-cell geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from trifem.mesh import (build_mesh, build_unit_square_mesh, cell_geometry,
+from trifem.mesh import (batch_geometry, build_mesh, build_unit_square_mesh,
+                         cell_geometry,
                          export_text, global_edge_normal,
                          reference_cell_geometry, signed_area,
                          vertex_size_field)
@@ -139,6 +142,21 @@ def test_degenerate_cell_rejected():
     verts = np.array([[0., 0.], [1., 0.], [0.5, 0.]])
     with pytest.raises(ValueError):
         build_mesh(verts, np.array([[0, 1, 2]]))
+
+
+def test_degeneracy_is_relative_to_cell_size():
+    one = np.array([[0, 1, 2]])
+    tiny = np.array([[0., 0.], [1e-7, 0.], [0., 1e-7]])
+    g = cell_geometry(build_mesh(tiny, one), 0)
+    assert np.isclose(g.detJinv_abs, 1e-14, rtol=1e-9, atol=0.0)
+    sliver = np.array([[0., 0.], [1., 0.], [0.5, 2e-13]])
+    assert np.isclose(signed_area(sliver, one[0]), 1e-13, rtol=1e-3, atol=0.0)
+    with pytest.raises(ValueError, match="cell 0 is degenerate"):
+        build_mesh(sliver, one)
+    # batch_geometry applies the same test to a mesh whose vertices moved
+    moved = replace(build_mesh(tiny, one), vertices=sliver)
+    with pytest.raises(ValueError, match="cell 0 is degenerate"):
+        batch_geometry(moved)
 
 
 def test_edge_shared_by_three_cells_rejected():

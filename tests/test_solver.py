@@ -165,10 +165,42 @@ def test_l2_projection_reproduces_quartic(family):
     assert l2_error(m, el, l2_projection(m, el, field), field) < 1e-10
 
 
-def test_dense_guard_rail():
+def test_dense_guard_rail(monkeypatch):
     # the size check fires before any densification happens
-    big = assembly.SparseMatrix(indptr=np.zeros(30001, dtype=np.int64),
-                                indices=np.zeros(0, dtype=np.int64),
-                                data=np.zeros(0), n=30000)
+    def densified(self):
+        raise AssertionError("densified before the guard")
+
+    monkeypatch.setattr(assembly.SparseMatrix, "toarray", densified)
+    big = assembly.SparseMatrix((np.zeros(0), np.zeros(0, dtype=np.int64),
+                                 np.zeros(30001, dtype=np.int64)),
+                                shape=(30000, 30000))
     with pytest.raises(ValueError):
         solver.dense_lu_solve(big, np.zeros(30000))
+    # just over the budget: A and its LU copy need 16 n^2 bytes
+    n = int(np.sqrt(solver.DENSE_BUDGET / 16)) + 1
+    assert 16 * (n - 1) ** 2 <= solver.DENSE_BUDGET < 16 * n * n
+    with pytest.raises(ValueError, match="budget"):
+        solver.dense_lu_solve(assembly.SparseMatrix((n, n)), np.zeros(n))
+
+
+def test_cg_default_iterations_capped(monkeypatch):
+    # 1-D Laplacian, b = 1: A^j b lives within j - 1 entries of the ends, so
+    # after k steps x_k is constant and r = 1 on the middle n - 2k entries.
+    # The cap is lowered so that the run is short; 50 n stays far above it.
+    assert solver.CG_MAX_ITER == 10_000
+    cap = 100
+    monkeypatch.setattr(solver, "CG_MAX_ITER", cap)
+    n = 2 * cap + 50
+    rep = cg_solve(laplacian_1d(n), np.ones(n))
+    assert rep.iterations == cap
+    assert not rep.converged
+    assert rep.residual >= np.sqrt(50 / n)
+
+
+def test_solve_policy_dense_then_sparse():
+    small = laplacian_1d(solver.DENSE_CUTOVER)
+    large = laplacian_1d(solver.DENSE_CUTOVER + 1)
+    assert solver.solve(small, np.ones(small.n)).method == "lu"
+    assert solver.solve(large, np.ones(large.n)).method == "sparse_lu"
+    rep = solver.solve(large, np.ones(large.n), "cg")
+    assert rep.method == "cg" and rep.converged
