@@ -119,6 +119,8 @@ class StudySpec:
 
     def __post_init__(self):
         levels = tuple(self.levels)
+        if not levels or min(levels) < 1:
+            raise ValueError("levels must be a non-empty list of mesh sizes >= 1")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("mesh sizes must be strictly increasing")
         if any(n % levels[0] or (n // levels[0]) & (n // levels[0] - 1)

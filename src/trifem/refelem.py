@@ -51,6 +51,23 @@ def _exact_moment(a, b):
     return Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
 
 
+def _exact_gram_schmidt(gram):
+    """Exact Gram-Schmidt of the unit vectors e_k under G: the u_k and <u_k, u_k>.
+
+    Each u_j is carried as [u_j | G u_j].  The u_j are exactly orthogonal, so
+    <v, u_j> = (G u_j)[k] for any partial projection v of e_k: O(n^3) in all.
+    """
+    n = len(gram)
+    rows = []
+    for k in range(n):
+        w = [Fraction(int(i == k)) for i in range(n)] + list(gram[k])
+        for j, r in enumerate(rows):
+            coef = r[n + k] / r[n + j]
+            w = [wi - coef * ri if ri else wi for wi, ri in zip(w, r)]
+        rows.append(w)
+    return [r[:n] for r in rows], [r[n + k] for k, r in enumerate(rows)]
+
+
 class PolyBasis:
     """Orthonormal polynomial basis of total degree <= p on the reference triangle.
 
@@ -75,21 +92,9 @@ class PolyBasis:
                     for (a2, b2) in self.monomials]
                    for (a1, b1) in self.monomials]
 
-        def dot(u, v):
-            return sum(u[i] * moments[i][j] * v[j]
-                       for i in range(n) for j in range(n) if u[i] and v[j])
-
-        basis = []
-        for k in range(n):
-            v = [Fraction(0)] * n
-            v[k] = Fraction(1)
-            for u in basis:
-                coef = dot(v, u) / dot(u, u)
-                v = [vi - coef * ui for vi, ui in zip(v, u)]
-            basis.append(v)
-        coeffs = np.array([[float(c) for c in v] for v in basis])
-        norms = np.sqrt([float(dot(v, v)) for v in basis])
-        self.coeffs = coeffs / norms[:, None]
+        basis, sq_norms = _exact_gram_schmidt(moments)
+        norms = np.sqrt(np.array(sq_norms, dtype=float))
+        self.coeffs = np.array(basis, dtype=float) / norms[:, None]
 
         # first-derivative operators on monomial coefficient vectors
         dx = np.zeros((n, n))
@@ -215,7 +220,8 @@ class ReferenceElement:
     orthonormal PolyBasis.  For Bell, constraint_coeffs carries the three
     extra quintic basis functions dual to the quartic edge-mode constraints;
     together they span the full quintic space used when mapping Bell cells.
-    Instances are immutable after construction and safe to share.
+    Instances are shared read-only; the Bell map may attach an idempotent,
+    geometry-independent memo to them (transform._bell_reference_data).
     """
 
     family: str

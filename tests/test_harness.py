@@ -29,6 +29,21 @@ def test_study_spec_validation():
     StudySpec(problem="poisson", element="hermite", levels=(4, 8, 16))
 
 
+@pytest.mark.parametrize("levels", [(), (0, 2), (-2, 4)])
+def test_study_spec_rejects_empty_or_nonpositive_levels(levels):
+    with pytest.raises(ValueError, match="levels"):
+        StudySpec(problem="poisson", element="hermite", levels=levels)
+
+
+def test_cli_study_rejects_zero_level(tmp_path, capsys):
+    out = tmp_path / "zero.csv"
+    code = cli.main(["study", "--problem", "poisson", "--element", "lagrange:1",
+                     "--levels", "0,2", "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_biharmonic_source_against_finite_differences():
     # independent oracle: lap(lap u) by a 5-point stencil applied twice
     u, f = biharmonic_problem()

@@ -1,5 +1,7 @@
 """Reference element construction: duality, reproduction, tabulation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy
@@ -68,6 +70,44 @@ def test_poly_basis_spans_monomials():
             target = pts[:, 0] ** a * pts[:, 1] ** b
             coef, *_ = np.linalg.lstsq(tab.T, target, rcond=None)
             assert np.abs(tab.T @ coef - target).max() < 1e-12
+
+
+def _mgs_oracle(degree):
+    """Textbook O(n^4) modified Gram-Schmidt in Fractions: the reference bits."""
+    monos = refelem._monomials(degree)
+    G = [[refelem._exact_moment(a1 + a2, b1 + b2) for (a2, b2) in monos]
+         for (a1, b1) in monos]
+    n = len(monos)
+
+    def dot(u, v):
+        return sum(u[i] * G[i][j] * v[j]
+                   for i in range(n) for j in range(n) if u[i] and v[j])
+
+    basis = []
+    for k in range(n):
+        v = [Fraction(int(i == k)) for i in range(n)]
+        for u in basis:
+            coef = dot(v, u) / dot(u, u)
+            v = [vi - coef * ui for vi, ui in zip(v, u)]
+        basis.append(v)
+    coeffs = np.array([[float(c) for c in v] for v in basis])
+    return G, basis, coeffs / np.sqrt([float(dot(v, v)) for v in basis])[:, None]
+
+
+@pytest.mark.parametrize("degree", range(refelem.MAX_POLY_DEGREE + 1))
+def test_poly_basis_bits_match_modified_gram_schmidt(degree):
+    G, oracle_vectors, oracle_coeffs = _mgs_oracle(degree)
+    assert build_poly_basis(degree).coeffs.tobytes() == oracle_coeffs.tobytes()
+    vectors, sq_norms = refelem._exact_gram_schmidt(G)
+    assert vectors == oracle_vectors
+    # pairwise G-orthogonal, exactly, with the returned squared norms
+    gram_vectors = [[sum(g * x for g, x in zip(row, v)) for row in G]
+                    for v in vectors]
+    for a, u in enumerate(vectors):
+        for b, gv in enumerate(gram_vectors):
+            ip = sum(x * y for x, y in zip(u, gv))
+            assert ip == (sq_norms[a] if a == b else 0)
+    assert all(s > 0 for s in sq_norms)
 
 
 def test_poly_basis_degree_range():
