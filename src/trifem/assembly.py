@@ -29,7 +29,7 @@ import scipy.sparse
 from . import transform
 from .mesh import TriangleMesh, batch_geometry, vertex_size_field
 from .quadrature import interval_rule, triangle_rule
-from .refelem import (EDGE_VERTICES, REF_VERTICES, ReferenceElement,
+from .refelem import (EDGE_VERTICES, ReferenceElement, ref_edge_points,
                       tabulate_coeffs)
 from .transform import hessian_pushforward, scaling_diagonal
 
@@ -105,10 +105,6 @@ class DofMap:
     cell_dofs: np.ndarray
     cell_signs: np.ndarray
     total_dofs: int
-    n_local: int
-    vertex_width: int
-    edge_width: int
-    cell_width: int
 
 
 def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
@@ -119,9 +115,8 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
     cell_offset = edge_offset + E * n_e
     total = cell_offset + C * n_c
 
-    n_local = element.n_dofs
-    cell_dofs = np.zeros((C, n_local), dtype=np.int64)
-    cell_signs = np.ones((C, n_local))
+    cell_dofs = np.zeros((C, element.n_dofs), dtype=np.int64)
+    cell_signs = np.ones((C, element.n_dofs))
     normal_dof = any(f.kind == "edge_normal_deriv" for f in element.functionals)
 
     for v_loc in range(3):
@@ -139,9 +134,7 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
             forward = (mesh.cells[:, a] < mesh.cells[:, b])[:, None]
             cell_dofs[:, ent[1][e_loc]] = base + np.where(forward, k, n_e - 1 - k)
     cell_dofs[:, ent[2][0]] = cell_offset + np.arange(C)[:, None] * n_c + np.arange(n_c)
-    return DofMap(cell_dofs=cell_dofs, cell_signs=cell_signs, total_dofs=total,
-                  n_local=n_local, vertex_width=n_v, edge_width=n_e,
-                  cell_width=n_c)
+    return DofMap(cell_dofs=cell_dofs, cell_signs=cell_signs, total_dofs=total)
 
 
 # Cells (or interior edges) per block: bounds the per-block M, kernel and
@@ -179,7 +172,8 @@ class FormSpec:
     interior-penalty forms (penalty scalings beta1/h^3 and beta2/h); it is
     what the biharmonic convergence studies run.  plate_clamped_nitsche
     reproduces its source form verbatim instead and is only meant for
-    assembly and symmetry checks.
+    assembly and symmetry checks.  Cell and facet integrals use rules of
+    degree 2p for an element of degree p.
     """
 
     kind: str
@@ -188,8 +182,6 @@ class FormSpec:
     beta1: float = None
     beta2: float = None
     clamped_boundary: bool = False
-    cell_degree: int = None
-    facet_degree: int = None
 
     def __post_init__(self):
         if self.kind not in FORM_KINDS:
@@ -235,10 +227,6 @@ def _resolve_form(element: ReferenceElement, form: FormSpec) -> FormSpec:
     _check_compatible(element, form)
     p = element.degree
     updates = {}
-    if form.cell_degree is None:
-        updates["cell_degree"] = 2 * p
-    if form.facet_degree is None:
-        updates["facet_degree"] = 2 * p
     if form.alpha is None:
         updates["alpha"] = 10.0 * p ** 2 if form.kind == "poisson_nitsche" else 20.0
     # clamped-boundary penalties: calibrated so the weak forms stay positive
@@ -295,14 +283,6 @@ _EX = np.array([1.0, 0.0])
 _EY = np.array([0.0, 1.0])
 
 
-def _edge_ref_points(rule):
-    pts = []
-    for a, b in EDGE_VERTICES:
-        pts.append(REF_VERTICES[a][None, :]
-                   + rule.points[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])[None, :])
-    return pts
-
-
 def _congruence(M, A):
     """M A M^T for a batch; Lagrange (M None) skips it, since M = I."""
     return A if M is None else M @ A @ _T(M)
@@ -318,11 +298,8 @@ def _triplets(dofs, signs, local):
 def _interior_facets(mesh: TriangleMesh):
     """Both sides of every interior edge, in edge order, as ((cA, eA), (cB, eB))
     cell and local-edge arrays; side A is the lower cell index."""
-    flat = mesh.cell_edges.ravel()
-    counts = np.bincount(flat, minlength=mesh.n_edges)
-    first = (np.cumsum(counts) - counts)[counts == 2]
-    order = np.argsort(flat, kind="stable")
-    return np.divmod(order[first], 3), np.divmod(order[first + 1], 3)
+    sides = mesh.edge_cells[mesh.edge_cells[:, 1, 0] >= 0]
+    return (sides[:, 0, 0], sides[:, 0, 1]), (sides[:, 1, 0], sides[:, 1, 1])
 
 
 class _Kernels:
@@ -338,17 +315,14 @@ class _Kernels:
         self.form = _resolve_form(element, form)
         coeffs, poly = element.tabulation_coeffs(), element.poly
         poisson = self.form.kind == "poisson_nitsche"
-        if self.form.cell_degree > 12:
-            import warnings
-            warnings.warn(f"cell quadrature degree {self.form.cell_degree} "
-                          "exceeds the available rules; clamping to 12",
-                          stacklevel=2)
-        self.cell_rule = triangle_rule(min(self.form.cell_degree, 12))
+        self.cell_rule = triangle_rule(2 * element.degree)
         self.cell_tab = tabulate_coeffs(poly, coeffs, self.cell_rule.points,
                                         1 if poisson else 2)
-        self.facet_rule = interval_rule(self.form.facet_degree)
-        tabs = [tabulate_coeffs(poly, coeffs, pts, 1 if poisson else 3)
-                for pts in _edge_ref_points(self.facet_rule)]
+        self.facet_rule = interval_rule(2 * element.degree)
+        tabs = [tabulate_coeffs(poly, coeffs,
+                                ref_edge_points(e, self.facet_rule.points),
+                                1 if poisson else 3)
+                for e in range(3)]
         self.facet_tab = {alpha: np.stack([t[alpha] for t in tabs])
                           for alpha in tabs[0]}
 

@@ -16,12 +16,14 @@ from .refelem import EDGE_VERTICES, REF_VERTICES
 
 @dataclass
 class TriangleMesh:
-    """Immutable triangulation with full edge connectivity.
+    """Triangulation with full edge connectivity.
 
     cells are vertex-index triples in counter-clockwise order.  For each
     cell, cell_edges[c, i] is the global index of the edge opposite local
     vertex i and cell_edge_signs[c, i] is +1 iff the cell's boundary
-    traversal runs the edge in stored (low-to-high) order.
+    traversal runs the edge in stored (low-to-high) order.  edge_cells[e, s]
+    is the (cell, local edge) pair of side s of edge e, side 0 having the
+    lower cell index; the missing side 1 of a boundary edge is (-1, -1).
     """
 
     vertices: np.ndarray
@@ -29,7 +31,7 @@ class TriangleMesh:
     edges: np.ndarray
     cell_edges: np.ndarray
     cell_edge_signs: np.ndarray
-    edge_cells: list
+    edge_cells: np.ndarray
     boundary_edges: np.ndarray
     boundary_vertices: np.ndarray
 
@@ -99,8 +101,14 @@ def build_mesh(vertices, cells) -> TriangleMesh:
         a, b = edges[crowded[0]]
         raise ValueError(f"edge ({a}, {b}) is shared by {counts[crowded[0]]} "
                          "cells; at most two are allowed")
-    by_edge = np.argsort(cell_edges.ravel(), kind="stable") // 3
-    edge_cells = [c.tolist() for c in np.split(by_edge, np.cumsum(counts)[:-1])]
+    # (cell, local edge) pairs grouped by edge, in cell order within an edge
+    sides = np.stack(np.divmod(np.argsort(cell_edges.ravel(), kind="stable"), 3),
+                     axis=-1)
+    start = np.cumsum(counts) - counts
+    shared = counts == 2
+    edge_cells = np.full((len(edges), 2, 2), -1)
+    edge_cells[:, 0] = sides[start]
+    edge_cells[shared, 1] = sides[start[shared] + 1]
     boundary_edges = np.flatnonzero(counts == 1)
     boundary_vertices = np.unique(edges[boundary_edges].ravel())
     return TriangleMesh(vertices=vertices, cells=cells, edges=edges,
@@ -155,7 +163,6 @@ class CellGeometry:
     Indexing a batch (geom[i], geom[slice], geom[index_array]) selects cells.
     """
 
-    cell: np.ndarray
     vertices: np.ndarray
     J: np.ndarray
     Jinv: np.ndarray
@@ -163,7 +170,6 @@ class CellGeometry:
     normals: np.ndarray
     tangents: np.ndarray
     edge_lengths: np.ndarray
-    diameter: np.ndarray
     vertex_h: np.ndarray = None
 
     def __getitem__(self, index):
@@ -181,13 +187,6 @@ class CellGeometry:
         return (pts - self.vertices[..., :1, :]) @ np.swapaxes(self.J, -1, -2)
 
 
-@dataclass(frozen=True)
-class VertexSizeField:
-    """Characteristic size at each vertex, agreed on by all incident cells."""
-
-    h: np.ndarray
-
-
 def _edge_vectors(verts):
     """Edge vectors (..., 3, 2) from the lower- to the higher-numbered local
     endpoint of each local edge, for cell vertices (..., 3, 2)."""
@@ -195,9 +194,12 @@ def _edge_vectors(verts):
     return verts[..., ends[:, 1], :] - verts[..., ends[:, 0], :]
 
 
-def batch_geometry(mesh: TriangleMesh, size_field: VertexSizeField = None,
+def batch_geometry(mesh: TriangleMesh, size_field: np.ndarray = None,
                    cells=None) -> CellGeometry:
-    """Geometry of the given cells (all by default), batched along axis 0."""
+    """Geometry of the given cells (all by default), batched along axis 0.
+
+    size_field (vertex_size_field) gives each cell its vertex sizes vertex_h.
+    """
     index = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
     verts = mesh.vertices[mesh.cells[index]]
     B = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
@@ -220,15 +222,14 @@ def batch_geometry(mesh: TriangleMesh, size_field: VertexSizeField = None,
     inward = np.einsum("cek,cek->ce", normals, mids - verts) < 0
     normals[inward] *= -1.0
 
-    vertex_h = size_field.h[mesh.cells[index]] if size_field is not None else None
-    return CellGeometry(cell=index, vertices=verts, J=J, Jinv=B,
-                        detJinv_abs=np.abs(det), normals=normals,
-                        tangents=tangents, edge_lengths=lengths,
-                        diameter=lengths.max(axis=-1), vertex_h=vertex_h)
+    vertex_h = size_field[mesh.cells[index]] if size_field is not None else None
+    return CellGeometry(vertices=verts, J=J, Jinv=B, detJinv_abs=np.abs(det),
+                        normals=normals, tangents=tangents,
+                        edge_lengths=lengths, vertex_h=vertex_h)
 
 
 def cell_geometry(mesh: TriangleMesh, cell_index: int,
-                  size_field: VertexSizeField = None) -> CellGeometry:
+                  size_field: np.ndarray = None) -> CellGeometry:
     """Geometric quantities of one cell: a batch of one, unbatched."""
     return batch_geometry(mesh, size_field, [cell_index])[0]
 
@@ -239,14 +240,15 @@ def reference_cell_geometry() -> CellGeometry:
     return cell_geometry(mesh, 0, vertex_size_field(mesh))
 
 
-def vertex_size_field(mesh: TriangleMesh) -> VertexSizeField:
-    """h(v) = arithmetic mean of the diameters of the cells incident to v."""
+def vertex_size_field(mesh: TriangleMesh) -> np.ndarray:
+    """Characteristic size h(v) at each vertex, agreed on by all incident
+    cells: the arithmetic mean of their diameters, shape (V,)."""
     d = _edge_vectors(mesh.vertices[mesh.cells])
     diam = np.hypot(d[..., 0], d[..., 1]).max(axis=-1)
     v = mesh.cells.ravel()
     sums = np.bincount(v, weights=np.repeat(diam, 3), minlength=mesh.n_vertices)
     counts = np.bincount(v, minlength=mesh.n_vertices)
-    return VertexSizeField(h=sums / counts)
+    return sums / counts
 
 
 def global_edge_normal(mesh: TriangleMesh, edge_index: int) -> np.ndarray:

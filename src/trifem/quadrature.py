@@ -62,9 +62,3 @@ def triangle_rule(exact_degree: int) -> QuadRule:
     w = (np.outer(ws * (1.0 - s), wt)).ravel()
     return QuadRule(points=np.column_stack([x, y]), weights=w,
                     exact_degree=exact_degree)
-
-
-def triangle_monomial_integral(a: int, b: int) -> float:
-    """Exact value of the integral of x^a y^b over the reference triangle."""
-    from math import factorial
-    return factorial(a) * factorial(b) / factorial(a + b + 2)

@@ -27,14 +27,20 @@ REF_NORMALS = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 REF_NORMALS[0] /= np.sqrt(2.0)
 REF_TANGENTS = np.array([[-1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 REF_TANGENTS[0] /= np.sqrt(2.0)
-REF_EDGE_LENGTHS = np.array([np.sqrt(2.0), 1.0, 1.0])
 REF_EDGE_MIDPOINTS = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
 BARYCENTER = np.array([1.0 / 3.0, 1.0 / 3.0])
 
 FAMILY_DEGREES = {"hermite": 3, "morley": 2, "argyris": 5, "bell": 5}
-REPRODUCTION_DEGREES = {"hermite": 3, "morley": 2, "argyris": 5, "bell": 4}
 
 _SECOND_DERIV_ALPHAS = {"xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
+
+
+def ref_edge_points(e, s):
+    """Points REF_VERTICES[a] + s (REF_VERTICES[b] - REF_VERTICES[a]) of
+    reference edge e = (a, b) at edge parameters s (n,), shape (n, 2)."""
+    a, b = EDGE_VERTICES[e]
+    return (REF_VERTICES[a][None, :]
+            + s[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])[None, :])
 
 
 def derivative_alphas(order: int):
@@ -203,25 +209,23 @@ def _edge_quartic_moment_rows(poly: PolyBasis) -> np.ndarray:
     """
     rule = interval_rule(2 * poly.degree)
     rows = np.zeros((3, poly.dim))
-    for e, (a, b) in enumerate(EDGE_VERTICES):
-        pts = (REF_VERTICES[a][None, :]
-               + rule.points[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])[None, :])
-        tab = poly.tabulate(pts, max_order=1)
+    for e in range(3):
+        tab = poly.tabulate(ref_edge_points(e, rule.points), max_order=1)
         dn = REF_NORMALS[e, 0] * tab[(1, 0)] + REF_NORMALS[e, 1] * tab[(0, 1)]
         rows[e] = dn @ (rule.weights * legendre4(rule.points))
     return rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceElement:
     """A nodal finite element on the reference triangle.
 
     coeffs has one row per nodal basis function, expressing it in the
     orthonormal PolyBasis.  For Bell, constraint_coeffs carries the three
     extra quintic basis functions dual to the quartic edge-mode constraints;
-    together they span the full quintic space used when mapping Bell cells.
-    Instances are shared read-only; the Bell map may attach an idempotent,
-    geometry-independent memo to them (transform._bell_reference_data).
+    together they span the full quintic space used when mapping Bell cells,
+    and bell_tables holds that space's geometry-independent tabulations
+    (see _bell_tables).  Instances are shared read-only.
     """
 
     family: str
@@ -231,16 +235,11 @@ class ReferenceElement:
     poly: PolyBasis
     constraint_coeffs: np.ndarray = None
     lagrange_degree: int = None
+    bell_tables: tuple = None
 
     @property
     def n_dofs(self) -> int:
         return len(self.functionals)
-
-    @property
-    def reproduction_degree(self) -> int:
-        if self.family == "lagrange":
-            return self.lagrange_degree
-        return REPRODUCTION_DEGREES[self.family]
 
     def tabulation_coeffs(self) -> np.ndarray:
         """Coefficient rows of the basis pulled back in assembly (enriched for Bell)."""
@@ -267,9 +266,8 @@ class ReferenceElement:
 def _lagrange_functionals(k):
     fns = [NodalFunctional("point_eval", tuple(REF_VERTICES[v]), (0, v))
            for v in range(3)]
-    for e, (a, b) in enumerate(EDGE_VERTICES):
-        for m in range(1, k):
-            pt = REF_VERTICES[a] + (m / k) * (REF_VERTICES[b] - REF_VERTICES[a])
+    for e in range(3):
+        for pt in ref_edge_points(e, np.arange(1, k) / k):
             fns.append(NodalFunctional("point_eval", tuple(pt), (1, e)))
     for i in range(1, k):
         for j in range(1, k - i):
@@ -335,13 +333,30 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
         raise ValueError(f"singular nodal system for {family}: "
                          "inconsistent functional set")
     C = np.linalg.inv(B.T)
+    bell_tables = None
     if family == "bell":
         constraint_coeffs = C[18:]
         C = C[:18]
+        bell_tables = _bell_tables(poly, np.vstack([C, constraint_coeffs]))
     return ReferenceElement(family=family, degree=k, functionals=tuple(fns),
                             coeffs=C, poly=poly,
                             constraint_coeffs=constraint_coeffs,
-                            lagrange_degree=degree if family == "lagrange" else None)
+                            lagrange_degree=degree if family == "lagrange" else None,
+                            bell_tables=bell_tables)
+
+
+def _bell_tables(poly, coeffs):
+    """What the Bell map reads of the enriched quintic basis coeffs: its
+    tabulation up to order 2 at the vertices, and per edge the weighted
+    quartic-Legendre moments of its x and y reference derivatives."""
+    vertex_tab = tabulate_coeffs(poly, coeffs, REF_VERTICES, 2)
+    rule = interval_rule(2 * poly.degree)
+    leg = rule.weights * legendre4(rule.points)
+    edge_grads = []
+    for e in range(3):
+        etab = tabulate_coeffs(poly, coeffs, ref_edge_points(e, rule.points), 1)
+        edge_grads.append((etab[(1, 0)] @ leg, etab[(0, 1)] @ leg))
+    return vertex_tab, edge_grads
 
 
 @dataclass(frozen=True)

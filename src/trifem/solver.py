@@ -33,14 +33,13 @@ CG_MAX_ITER = 10_000
 
 @dataclass
 class SolveReport:
-    """Solution plus diagnostics: relative residual, CG iteration count or
-    LU pivot growth, and whether a refinement step was applied."""
+    """Solution plus diagnostics: relative residual, and the CG iteration
+    count or the dense-LU pivot growth."""
 
     x: np.ndarray
     residual: float
     iterations: int = 0
     pivot_growth: float = None
-    refined: bool = False
     converged: bool = True
     method: str = "lu"
 
@@ -52,49 +51,58 @@ def _relative_residual(A, x, b):
     return np.linalg.norm(A @ x - b) / nb
 
 
-def dense_lu_solve(A, b, refine: bool = True) -> SolveReport:
-    """Dense LU with partial pivoting and one iterative-refinement step."""
+def _dense_lu(A):
+    """Dense LU with partial pivoting of a sparse or dense A, checked.
+
+    Returns the dense A, lu_factor's (lu, piv) and the pivot growth.  Raises
+    ValueError past the memory budget, before densifying, and LinAlgError
+    when A is singular to working precision.
+    """
     n = A.shape[0]
     if 16 * n * n > DENSE_BUDGET:
         raise ValueError(f"dense LU of order {n} needs {16 * n * n} bytes, "
                          f"over the budget of {DENSE_BUDGET}")
-    if scipy.sparse.issparse(A):
-        dense = A.toarray()
-    else:
-        A = dense = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    dense = A.toarray() if scipy.sparse.issparse(A) else A
     with warnings.catch_warnings():
         # singularity is detected and raised below; silence scipy's warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(dense)
     diag_u = np.abs(np.diag(lu))
-    if diag_u.min() <= dense.shape[0] * np.finfo(float).eps * diag_u.max():
+    if diag_u.min() <= n * np.finfo(float).eps * diag_u.max():
         raise np.linalg.LinAlgError("matrix is singular to working precision")
-    growth = float(np.abs(lu).max() / np.abs(dense).max())
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    if refine:
-        r = b - dense @ x
-        x = x + scipy.linalg.lu_solve((lu, piv), r)
+    return dense, (lu, piv), float(np.abs(lu).max() / np.abs(dense).max())
+
+
+def dense_lu_solve(A, b) -> SolveReport:
+    """Dense LU with partial pivoting and one iterative-refinement step."""
+    if not scipy.sparse.issparse(A):
+        A = np.asarray(A, dtype=float)
+    dense, lu_piv, growth = _dense_lu(A)
+    b = np.asarray(b, dtype=float)
+    x = scipy.linalg.lu_solve(lu_piv, b)
+    x = x + scipy.linalg.lu_solve(lu_piv, b - dense @ x)
     return SolveReport(x=x, residual=_relative_residual(A, x, b),
-                       pivot_growth=growth, refined=refine, method="lu")
+                       pivot_growth=growth, method="lu")
 
 
-def sparse_lu_solve(A, b, refine: bool = True) -> SolveReport:
-    """Sparse LU (SuperLU) direct path for systems past the dense cutover."""
+def sparse_lu_solve(A, b) -> SolveReport:
+    """Sparse LU (SuperLU) direct path for systems past the dense cutover,
+    with one iterative-refinement step."""
     from scipy.sparse.linalg import splu  # kept out of `import trifem`
     b = np.asarray(b, dtype=float)
     lu = splu(A.tocsc())
     x = lu.solve(b)
-    if refine:
-        x = x + lu.solve(b - A @ x)
+    x = x + lu.solve(b - A @ x)
     return SolveReport(x=x, residual=_relative_residual(A, x, b),
-                       refined=refine, method="sparse_lu")
+                       method="sparse_lu")
 
 
 def solve(A, b, method: str = "lu") -> SolveReport:
     """The study solve: method "cg" runs Jacobi-CG to 1e-11 and falls back
-    to the direct path if it does not converge; the direct path is dense LU
-    up to DENSE_CUTOVER and sparse LU beyond."""
+    to the direct path if it does not converge; the direct path ("lu") is
+    dense LU up to DENSE_CUTOVER and sparse LU beyond."""
+    if method not in ("lu", "cg"):
+        raise ValueError(f"unknown solve method {method!r}")
     if method == "cg":
         rep = cg_solve(A, b, rtol=1e-11)
         if rep.converged:
@@ -105,9 +113,11 @@ def solve(A, b, method: str = "lu") -> SolveReport:
 
 
 def factorized(A):
-    """Factor once, return a solve handle (for repeated inverse applications)."""
+    """Factor once, return a solve handle (for repeated inverse applications).
+
+    Up to DENSE_CUTOVER this is the checked dense LU of dense_lu_solve."""
     if A.shape[0] <= DENSE_CUTOVER:
-        lu_piv = scipy.linalg.lu_factor(A.toarray())
+        _, lu_piv, _ = _dense_lu(A)
         return lambda b: scipy.linalg.lu_solve(lu_piv, b)
     from scipy.sparse.linalg import splu
     return splu(A.tocsc()).solve
@@ -166,7 +176,7 @@ def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
     transformed basis and integrated at degree 2*embedded_degree + 2."""
     from .assembly import build_dof_map, cell_blocks
     dofmap = build_dof_map(mesh, element)
-    rule = triangle_rule(min(2 * element.degree + 2, 12))
+    rule = triangle_rule(2 * element.degree + 2)
     tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
                            rule.points, 0)[(0, 0)]
     ue = u_exact.f if hasattr(u_exact, "f") else u_exact

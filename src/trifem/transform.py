@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import CellGeometry
-from .quadrature import interval_rule
-from .refelem import (EDGE_VERTICES, REF_NORMALS, REF_TANGENTS, REF_VERTICES,
-                      ReferenceElement, legendre4, tabulate_coeffs)
+from .refelem import EDGE_VERTICES, REF_NORMALS, REF_TANGENTS, ReferenceElement
 
 
 @dataclass
@@ -175,34 +173,11 @@ def argyris_M(geom: CellGeometry) -> TransformMatrix:
     return TransformMatrix(matrix=np.swapaxes(V, -1, -2), family="argyris")
 
 
-def _bell_reference_data(element: ReferenceElement):
-    """Geometry-independent tabulations for the Bell map, memoized on the
-    element (idempotent, so sharing across threads stays safe)."""
-    cached = getattr(element, "_bell_ref_data", None)
-    if cached is not None:
-        return cached
-    coeffs = element.tabulation_coeffs()
-    poly = element.poly
-    vertex_tab = tabulate_coeffs(poly, coeffs, REF_VERTICES, 2)
-    rule = interval_rule(2 * poly.degree)
-    leg = rule.weights * legendre4(rule.points)
-    edge_grads = []
-    for a, b in EDGE_VERTICES:
-        pts = (REF_VERTICES[a][None, :]
-               + rule.points[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])[None, :])
-        etab = tabulate_coeffs(poly, coeffs, pts, 1)
-        # weighted quartic-Legendre moments of the reference gradient
-        edge_grads.append((etab[(1, 0)] @ leg, etab[(0, 1)] @ leg))
-    data = (vertex_tab, edge_grads)
-    element._bell_ref_data = data
-    return data
-
-
 def _bell_pushforward_matrix(element: ReferenceElement,
                              geom: CellGeometry) -> np.ndarray:
     """Physical Bell vertex jets and quartic edge modes applied to the
     pulled-back enriched quintic basis (..., 21, 21)."""
-    vertex_tab, edge_grads = _bell_reference_data(element)
+    vertex_tab, edge_grads = element.bell_tables
     J = geom.J
     T = hessian_pushforward(J)
     JT = np.swapaxes(J, -1, -2)

@@ -49,12 +49,21 @@ def test_shared_vertex_dofs_identical():
             assert seen.setdefault(v, block) == block
 
 
+def test_interior_facets_in_edge_order_lower_cell_first():
+    m = build_unit_square_mesh(6, 0.2)
+    (cA, eA), (cB, eB) = assembly._interior_facets(m)
+    interior = np.setdiff1d(np.arange(m.n_edges), m.boundary_edges)
+    assert np.array_equal(m.cell_edges[cA, eA], interior)
+    assert np.array_equal(m.cell_edges[cB, eB], interior)
+    assert np.all(cA < cB)
+
+
 def test_edge_normal_dof_signs_opposite():
     m = build_unit_square_mesh(4, 0.1)
     dm = build_dof_map(m, MORLEY)
     for e in range(m.n_edges):
-        cells = m.edge_cells[e]
-        if len(cells) != 2:
+        cells = m.edge_cells[e, :, 0]
+        if cells[1] < 0:
             continue
         signs = []
         for c in cells:
@@ -98,8 +107,8 @@ def test_global_space_continuity_across_interior_edges(name):
         u = rng.standard_normal(dm.total_dofs)
         jumps, sizes = [], []
         for e in range(m.n_edges):
-            cells = m.edge_cells[e]
-            if len(cells) != 2:
+            cells = m.edge_cells[e, :, 0]
+            if cells[1] < 0:
                 continue
             a, b = m.vertices[m.edges[e]]
             x = a + s[:, None] * (b - a)
@@ -321,13 +330,6 @@ def test_incompatible_forms_rejected():
         assembly.plate(nu=0.7)
     with pytest.raises(ValueError):
         assembly.poisson_nitsche(alpha=-1.0)
-
-
-def test_quadrature_clamp_warns():
-    m = build_unit_square_mesh(1)
-    with pytest.warns(UserWarning):
-        assemble_operator(m, lagrange(1),
-                          assembly.poisson_nitsche(cell_degree=14))
 
 
 def test_matrix_market_export(tmp_path):

@@ -59,10 +59,25 @@ def test_mesh_argument_validation():
         build_mesh(np.array([[0., 0.], [1., 0.], [2., 0.]]), np.array([[0, 1, 2]]))
 
 
+def test_edge_table_matches_brute_force_pairing():
+    # group (cell, local edge) sides by their endpoint pair, cell by cell
+    m = build_unit_square_mesh(6, 0.2)
+    sides = {}
+    for c, cell in enumerate(m.cells):
+        for i, (a, b) in enumerate(EDGE_VERTICES):
+            key = tuple(sorted((int(cell[a]), int(cell[b]))))
+            sides.setdefault(key, []).append([c, i])
+    assert len(sides) == m.n_edges
+    for e, (a, b) in enumerate(m.edges):
+        found = sides[(int(a), int(b))]
+        assert len(found) in (1, 2)
+        assert m.edge_cells[e].tolist() == found + [[-1, -1]] * (2 - len(found))
+
+
 def test_edge_sharing():
     m = build_unit_square_mesh(4, 0.2)
     for e in range(m.n_edges):
-        ncells = len(m.edge_cells[e])
+        ncells = int(np.count_nonzero(m.edge_cells[e, :, 0] >= 0))
         assert ncells in (1, 2)
         assert (ncells == 1) == (e in set(m.boundary_edges))
     assert np.all(m.edges[:, 0] < m.edges[:, 1])
@@ -113,8 +128,8 @@ def test_geometry_frames():
 def test_interior_normals_antiparallel():
     m = build_unit_square_mesh(8, 0.2)
     for e in range(m.n_edges):
-        cells = m.edge_cells[e]
-        if len(cells) != 2:
+        cells = m.edge_cells[e, :, 0]
+        if cells[1] < 0:
             continue
         locs = [int(np.flatnonzero(m.cell_edges[c] == e)[0]) for c in cells]
         nA = cell_geometry(m, cells[0]).normals[locs[0]]
@@ -172,20 +187,20 @@ def test_edge_shared_by_three_cells_rejected():
 def test_vertex_size_field_small():
     m = build_unit_square_mesh(1)
     field = vertex_size_field(m)
-    assert np.allclose(field.h, np.sqrt(2.0))
+    assert np.allclose(field, np.sqrt(2.0))
 
 
 def test_vertex_size_field_uniform_interior():
     m = build_unit_square_mesh(8)
     field = vertex_size_field(m)
     interior = np.setdiff1d(np.arange(m.n_vertices), m.boundary_vertices)
-    assert np.allclose(field.h[interior], np.sqrt(2.0) / 8)
+    assert np.allclose(field[interior], np.sqrt(2.0) / 8)
 
 
 def test_vertex_size_field_homogeneous():
     m = build_unit_square_mesh(3, 0.2)
     scaled = build_mesh(2.0 * m.vertices, m.cells)
-    assert np.allclose(vertex_size_field(scaled).h, 2.0 * vertex_size_field(m).h)
+    assert np.allclose(vertex_size_field(scaled), 2.0 * vertex_size_field(m))
 
 
 def test_global_edge_normal_is_ccw_rotation():

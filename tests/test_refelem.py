@@ -1,5 +1,6 @@
 """Reference element construction: duality, reproduction, tabulation."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -318,3 +319,11 @@ def test_third_derivatives_match_finite_differences():
         fp = tabulate_coeffs(el.poly, el.coeffs, pts + shift, 2)[lower]
         fm = tabulate_coeffs(el.poly, el.coeffs, pts - shift, 2)[lower]
         assert np.abs(tab3[alpha] - (fp - fm) / (2 * h)).max() < 1e-4
+
+
+def test_reference_element_is_frozen():
+    bell = build_reference_element("bell")
+    with pytest.raises(FrozenInstanceError):
+        bell.coeffs = np.zeros_like(bell.coeffs)
+    assert bell.bell_tables is not None
+    assert build_reference_element("argyris").bell_tables is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from conftest import l2_projection, poly_field, X, Y
 from trifem import assembly, solver
@@ -9,7 +11,8 @@ from trifem.assembly import csr_from_coo, interpolate
 from trifem.harness import parse_element, poisson_problem
 from trifem.mesh import build_mesh, build_unit_square_mesh
 from trifem.refelem import build_reference_element
-from trifem.solver import cg_solve, dense_lu_solve, l2_error, sparse_lu_solve
+from trifem.solver import (SolveReport, cg_solve, dense_lu_solve, l2_error,
+                           sparse_lu_solve)
 
 HERMITE = build_reference_element("hermite")
 
@@ -54,13 +57,27 @@ def test_lu_singular_raises():
         dense_lu_solve(A, np.array([1.0, 1.0]))
 
 
+def test_factorized_singular_raises():
+    # the stats path factors through the same checked dense LU
+    A = scipy.sparse.csr_array(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                                         [0.0, 0.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.factorized(A)
+
+
+def test_solve_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown solve method"):
+        solver.solve(laplacian_1d(4), np.ones(4), "bogus")
+
+
 def test_refinement_never_increases_residual():
     rng = np.random.default_rng(3)
     R = rng.standard_normal((80, 80))
     A = R.T @ R + 0.01 * np.eye(80)
     b = rng.standard_normal(80)
-    plain = dense_lu_solve(A, b, refine=False)
-    refined = dense_lu_solve(A, b, refine=True)
+    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+    plain = SolveReport(x=x, residual=np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+    refined = dense_lu_solve(A, b)
     assert refined.residual <= plain.residual + 1e-16
 
 

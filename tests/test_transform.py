@@ -90,7 +90,7 @@ def test_batched_transform_matches_cell_by_cell(scale):
     batch = mesh.batch_geometry(m, sizes)
     cells = [mesh.cell_geometry(m, c, sizes) for c in range(m.n_cells)]
     for name in ("J", "Jinv", "detJinv_abs", "normals", "tangents",
-                 "edge_lengths", "diameter", "vertex_h"):
+                 "edge_lengths", "vertex_h"):
         assert np.array_equal(getattr(batch, name),
                               np.array([getattr(g, name) for g in cells]))
     for fam, el in ELEMENTS.items():
