@@ -477,9 +477,12 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
 def assemble_load(mesh: TriangleMesh, element: ReferenceElement,
                   f: ScalarField, form: FormSpec, scale: bool = True) -> np.ndarray:
     """Cellwise load vector (f, v); homogeneous essential data assumed, so
-    there are no boundary contributions."""
-    kern = _Kernels(element, form)
-    rule, tab0 = kern.cell_rule, kern.cell_tab[(0, 0)]
+    there are no boundary contributions.  Only the values of the basis are
+    tabulated, at the cell rule of the operator's kernels."""
+    _check_compatible(element, form)
+    rule = triangle_rule(2 * element.degree)
+    tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
+                           rule.points, 0)[(0, 0)]
     dofmap = build_dof_map(mesh, element)
     b = np.zeros(dofmap.total_dofs)
     for cells, geom, M in cell_blocks(mesh, element, scale):

@@ -138,6 +138,7 @@ class ConvergenceRow:
     rate: float = None
     iterations: int = 0
     residual: float = 0.0
+    method: str = None  # the solve that ran, as SolveReport.method
 
 
 # the study's solve, resolved by this name at each rung
@@ -171,7 +172,7 @@ def run_convergence_study(spec: StudySpec):
                                            / np.log2(n / rows[-1].n))
         rows.append(ConvergenceRow(n=n, dofs=A.n, error=err, rate=rate,
                                    iterations=rep.iterations,
-                                   residual=rep.residual))
+                                   residual=rep.residual, method=rep.method))
     if spec.out:
         write_study_csv(rows, spec.out)
     if failure is not None:

@@ -2,8 +2,15 @@
 
 The reference path is dense LU with partial pivoting plus one step of
 iterative refinement; the scalable paths are Jacobi-preconditioned
-conjugate gradients and (for systems past the dense cutover) a sparse
-LU factorization; solve() is the one policy that chooses among them.  All
+conjugate gradients and, for systems past the dense cutover, a sparse LU
+factorization; solve() is the one policy that chooses among them.
+
+The sparse LU is symmetric first: SuperLU orders A + A^T by multiple
+minimum degree and eliminates on the diagonal, without pivoting.  The
+result is kept only when every pivot was taken on the diagonal and is
+positive, so that A is numerically SPD (Sylvester's law of inertia) and
+elimination without pivoting is backward stable.  Any other matrix is
+refactored with a COLAMD column ordering and partial pivoting.  All
 solvers are deterministic.
 """
 
@@ -85,16 +92,35 @@ def dense_lu_solve(A, b) -> SolveReport:
                        pivot_growth=growth, method="lu")
 
 
-def sparse_lu_solve(A, b) -> SolveReport:
-    """Sparse LU (SuperLU) direct path for systems past the dense cutover,
-    with one iterative-refinement step."""
+def _sparse_lu(A):
+    """Sparse LU (SuperLU) of A, checked; returns (lu, method).
+
+    Symmetric mode first: minimum-degree ordering of A + A^T and diagonal
+    pivots only.  It is accepted, as "sparse_lu_sym", when SuperLU kept
+    every pivot on the diagonal and all of them are positive, that is when
+    A is numerically SPD.  Otherwise A is refactored with COLAMD and
+    partial pivoting, as "sparse_lu".
+    """
     from scipy.sparse.linalg import splu  # kept out of `import trifem`
+    A = A.tocsc()
+    # with a zero diagonal SuperLU still pivots off it, so this raises only
+    # when A is singular, as the fallback would
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    if np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0:
+        return lu, "sparse_lu_sym"
+    return splu(A), "sparse_lu"
+
+
+def sparse_lu_solve(A, b) -> SolveReport:
+    """Sparse LU direct path for systems past the dense cutover, with one
+    iterative-refinement step; method tells which factorization ran."""
     b = np.asarray(b, dtype=float)
-    lu = splu(A.tocsc())
+    lu, method = _sparse_lu(A)
     x = lu.solve(b)
     x = x + lu.solve(b - A @ x)
     return SolveReport(x=x, residual=_relative_residual(A, x, b),
-                       method="sparse_lu")
+                       method=method)
 
 
 def solve(A, b, method: str = "lu") -> SolveReport:
@@ -115,12 +141,12 @@ def solve(A, b, method: str = "lu") -> SolveReport:
 def factorized(A):
     """Factor once, return a solve handle (for repeated inverse applications).
 
-    Up to DENSE_CUTOVER this is the checked dense LU of dense_lu_solve."""
+    Up to DENSE_CUTOVER this is the checked dense LU of dense_lu_solve,
+    beyond it the checked sparse LU of sparse_lu_solve."""
     if A.shape[0] <= DENSE_CUTOVER:
         _, lu_piv, _ = _dense_lu(A)
         return lambda b: scipy.linalg.lu_solve(lu_piv, b)
-    from scipy.sparse.linalg import splu
-    return splu(A.tocsc()).solve
+    return _sparse_lu(A)[0].solve
 
 
 def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,

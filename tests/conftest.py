@@ -1,6 +1,7 @@
 """Shared helpers: deterministic random cells, polynomial fields, the
-independent chain-rule oracle used to check transformation duality and the
-L2 projection that gives each global space's best approximation."""
+independent chain-rule oracle used to check transformation duality, the
+L2 projection that gives each global space's best approximation and the
+roundoff envelope of a study error."""
 
 import numpy as np
 import pytest
@@ -143,6 +144,30 @@ def l2_projection(msh, element, u_exact: ScalarField, scale=True):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsc()
     return scipy.sparse.linalg.spsolve(mass, rhs)
+
+
+def roundoff_envelope(A, b, solve, error_of_x, k=8, seed=0):
+    """Largest relative spread of a study error under roundoff in its data.
+
+    Solves k seeded one-ulp perturbations of A and b with solve(A, b) -> x:
+    every stored entry of A moves one ulp up or down, a_ij and a_ji the
+    same way (the perturbation is symmetric), and so does every entry of
+    b.  Returns (max - min) / error over the k + 1 errors error_of_x(x),
+    the unperturbed one included.
+    """
+    rng = np.random.default_rng(seed)
+    C = scipy.sparse.coo_array(A)
+    n = A.shape[0]
+    pair, key = np.unique(np.minimum(C.row, C.col).astype(np.int64) * n
+                          + np.maximum(C.row, C.col), return_inverse=True)
+    errors = [error_of_x(solve(A, b))]
+    for _ in range(k):
+        up = rng.integers(0, 2, len(pair)).astype(bool)[key]
+        data = np.nextafter(C.data, np.where(up, np.inf, -np.inf))
+        Ak = scipy.sparse.csr_array((data, (C.row, C.col)), shape=A.shape)
+        bk = np.nextafter(b, np.where(rng.integers(0, 2, len(b)), np.inf, -np.inf))
+        errors.append(error_of_x(solve(Ak, bk)))
+    return (max(errors) - min(errors)) / errors[0]
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from trifem.harness import (StudySpec, poisson_problem,
                             run_convergence_study, run_stats_report)
 from trifem.mesh import build_unit_square_mesh
 from trifem.refelem import build_reference_element, tabulate_coeffs
-from trifem.solver import l2_error
+from trifem.solver import DENSE_CUTOVER, l2_error
 from trifem.transform import (argyris_M, bell_M, hermite_M, morley_M,
                               morley_three_step)
 
@@ -236,6 +236,19 @@ def test_criterion_6_biharmonic_rates(biharmonic_studies):
     _report(6, not failures,
             f"finest-rung biharmonic L2 rates: {detail} ({elapsed:.0f}s)")
     assert not failures, failures
+
+
+def test_study_rungs_report_their_solver(poisson_studies, biharmonic_studies):
+    # the study operators are SPD: every rung past the dense cutover passes
+    # the symmetric sparse LU's pivot check and never needs the fallback
+    for studies in (poisson_studies, biharmonic_studies):
+        for fam, rows in studies.items():
+            if fam == "__elapsed__":
+                continue
+            want = ["lu" if r.dofs <= DENSE_CUTOVER else "sparse_lu_sym"
+                    for r in rows]
+            assert [r.method for r in rows] == want, fam
+    assert any(r.method == "sparse_lu_sym" for r in biharmonic_studies["bell"])
 
 
 def test_criterion_7_conditioning_orderings():

@@ -255,6 +255,17 @@ def test_study_solver_cg_falls_back_to_direct(monkeypatch):
     rep = _study_solve(A, np.array([2.0, 3.0]), "cg")
     assert rep.method == "lu"
     assert np.allclose(rep.x, 1.0)
+    rows = run_convergence_study(StudySpec(problem="poisson",
+                                           element="lagrange:1",
+                                           levels=(4,), solver="cg"))
+    assert rows[0].method == "lu"
+
+
+def test_study_rows_report_the_solve_that_ran():
+    # N=8 Bell is under the dense cutover, N=16 (1,734 DoFs) past it
+    rows = run_convergence_study(StudySpec(problem="biharmonic", element="bell",
+                                           levels=(8, 16)))
+    assert [r.method for r in rows] == ["lu", "sparse_lu_sym"]
 
 
 def test_biharmonic_ip_cubic_smoke():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.linalg import splu
 
-from conftest import l2_projection, poly_field, X, Y
+from conftest import l2_projection, poly_field, roundoff_envelope, X, Y
 from trifem import assembly, solver
 from trifem.assembly import csr_from_coo, interpolate
-from trifem.harness import parse_element, poisson_problem
+from trifem.harness import (biharmonic_problem, parse_element, poisson_problem,
+                            study_form)
 from trifem.mesh import build_mesh, build_unit_square_mesh
 from trifem.refelem import build_reference_element
 from trifem.solver import (SolveReport, cg_solve, dense_lu_solve, l2_error,
@@ -218,6 +220,73 @@ def test_solve_policy_dense_then_sparse():
     small = laplacian_1d(solver.DENSE_CUTOVER)
     large = laplacian_1d(solver.DENSE_CUTOVER + 1)
     assert solver.solve(small, np.ones(small.n)).method == "lu"
-    assert solver.solve(large, np.ones(large.n)).method == "sparse_lu"
+    assert solver.solve(large, np.ones(large.n)).method == "sparse_lu_sym"
     rep = solver.solve(large, np.ones(large.n), "cg")
     assert rep.method == "cg" and rep.converged
+
+
+def _non_spd_cases():
+    n = solver.DENSE_CUTOVER + 1
+    T = laplacian_1d(n)
+    eye = scipy.sparse.identity(n, format="csr")
+    return {"indefinite": (T - eye).tocsr(),
+            "saddle": scipy.sparse.block_array([[T, eye], [eye, None]],
+                                               format="csr")}
+
+
+@pytest.mark.parametrize("case", ["indefinite", "saddle"])
+def test_sparse_lu_falls_back_to_pivoting(case):
+    # T - I has a negative pivot, the saddle point's zero diagonal forces
+    # pivots off the diagonal: both fail the SPD check and go through COLAMD
+    # with partial pivoting
+    A = _non_spd_cases()[case]
+    assert A.shape[0] > solver.DENSE_CUTOVER
+    x_star = np.sin(np.arange(A.shape[0]) + 1.0)
+    b = A @ x_star
+    rep = solver.solve(A, b)
+    assert rep.method == "sparse_lu"
+    assert rep.residual < 1e-10
+    x = solver.factorized(A)(b)
+    assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(x - x_star) < 1e-8 * np.linalg.norm(x_star)
+
+
+def test_sparse_lu_singular_raises():
+    # a zero row and column: the symmetric mode raises as the fallback would
+    n = solver.DENSE_CUTOVER + 1
+    keep = np.ones(n)
+    keep[5] = 0.0
+    D = scipy.sparse.diags_array(keep)
+    with pytest.raises(RuntimeError, match="singular"):
+        solver.solve((D @ laplacian_1d(n) @ D).tocsr(), np.ones(n))
+
+
+def _pivoting_lu_solve(A, b):
+    """The partial-pivoting fallback, COLAMD and one refinement step."""
+    lu = splu(A.tocsc())
+    x = lu.solve(b)
+    return x + lu.solve(b - A @ x)
+
+
+@pytest.mark.parametrize("family", ["argyris", "bell", "lagrange:3"])
+def test_symmetric_lu_within_roundoff_envelope(family):
+    # N=16 biharmonic rungs, all past the dense cutover: the symmetric
+    # factorization moves the study error by no more than twice the spread
+    # that one-ulp perturbations of A and b give on the pivoting path
+    el = parse_element(family)
+    form = study_form("biharmonic", el)
+    u, f = biharmonic_problem()
+    m = build_unit_square_mesh(16, 0.2)
+    A = assembly.assemble_operator(m, el, form)
+    b = assembly.assemble_load(m, el, f, form)
+    assert A.n > solver.DENSE_CUTOVER
+
+    def error_of_x(x):
+        return l2_error(m, el, x, u)
+
+    rep = solver.solve(A, b)
+    assert rep.method == "sparse_lu_sym"
+    e_piv = error_of_x(_pivoting_lu_solve(A, b))
+    envelope = roundoff_envelope(A, b, _pivoting_lu_solve, error_of_x, seed=16)
+    assert 0.0 < envelope < 1e-6
+    assert abs(error_of_x(rep.x) - e_piv) <= 2.0 * envelope * e_piv
