@@ -59,7 +59,13 @@ class ScalarField:
 
 
 class SparseMatrix(scipy.sparse.csr_array):
-    """Square CSR matrix: scipy's csr_array plus its order n and a matvec."""
+    """Square CSR matrix: scipy's csr_array plus its order n and a matvec.
+
+    coarse is the prolongation of a coarse space that the operator carries
+    for CG's two-level preconditioner (see p1_prolongation), or None.
+    """
+
+    coarse = None
 
     @property
     def n(self):
@@ -471,7 +477,39 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
         parts += kern.ip_facet_triplets(mesh, dofmap)
 
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return csr_from_coo(dofmap.total_dofs, rows, cols, vals)
+    # free each copy of the triplets once it is read: the peak memory of a
+    # rung is here, in csr_from_coo's sort
+    del parts
+    A = csr_from_coo(dofmap.total_dofs, rows, cols, vals)
+    del rows, cols, vals
+    if form.kind == "poisson_nitsche" and element.family == "lagrange" \
+            and element.lagrange_degree >= 2:
+        A.coarse = p1_prolongation(mesh, element, dofmap)
+    return A
+
+
+def p1_prolongation(mesh: TriangleMesh, element: ReferenceElement,
+                    dofmap: DofMap) -> scipy.sparse.csr_array:
+    """The exact embedding of continuous P1 into continuous Lagrange P_k on
+    one mesh, as an (n_dofs, n_vertices) CSR matrix: row i holds the
+    barycentric coordinates of node i in a cell that contains it.
+
+    A node shared by several cells has the same coordinates in each, so
+    each row is written once, from the node's first cell; summing the
+    copies would multiply shared entries.
+    """
+    x, y = np.array([fn.point for fn in element.functionals]).T
+    lam = np.stack([1.0 - x - y, x, y], axis=1)
+    for i, fn in enumerate(element.functionals):
+        if fn.entity[0] == 1:  # reference edge e lies opposite vertex e
+            lam[i, fn.entity[1]] = 0.0
+    _, first = np.unique(dofmap.cell_dofs, return_index=True)
+    cell, local = np.divmod(first, element.n_dofs)
+    cols, vals = mesh.cells[cell], lam[local]
+    keep = vals != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return scipy.sparse.csr_array((vals[keep], cols[keep], indptr),
+                                  shape=(dofmap.total_dofs, mesh.n_vertices))
 
 
 def assemble_load(mesh: TriangleMesh, element: ReferenceElement,

@@ -139,6 +139,7 @@ class ConvergenceRow:
     iterations: int = 0
     residual: float = 0.0
     method: str = None  # the solve that ran, as SolveReport.method
+    preconditioner: str = None  # as SolveReport.preconditioner
 
 
 # the study's solve, resolved by this name at each rung
@@ -172,7 +173,8 @@ def run_convergence_study(spec: StudySpec):
                                            / np.log2(n / rows[-1].n))
         rows.append(ConvergenceRow(n=n, dofs=A.n, error=err, rate=rate,
                                    iterations=rep.iterations,
-                                   residual=rep.residual, method=rep.method))
+                                   residual=rep.residual, method=rep.method,
+                                   preconditioner=rep.preconditioner))
     if spec.out:
         write_study_csv(rows, spec.out)
     if failure is not None:

@@ -1,9 +1,17 @@
 """Linear solvers and L2 error evaluation against manufactured solutions.
 
 The reference path is dense LU with partial pivoting plus one step of
-iterative refinement; the scalable paths are Jacobi-preconditioned
-conjugate gradients and, for systems past the dense cutover, a sparse LU
+iterative refinement; the scalable paths are preconditioned conjugate
+gradients and, for systems past the dense cutover, a sparse LU
 factorization; solve() is the one policy that chooses among them.
+
+CG is preconditioned by a two-level V-cycle when the operator carries a
+coarse space, and by Jacobi otherwise.  assembly attaches the exact P1
+coarse space (A.coarse) to the Poisson operators of Lagrange P_k, k >= 2:
+on one mesh continuous P1 lies inside continuous P_k, and the iteration
+count then stays flat under refinement.  Hermite, Argyris and Bell keep
+Jacobi: their gradients are single-valued at the vertices, so the P1 hat
+functions are not in their spaces.
 
 The sparse LU is symmetric first: SuperLU orders A + A^T by multiple
 minimum degree and eliminates on the diagonal, without pivoting.  The
@@ -49,6 +57,7 @@ class SolveReport:
     pivot_growth: float = None
     converged: bool = True
     method: str = "lu"
+    preconditioner: str = "none"  # CG's: "two_level", "jacobi" or "none"
 
 
 def _relative_residual(A, x, b):
@@ -124,9 +133,16 @@ def sparse_lu_solve(A, b) -> SolveReport:
 
 
 def solve(A, b, method: str = "lu") -> SolveReport:
-    """The study solve: method "cg" runs Jacobi-CG to 1e-11 and falls back
-    to the direct path if it does not converge; the direct path ("lu") is
-    dense LU up to DENSE_CUTOVER and sparse LU beyond."""
+    """The study solve: method "cg" runs preconditioned CG to 1e-11 and
+    falls back to the direct path if it does not converge; the direct path
+    ("lu") is dense LU up to DENSE_CUTOVER and sparse LU beyond.
+
+    CG takes its preconditioner from A (see cg_solve): the two-level
+    cycle on A.coarse, which assembly attaches to the Poisson operators of
+    Lagrange k >= 2, and Jacobi on every other operator.  The Hermite,
+    Argyris and Bell spaces cannot take the P1 coarse space: their
+    gradients are single-valued at the vertices, so the P1 hat functions
+    are not in their spaces."""
     if method not in ("lu", "cg"):
         raise ValueError(f"unknown solve method {method!r}")
     if method == "cg":
@@ -149,14 +165,40 @@ def factorized(A):
     return _sparse_lu(A)[0].solve
 
 
+def _two_level(A, P):
+    """The symmetric V(1,1) cycle on the fine space and range(P): l1-Jacobi
+    smoothing before and after an exact coarse solve with P^T A P.
+
+    l1-Jacobi divides by the row sums of |A|, so rho(D_l1^-1 A) <= 1 and
+    the smoother converges with no damping constant to tune; damped Jacobi
+    at a fixed weight diverges for P5.
+    """
+    dinv = 1.0 / np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+    lu, _ = _sparse_lu(P.T @ (A @ P))
+    R = P.T.tocsr()
+
+    def apply(r):
+        x = dinv * r
+        x += P @ lu.solve(R @ (r - A @ x))
+        return x + dinv * (r - A @ x)
+    return apply
+
+
 def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
              precondition: bool = True) -> SolveReport:
-    """Jacobi-preconditioned conjugate gradients on an SPD system.
+    """Preconditioned conjugate gradients on an SPD system, stopped when
+    the unpreconditioned residual falls to rtol |b|.
 
-    max_iter defaults to min(50 n, CG_MAX_ITER).  precondition=False runs
-    plain CG; note that Jacobi preconditioning is invariant under diagonal
-    rescaling of the system, so the effect of the derivative-DoF scaling on
-    iteration counts only shows without it.
+    An operator that carries a coarse space (A.coarse, the P1 prolongation
+    that assembly attaches to Lagrange k >= 2 Poisson operators) gets the
+    two-level preconditioner of _two_level, whose iteration count does not
+    grow as the mesh is refined; any other operator gets Jacobi.  Hermite,
+    Argyris and Bell have no such coarse space: their gradients are
+    single-valued at the vertices, so the P1 hat functions are not in their
+    spaces.  max_iter defaults to min(50 n, CG_MAX_ITER).
+    precondition=False runs plain CG; note that Jacobi preconditioning is
+    invariant under diagonal rescaling of the system, so the effect of the
+    derivative-DoF scaling on iteration counts only shows without it.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
@@ -165,17 +207,24 @@ def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
     if precondition:
         diag = A.diagonal()
         if np.any(diag <= 0):
-            raise ValueError("Jacobi preconditioner needs a positive diagonal")
-        dinv = 1.0 / diag
+            raise ValueError("CG preconditioners need a positive diagonal")
+    coarse = getattr(A, "coarse", None) if precondition else None
+    if coarse is not None:
+        kind, precond = "two_level", _two_level(A, coarse)
     else:
-        dinv = np.ones(n)
+        kind, dinv = ("jacobi", 1.0 / diag) if precondition else \
+            ("none", np.ones(n))
+
+        def precond(r):
+            return dinv * r
 
     x = np.zeros(n)
     r = b.copy()
     nb = np.linalg.norm(b)
     if nb == 0.0:
-        return SolveReport(x=x, residual=0.0, iterations=0, method="cg")
-    z = dinv * r
+        return SolveReport(x=x, residual=0.0, iterations=0, method="cg",
+                           preconditioner=kind)
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     it = 0
@@ -186,14 +235,14 @@ def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
         alpha = rz / (p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        z = dinv * r
+        z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
     res = np.linalg.norm(r) / nb
-    return SolveReport(x=x, residual=res, iterations=it,
-                       converged=res <= rtol, method="cg")
+    return SolveReport(x=x, residual=res, iterations=it, converged=res <= rtol,
+                       method="cg", preconditioner=kind)
 
 
 def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,

@@ -381,3 +381,25 @@ def test_hermite_condition_scaled_vs_unscaled_and_dofs():
     n_l3 = build_dof_map(m, lagrange(3)).total_dofs
     assert n_h == 371 < n_l3 == 625
     assert _condition(HERMITE, 8, False) > _condition(HERMITE, 8, True)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_p1_prolongation_interpolates_linears(k):
+    # the coarse space is exact: P maps the vertex values of a linear g to
+    # the P_k interpolant of g; a node shared by cells is written once
+    m = build_unit_square_mesh(6, 0.2)
+    el = lagrange(k)
+    A = assemble_operator(m, el, assembly.poisson_nitsche())
+    g = ScalarField(f=lambda x, y: 0.3 - 1.7 * x + 2.9 * y)
+    P = A.coarse
+    assert P.shape == (A.n, m.n_vertices)
+    assert np.abs(P @ g(m.vertices) - interpolate(m, el, g)).max() < 1e-13
+
+
+def test_no_coarse_space_outside_lagrange_poisson():
+    m = build_unit_square_mesh(6, 0.2)
+    poisson = assembly.poisson_nitsche()
+    for el in (lagrange(1), HERMITE, ARGYRIS, BELL):
+        assert assemble_operator(m, el, poisson).coarse is None
+    ip = assemble_operator(m, lagrange(3), assembly.plate_ip(clamped_boundary=True))
+    assert ip.coarse is None

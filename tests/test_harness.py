@@ -140,6 +140,26 @@ def test_cg_solver_study_matches_lu(tmp_path):
         assert rb.iterations > 0
 
 
+def test_two_level_cg_study_matches_lu():
+    # P3 Poisson is the poisson-cg benchmark ladder: CG with the P1 coarse
+    # space needs as many iterations at N=64 as at N=16 (within 20%), and
+    # its study errors stay within 2e-9 of the direct solve's
+    spec = StudySpec(problem="poisson", element="lagrange:3", levels=(16, 32, 64))
+    lu = run_convergence_study(spec)
+    cg = run_convergence_study(StudySpec(**{**vars(spec), "solver": "cg"}))
+    for a, c in zip(lu, cg):
+        assert abs(c.error - a.error) <= 2e-9 * a.error
+        assert (c.method, c.preconditioner) == ("cg", "two_level")
+    assert abs(cg[-1].iterations - cg[0].iterations) <= 0.2 * cg[0].iterations
+
+
+@pytest.mark.parametrize("element", ["hermite", "lagrange:1"])
+def test_cg_study_without_coarse_space_reports_jacobi(element):
+    rows = run_convergence_study(StudySpec(problem="poisson", element=element,
+                                           levels=(4, 8), solver="cg"))
+    assert [(r.method, r.preconditioner) for r in rows] == [("cg", "jacobi")] * 2
+
+
 def test_solver_failure_writes_partial_csv(tmp_path, monkeypatch):
     out = tmp_path / "partial.csv"
     calls = []

@@ -290,3 +290,32 @@ def test_symmetric_lu_within_roundoff_envelope(family):
     envelope = roundoff_envelope(A, b, _pivoting_lu_solve, error_of_x, seed=16)
     assert 0.0 < envelope < 1e-6
     assert abs(error_of_x(rep.x) - e_piv) <= 2.0 * envelope * e_piv
+
+
+def test_two_level_preconditioner_is_symmetric():
+    # CG needs an SPD preconditioner: the V(1,1) cycle smooths alike before
+    # and after the coarse solve, so <B r, s> = <r, B s>
+    m = build_unit_square_mesh(8, 0.2)
+    A = assembly.assemble_operator(m, parse_element("lagrange:3"),
+                                   assembly.poisson_nitsche())
+    B = solver._two_level(A, A.coarse)
+    r, s = np.random.default_rng(0).standard_normal((2, A.n))
+    Br, Bs = B(r), B(s)
+    assert abs(Br @ s - r @ Bs) < 1e-12 * np.linalg.norm(Br) * np.linalg.norm(s)
+    assert Br @ r > 0
+
+
+def test_two_level_cg_iterations_stay_flat_for_p5():
+    # this case catches an unstable smoother: damped Jacobi at a fixed
+    # omega = 0.6 diverges for P5, and its iteration count grows with N
+    el = parse_element("lagrange:5")
+    form = assembly.poisson_nitsche()
+    _, f = poisson_problem()
+    iters = []
+    for n in (8, 32):
+        m = build_unit_square_mesh(n, 0.2)
+        A = assembly.assemble_operator(m, el, form)
+        rep = solver.solve(A, assembly.assemble_load(m, el, f, form), "cg")
+        assert rep.method == "cg" and rep.preconditioner == "two_level"
+        iters.append(rep.iterations)
+    assert abs(iters[1] - iters[0]) <= 0.2 * iters[0]
