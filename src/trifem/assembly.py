@@ -12,13 +12,16 @@ form (optionally with weakly-enforced clamped boundary conditions), the
 C0 interior-penalty biharmonic form, and the clamped-plate Nitsche form
 as printed in its source (assembly and symmetry checks only).
 
-The operator, load and (in solver) L2-error passes share one cell-batched
-pipeline, cell_blocks: geometry and M are built with array operations for
-a fixed-size block of cells at once, and the cell and facet kernels run on
-whole blocks as batched matmuls.  Each kernel performs, per cell, the same
-floating-point operations as a cell-by-cell evaluation would, so batching
-changes no result bit; blocks, facets and COO triplets come in a fixed
-order, so results are deterministic.
+The operator, load, interpolation and (in solver) L2-error passes share
+one cell-batched pipeline, cell_blocks.  It builds the DoF map, the
+geometry of all cells and M for each fixed-size block of cells once per
+(mesh, element, scale), with array operations, and the mesh holds the
+result for the passes that follow; so M stays in memory for the whole
+rung, n_cells * n_dofs * n_tab doubles.  The cell and facet kernels run
+on whole blocks as batched matmuls.  Each kernel performs, per cell, the
+same floating-point operations as a cell-by-cell evaluation would, so
+batching changes no result bit; blocks, facets and COO entries come in a
+fixed order, so results are deterministic.
 """
 
 from dataclasses import dataclass, replace
@@ -27,7 +30,8 @@ import numpy as np
 import scipy.sparse
 
 from . import transform
-from .mesh import TriangleMesh, batch_geometry, vertex_size_field
+from .mesh import (CellGeometry, TriangleMesh, batch_geometry,
+                   vertex_size_field)
 from .quadrature import interval_rule, triangle_rule
 from .refelem import (EDGE_VERTICES, ReferenceElement, ref_edge_points,
                       tabulate_coeffs)
@@ -81,10 +85,13 @@ def csr_from_coo(n, rows, cols, vals) -> SparseMatrix:
     scipy's own COO-to-CSR conversion sums duplicates in another order: that
     moves some entries by an ulp, and the biharmonic study errors far more.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    keys = rows * n + cols
+    keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+    return _csr_from_keys(n, keys, np.asarray(vals, dtype=float))
+
+
+def _csr_from_keys(n, keys, vals) -> SparseMatrix:
+    """CSR from flat keys row * n + col and their values; duplicate keys are
+    summed in input order (a stable sort, then a sequential reduceat)."""
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     first = np.ones(len(keys), dtype=bool)
@@ -100,17 +107,21 @@ def symmetry_error(A: SparseMatrix) -> float:
     return float(abs(A - A.T).max())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DofMap:
     """Local-to-global map with orientation signs and entity-block layout.
 
     Global DoFs are laid out vertex blocks first, then edge blocks, then
-    cell blocks.
+    cell blocks.  The arrays are read-only, like the mesh's.
     """
 
     cell_dofs: np.ndarray
     cell_signs: np.ndarray
     total_dofs: int
+
+    def __post_init__(self):
+        self.cell_dofs.flags.writeable = False
+        self.cell_signs.flags.writeable = False
 
 
 def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
@@ -143,27 +154,54 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
     return DofMap(cell_dofs=cell_dofs, cell_signs=cell_signs, total_dofs=total)
 
 
-# Cells (or interior edges) per block: bounds the per-block M, kernel and
-# trace arrays independently of the mesh size.
+# Cells (or interior edges) per block: bounds the kernel and trace arrays
+# independently of the mesh size.
 BLOCK = 512
 
 
-def cell_blocks(mesh: TriangleMesh, element: ReferenceElement, scale: bool):
-    """The per-cell pipeline every pass shares.
+@dataclass(frozen=True)
+class CellData:
+    """The per-cell data every pass of one (mesh, element, scale) reads.
 
-    Yields (cells, geometry, M) for consecutive blocks of at most
-    BLOCK cells: a slice of cell indices, their batched geometry and
-    their (scaled) transformation matrices, shape (cells, n_dofs, n_tab).
-    M is None for Lagrange, whose M is the identity.
+    geom is the batched geometry of all cells, with vertex sizes when
+    scaled.  blocks holds (cells, geometry, M) for consecutive blocks of
+    at most BLOCK cells: a slice of cell indices, their geometry and their
+    (scaled) transformation matrices, shape (cells, n_dofs, n_tab); M is
+    None for Lagrange, whose M is the identity.  All arrays are read-only.
+    element is kept so that its id, in the mesh's cache key, cannot be
+    reused while the mesh lives.
     """
-    size_field = vertex_size_field(mesh) if scale else None
-    geom = batch_geometry(mesh, size_field)
-    for lo in range(0, mesh.n_cells, BLOCK):
-        cells = slice(lo, lo + BLOCK)
-        g = geom[cells]
-        M = None if element.family == "lagrange" else \
-            transform.cell_transform(element, g, scale).matrix
-        yield cells, g, M
+
+    element: ReferenceElement
+    dofmap: DofMap
+    geom: CellGeometry
+    blocks: tuple
+
+
+def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
+                scale: bool) -> CellData:
+    """The per-cell pipeline every pass shares: the DoF map, geometry and
+    M of element on mesh, built on first use and then held by the mesh, so
+    the operator, load, interpolation and error passes of a rung build
+    each of them once."""
+    key = (id(element), bool(scale))
+    data = mesh._cell_data.get(key)
+    if data is None:
+        geom = batch_geometry(mesh, vertex_size_field(mesh) if scale else None)
+        for a in vars(geom).values():
+            if a is not None:
+                a.flags.writeable = False
+        blocks = []
+        for lo in range(0, mesh.n_cells, BLOCK):
+            cells = slice(lo, lo + BLOCK)
+            g, M = geom[cells], None
+            if element.family != "lagrange":
+                M = transform.cell_transform(element, g, scale).matrix
+                M.flags.writeable = False
+            blocks.append((cells, g, M))
+        data = mesh._cell_data[key] = CellData(
+            element, build_dof_map(mesh, element), geom, tuple(blocks))
+    return data
 
 
 FORM_KINDS = ("poisson_nitsche", "plate", "plate_ip", "plate_clamped_nitsche")
@@ -260,10 +298,13 @@ def _push(J, d):
 
 
 def _physical_hessian(tab, J):
+    """Physical (hxx, hxy, hyy) of the pullbacks: the Voigt pushforward T
+    contracted with the reference second derivatives of a cell table
+    (n, q) or a facet table (F, n, q)."""
     T = hessian_pushforward(J)
-    href = (tab[(2, 0)], tab[(1, 1)], tab[(0, 2)])
-    return tuple(_per(T[:, k, 0]) * href[0] + _per(T[:, k, 1]) * href[1]
-                 + _per(T[:, k, 2]) * href[2] for k in range(3))
+    href = np.stack([tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]])
+    spec = "bj,jnq->bnq" if href.ndim == 3 else "bj,jbnq->bnq"
+    return tuple(np.einsum(spec, T[:, k], href) for k in range(3))
 
 
 def _directional_first(tab, J, d):
@@ -294,10 +335,10 @@ def _congruence(M, A):
     return A if M is None else M @ A @ _T(M)
 
 
-def _triplets(dofs, signs, local):
-    """COO triplets of local matrices (B, n, n) through DoFs and signs (B, n)."""
-    n = dofs.shape[1]
-    return (np.repeat(dofs, n, axis=1).ravel(), np.tile(dofs, (1, n)).ravel(),
+def _triplets(n, dofs, signs, local):
+    """Flat keys row * n + col and values of local matrices (B, k, k)
+    through DoFs and signs (B, k), row by row."""
+    return ((dofs[:, :, None] * n + dofs[:, None, :]).ravel(),
             (local * (signs[:, :, None] * signs[:, None, :])).ravel())
 
 
@@ -410,9 +451,9 @@ class _Kernels:
                 + (gn * w) @ _T(v) + (v * w) @ _T(gn)
                 + (gl * w) @ _T(vn) + (vn * w) @ _T(gl))
 
-    def ip_facet_triplets(self, mesh, dofmap):
-        """Interior-penalty jump/average blocks over all interior edges, as
-        COO triplets in edge order.
+    def ip_facet_triplets(self, mesh, dofmap, geom):
+        """Interior-penalty jump/average blocks over all interior edges of
+        the cells in geom, as keys and values in edge order.
 
         Jumps and averages use the master side A's outward normal; the
         facet quadrature runs along the stored edge direction, so a side
@@ -420,7 +461,6 @@ class _Kernels:
         flipped (the Gauss rule is symmetric).  Only Lagrange elements
         take this form, so M = I and there is no congruence.
         """
-        geom = batch_geometry(mesh)
         (cA, eA), (cB, eB) = _interior_facets(mesh)
         parts = []
         for lo in range(0, len(cA), BLOCK):
@@ -436,6 +476,7 @@ class _Kernels:
             local = ((self.form.alpha / ell) * (jump * w) @ _T(jump)
                      - (avg * w) @ _T(jump) - (jump * w) @ _T(avg))
             parts.append(_triplets(
+                dofmap.total_dofs,
                 np.concatenate([dofmap.cell_dofs[c] for c, _ in sides], axis=1),
                 np.concatenate([dofmap.cell_signs[c] for c, _ in sides], axis=1),
                 local))
@@ -458,30 +499,31 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
     """Assemble the global operator of the requested form (CSR, symmetric)."""
     kern = _Kernels(element, form)
     form = kern.form
-    dofmap = build_dof_map(mesh, element)
+    data = cell_blocks(mesh, element, scale)
+    dofmap = data.dofmap
     boundary_terms = (form.kind in ("poisson_nitsche", "plate_clamped_nitsche")
                       or form.clamped_boundary)
     on_boundary = np.isin(mesh.cell_edges, mesh.boundary_edges)
 
     parts = []
-    for cells, geom, M in cell_blocks(mesh, element, scale):
+    for cells, geom, M in data.blocks:
         A = kern.cell_matrices(geom)
         if boundary_terms:
             # (cell, local edge) pairs in cell order, so each cell's facet
             # terms are added in local edge order
             fc, fe = np.nonzero(on_boundary[cells])
             np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
-        parts.append(_triplets(dofmap.cell_dofs[cells], dofmap.cell_signs[cells],
-                               _congruence(M, A)))
+        parts.append(_triplets(dofmap.total_dofs, dofmap.cell_dofs[cells],
+                               dofmap.cell_signs[cells], _congruence(M, A)))
     if form.kind == "plate_ip":
-        parts += kern.ip_facet_triplets(mesh, dofmap)
+        parts += kern.ip_facet_triplets(mesh, dofmap, data.geom)
 
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    keys, vals = (np.concatenate(x) for x in zip(*parts))
     # free each copy of the triplets once it is read: the peak memory of a
-    # rung is here, in csr_from_coo's sort
+    # rung is here, in the sort of _csr_from_keys
     del parts
-    A = csr_from_coo(dofmap.total_dofs, rows, cols, vals)
-    del rows, cols, vals
+    A = _csr_from_keys(dofmap.total_dofs, keys, vals)
+    del keys, vals
     if form.kind == "poisson_nitsche" and element.family == "lagrange" \
             and element.lagrange_degree >= 2:
         A.coarse = p1_prolongation(mesh, element, dofmap)
@@ -521,9 +563,10 @@ def assemble_load(mesh: TriangleMesh, element: ReferenceElement,
     rule = triangle_rule(2 * element.degree)
     tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
                            rule.points, 0)[(0, 0)]
-    dofmap = build_dof_map(mesh, element)
+    data = cell_blocks(mesh, element, scale)
+    dofmap = data.dofmap
     b = np.zeros(dofmap.total_dofs)
-    for cells, geom, M in cell_blocks(mesh, element, scale):
+    for cells, geom, M in data.blocks:
         w = rule.weights * geom.detJinv_abs[:, None]
         local = tab0 @ (w * f(geom.ref_to_phys(rule.points)))[:, :, None]
         if M is not None:
@@ -541,8 +584,8 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     """Global DoF vector of the nodal interpolant, consistent with the
     (scaled) transformation pipeline.  A DoF shared by several cells takes
     the value of the last of them."""
-    dofmap = build_dof_map(mesh, element)
-    geom = batch_geometry(mesh, vertex_size_field(mesh) if scale else None)
+    data = cell_blocks(mesh, element, scale)
+    dofmap, geom = data.dofmap, data.geom
     fns = element.functionals
     X = geom.ref_to_phys(np.array([fn.point for fn in fns]))
     x, y = X[..., 0], X[..., 1]

@@ -7,14 +7,14 @@ that single convention drives tangent signs and the sign consistency of
 shared derivative DoFs downstream.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .refelem import EDGE_VERTICES, REF_VERTICES
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangleMesh:
     """Triangulation with full edge connectivity.
 
@@ -24,6 +24,10 @@ class TriangleMesh:
     traversal runs the edge in stored (low-to-high) order.  edge_cells[e, s]
     is the (cell, local edge) pair of side s of edge e, side 0 having the
     lower cell index; the missing side 1 of a boundary edge is (-1, -1).
+
+    A mesh is immutable: its arrays are read-only copies of those it was
+    built from, so the cell data that assembly.cell_blocks keeps in
+    _cell_data always describes the mesh's own vertices and cells.
     """
 
     vertices: np.ndarray
@@ -34,6 +38,15 @@ class TriangleMesh:
     edge_cells: np.ndarray
     boundary_edges: np.ndarray
     boundary_vertices: np.ndarray
+    _cell_data: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.init:
+                a = np.array(getattr(self, f.name))
+                a.flags.writeable = False
+                object.__setattr__(self, f.name, a)
 
     @property
     def n_vertices(self):

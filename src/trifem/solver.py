@@ -249,8 +249,9 @@ def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
              scale: bool = True) -> float:
     """L2 norm of (u_h - u_exact), with u_h reconstructed per cell through the
     transformed basis and integrated at degree 2*embedded_degree + 2."""
-    from .assembly import build_dof_map, cell_blocks
-    dofmap = build_dof_map(mesh, element)
+    from .assembly import cell_blocks
+    data = cell_blocks(mesh, element, scale)
+    dofmap = data.dofmap
     rule = triangle_rule(2 * element.degree + 2)
     tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
                            rule.points, 0)[(0, 0)]
@@ -258,7 +259,7 @@ def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
 
     # per-cell integrals, summed in cell order by a sequential cumsum
     terms = []
-    for cells, geom, M in cell_blocks(mesh, element, scale):
+    for cells, geom, M in data.blocks:
         local = dofmap.cell_signs[cells] * u_h[dofmap.cell_dofs[cells]]
         vals = (local[:, None, :] @ (tab0 if M is None else M @ tab0))[:, 0]
         X = geom.ref_to_phys(rule.points)

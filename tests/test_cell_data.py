@@ -1,0 +1,129 @@
+"""The per-rung cell data: built once per (mesh, element, scale), read-only,
+and bit-identical to what a fresh mesh gives; the batched Hessian."""
+
+from dataclasses import FrozenInstanceError
+
+import numpy as np
+import pytest
+
+from trifem import assembly, harness, solver, transform
+from trifem.assembly import _Kernels, _physical_hessian
+from trifem.mesh import batch_geometry, build_mesh, build_unit_square_mesh
+from trifem.refelem import build_reference_element
+from trifem.transform import hessian_pushforward
+
+ARGYRIS = build_reference_element("argyris")
+BELL = build_reference_element("bell")
+LAGRANGE3 = build_reference_element("lagrange", 3)
+N = 24  # 1,152 cells: three blocks of at most assembly.BLOCK
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _rung(msh, element, scale):
+    """Operator, load, interpolant and L2 error of the biharmonic study."""
+    form = harness.study_form("biharmonic", element)
+    u, f = harness.biharmonic_problem()
+    A = assembly.assemble_operator(msh, element, form, scale)
+    b = assembly.assemble_load(msh, element, f, form, scale)
+    uI = assembly.interpolate(msh, element, u, scale)
+    err = solver.l2_error(msh, element, uI, u, scale)
+    return A, b, uI, err
+
+
+def _assert_same_bits(r1, r2):
+    (A1, b1, u1, e1), (A2, b2, u2, e2) = r1, r2
+    for x, y in ((A1.data, A2.data), (A1.indices, A2.indices),
+                 (A1.indptr, A2.indptr), (b1, b2), (u1, u2)):
+        assert np.array_equal(x, y)
+    assert e1 == e2
+
+
+def test_cell_data_built_once_per_mesh_element_and_scale(monkeypatch):
+    geoms = _counting(monkeypatch, assembly, "batch_geometry")
+    Ms = _counting(monkeypatch, transform, "cell_transform")
+    dofmaps = _counting(monkeypatch, assembly, "build_dof_map")
+    msh = build_unit_square_mesh(N, 0.2)
+    blocks = -(-msh.n_cells // assembly.BLOCK)
+    assert blocks == 3
+
+    # a second element or scale on the same mesh builds its own data, with
+    # the bits of a fresh mesh
+    # (Lagrange, here with the interior-penalty facets, has no M to build)
+    cases = [(ARGYRIS, True), (ARGYRIS, False), (BELL, True), (LAGRANGE3, True)]
+    for element, scale in cases:
+        built = (1, 0 if element is LAGRANGE3 else blocks, 1)
+        for calls in (geoms, Ms, dofmaps):
+            calls.clear()
+        shared = _rung(msh, element, scale)
+        assert (len(geoms), len(Ms), len(dofmaps)) == built
+        _rung(msh, element, scale)
+        assert (len(geoms), len(Ms), len(dofmaps)) == built
+        _assert_same_bits(shared, _rung(build_unit_square_mesh(N, 0.2),
+                                        element, scale))
+    assert len(msh._cell_data) == len(cases)
+
+
+def test_cell_data_held_by_its_mesh():
+    m1, m2 = build_unit_square_mesh(4, 0.2), build_unit_square_mesh(4, 0.2)
+    d1 = assembly.cell_blocks(m1, ARGYRIS, True)
+    assert assembly.cell_blocks(m1, ARGYRIS, True) is d1
+    assert assembly.cell_blocks(m1, ARGYRIS, np.True_) is d1
+    assert assembly.cell_blocks(m2, ARGYRIS, True) is not d1
+    assert d1.element is ARGYRIS
+
+
+def test_mesh_dofmap_and_cell_data_are_read_only():
+    verts = np.array([[0., 0.], [1., 0.], [0., 1.]])
+    m = build_mesh(verts, np.array([[0, 1, 2]]))
+    verts[0, 0] = 5.0  # the mesh holds its own copy of its input
+    assert m.vertices[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        m.vertices[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.cells[0, 0] = 2
+    with pytest.raises(FrozenInstanceError):
+        m.vertices = verts
+    data = assembly.cell_blocks(m, ARGYRIS, True)
+    with pytest.raises(ValueError):
+        data.dofmap.cell_dofs[0, 0] = 7
+    with pytest.raises(ValueError):
+        data.dofmap.cell_signs[0, 0] = -1.0
+    with pytest.raises(ValueError):
+        data.geom.J[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        data.blocks[0][2][0, 0, 0] = 1.0
+
+
+def _three_term_hessian(tab, J):
+    """The per-point three-term contraction _physical_hessian replaced."""
+    T = hessian_pushforward(J)
+    per = lambda x: x[:, None, None]  # noqa: E731
+    href = (tab[(2, 0)], tab[(1, 1)], tab[(0, 2)])
+    return tuple(per(T[:, k, 0]) * href[0] + per(T[:, k, 1]) * href[1]
+                 + per(T[:, k, 2]) * href[2] for k in range(3))
+
+
+@pytest.mark.parametrize("element", [ARGYRIS, BELL, LAGRANGE3],
+                         ids=["argyris", "bell", "lagrange:3"])
+def test_physical_hessian_matches_three_term_expression(element):
+    kern = _Kernels(element, harness.study_form("biharmonic", element))
+    geom = batch_geometry(build_unit_square_mesh(8, 0.2))
+    tables = [kern.cell_tab]
+    for e in range(3):
+        e_loc = np.full(len(geom.J), e)
+        tables.append({alpha: t[e_loc] for alpha, t in kern.facet_tab.items()})
+    for tab in tables:
+        for new, old in zip(_physical_hessian(tab, geom.J),
+                            _three_term_hessian(tab, geom.J)):
+            assert new.shape == old.shape
+            assert np.array_equal(new, old)
