@@ -615,37 +615,6 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     return u
 
 
-def matrix_stats(A: SparseMatrix, solve) -> dict:
-    """DoF count, mean nonzeros per row and a power-iteration condition estimate.
-
-    solve must apply A^{-1} (SPD assumed); extreme eigenvalues are iterated
-    to a relative tolerance of 1e-5.
-    """
-    lam_max = _power_iteration(A.matvec, A.n)
-    lam_min_inv = _power_iteration(solve, A.n)
-    return {"total_dofs": A.n,
-            "nnz_per_row": A.nnz / A.n,
-            "condition_estimate": lam_max * lam_min_inv}
-
-
-def _power_iteration(op, n, rtol=1e-5, max_iter=50000):
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = op(v)
-        lam_new = float(v @ w)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(lam_new - lam) <= rtol * abs(lam_new):
-            return abs(lam_new)
-        lam = lam_new
-    return abs(lam)
-
-
 def export_matrix_market(A: SparseMatrix, path) -> None:
     """MatrixMarket coordinate format, real symmetric (lower triangle)."""
     C = A.tocoo()

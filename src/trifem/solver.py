@@ -1,9 +1,13 @@
-"""Linear solvers and L2 error evaluation against manufactured solutions.
+"""Linear solvers, condition numbers and L2 error evaluation against
+manufactured solutions.
 
-The reference path is dense LU with partial pivoting plus one step of
-iterative refinement; the scalable paths are preconditioned conjugate
-gradients and, for systems past the dense cutover, a sparse LU
-factorization; solve() is the one policy that chooses among them.
+Every direct solve factors through _factor, the one place that chooses
+between dense LU with partial pivoting (up to DENSE_CUTOVER) and sparse
+LU (beyond it): solve() adds one step of iterative refinement, and
+factorized() and matrix_stats() reuse the factor as A^-1.  The scalable
+path is preconditioned conjugate gradients; solve() runs it on request
+and falls back to the direct path.  matrix_stats() finds the extreme
+eigenvalues of A and A^-1 with scipy's Lanczos (eigsh).
 
 CG is preconditioned by a two-level V-cycle when the operator carries a
 coarse space, and by Jacobi otherwise.  assembly attaches the exact P1
@@ -89,18 +93,6 @@ def _dense_lu(A):
     return dense, (lu, piv), float(np.abs(lu).max() / np.abs(dense).max())
 
 
-def dense_lu_solve(A, b) -> SolveReport:
-    """Dense LU with partial pivoting and one iterative-refinement step."""
-    if not scipy.sparse.issparse(A):
-        A = np.asarray(A, dtype=float)
-    dense, lu_piv, growth = _dense_lu(A)
-    b = np.asarray(b, dtype=float)
-    x = scipy.linalg.lu_solve(lu_piv, b)
-    x = x + scipy.linalg.lu_solve(lu_piv, b - dense @ x)
-    return SolveReport(x=x, residual=_relative_residual(A, x, b),
-                       pivot_growth=growth, method="lu")
-
-
 def _sparse_lu(A):
     """Sparse LU (SuperLU) of A, checked; returns (lu, method).
 
@@ -121,21 +113,26 @@ def _sparse_lu(A):
     return splu(A), "sparse_lu"
 
 
-def sparse_lu_solve(A, b) -> SolveReport:
-    """Sparse LU direct path for systems past the dense cutover, with one
-    iterative-refinement step; method tells which factorization ran."""
-    b = np.asarray(b, dtype=float)
+def _factor(A):
+    """The one dense/sparse policy: the checked dense LU up to
+    DENSE_CUTOVER, the checked sparse LU beyond it.
+
+    Returns (apply A^-1, method, pivot growth or None, R), where R is the
+    matrix the refinement residual b - R x uses: the dense copy on the
+    dense path, A itself on the sparse one.
+    """
+    if A.shape[0] <= DENSE_CUTOVER:
+        dense, lu_piv, growth = _dense_lu(A)
+        return (lambda b: scipy.linalg.lu_solve(lu_piv, b)), "lu", growth, dense
     lu, method = _sparse_lu(A)
-    x = lu.solve(b)
-    x = x + lu.solve(b - A @ x)
-    return SolveReport(x=x, residual=_relative_residual(A, x, b),
-                       method=method)
+    return lu.solve, method, None, A
 
 
 def solve(A, b, method: str = "lu") -> SolveReport:
     """The study solve: method "cg" runs preconditioned CG to 1e-11 and
     falls back to the direct path if it does not converge; the direct path
-    ("lu") is dense LU up to DENSE_CUTOVER and sparse LU beyond.
+    ("lu") factors A once (see _factor) and takes one iterative-refinement
+    step.
 
     CG takes its preconditioner from A (see cg_solve): the two-level
     cycle on A.coarse, which assembly attaches to the Poisson operators of
@@ -149,20 +146,38 @@ def solve(A, b, method: str = "lu") -> SolveReport:
         rep = cg_solve(A, b, rtol=1e-11)
         if rep.converged:
             return rep
-    if A.shape[0] <= DENSE_CUTOVER:
-        return dense_lu_solve(A, b)
-    return sparse_lu_solve(A, b)
+    apply_inv, kind, growth, R = _factor(A)
+    b = np.asarray(b, dtype=float)
+    x = apply_inv(b)
+    x = x + apply_inv(b - R @ x)
+    return SolveReport(x=x, residual=_relative_residual(A, x, b),
+                       pivot_growth=growth, method=kind)
 
 
 def factorized(A):
-    """Factor once, return a solve handle (for repeated inverse applications).
+    """Factor once, return a solve handle (for repeated inverse applications)."""
+    return _factor(A)[0]
 
-    Up to DENSE_CUTOVER this is the checked dense LU of dense_lu_solve,
-    beyond it the checked sparse LU of sparse_lu_solve."""
-    if A.shape[0] <= DENSE_CUTOVER:
-        _, lu_piv, _ = _dense_lu(A)
-        return lambda b: scipy.linalg.lu_solve(lu_piv, b)
-    return _sparse_lu(A)[0].solve
+
+def matrix_stats(A) -> dict:
+    """DoF count, mean nonzeros per row and the condition number of a
+    symmetric A, max |lambda| / min |lambda|.
+
+    Both extreme eigenvalues are the largest in magnitude of A and of A^-1,
+    found by Lanczos (eigsh) to working precision, with A^-1 applied
+    through factorized(A).  Lanczos starts from a fixed seeded vector, so
+    the result is deterministic.
+    """
+    # kept out of `import trifem`, as splu is
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    n = A.shape[0]
+    v0 = np.random.default_rng(1234).standard_normal(n)
+    inv = LinearOperator((n, n), matvec=factorized(A), dtype=float)
+    lam_max, lam_max_inv = (
+        abs(eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
+        for op in (A, inv))
+    return {"total_dofs": n, "nnz_per_row": A.nnz / n,
+            "condition_estimate": float(lam_max * lam_max_inv)}
 
 
 def _two_level(A, P):

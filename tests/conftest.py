@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 import sympy
 
 from trifem import mesh, transform
-from trifem.assembly import ScalarField, build_dof_map
+from trifem.assembly import ScalarField, cell_blocks
 from trifem.quadrature import triangle_rule
 from trifem.refelem import tabulate_coeffs
 
@@ -116,30 +116,33 @@ def l2_projection(msh, element, u_exact: ScalarField, scale=True):
     assembled space of element on msh.
 
     Mass matrix and right-hand side are integrated at degree 12 (exact for
-    the mass matrix of every family) through the same signs, DoF map and
-    per-cell transforms as the solver, so up to quadrature error no
-    function in that space has a smaller solver.l2_error.
+    the mass matrix of every family) through the same signs, DoF map,
+    geometry and transforms as the solver (assembly.cell_blocks), so up to
+    quadrature error no function in that space has a smaller
+    solver.l2_error.
     """
-    dofmap = build_dof_map(msh, element)
+    data = cell_blocks(msh, element, scale)
+    dofmap = data.dofmap
     rule = triangle_rule(12)
     tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
                            rule.points, 0)[(0, 0)]
-    size_field = mesh.vertex_size_field(msh) if scale else None
     n_loc = element.n_dofs
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.total_dofs)
-    for c in range(msh.n_cells):
-        geom = mesh.cell_geometry(msh, c, size_field)
-        M = transform.cell_transform(element, geom, scale).matrix
-        phi = dofmap.cell_signs[c][:, None] * (M @ tab0)
-        w = geom.detJinv_abs * rule.weights
+    rows, cols, vals, loads = [], [], [], []
+    for cells, geom, M in data.blocks:
+        dofs = dofmap.cell_dofs[cells]
+        phi = dofmap.cell_signs[cells][:, :, None] * (tab0 if M is None
+                                                      else M @ tab0)
+        w = geom.detJinv_abs[:, None] * rule.weights
         X = geom.ref_to_phys(rule.points)
-        dofs = dofmap.cell_dofs[c]
-        rows.append(np.repeat(dofs, n_loc))
-        cols.append(np.tile(dofs, n_loc))
-        vals.append(((phi * w) @ phi.T).ravel())
-        np.add.at(rhs, dofs, phi @ (w * u_exact.f(X[:, 0], X[:, 1])))
+        rows.append(np.repeat(dofs, n_loc, axis=1).ravel())
+        cols.append(np.tile(dofs, n_loc).ravel())
+        vals.append(((phi * w[:, None, :]) @ np.swapaxes(phi, 1, 2)).ravel())
+        fw = w * u_exact.f(X[..., 0], X[..., 1])
+        loads.append((phi @ fw[:, :, None])[..., 0])
     n = dofmap.total_dofs
+    # summed cell after cell, in the order of a per-cell loop
+    rhs = np.zeros(n)
+    np.add.at(rhs, dofmap.cell_dofs.ravel(), np.concatenate(loads).ravel())
     mass = scipy.sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsc()

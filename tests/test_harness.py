@@ -168,7 +168,7 @@ def test_solver_failure_writes_partial_csv(tmp_path, monkeypatch):
         calls.append(1)
         if len(calls) > 1:
             raise np.linalg.LinAlgError("synthetic breakdown")
-        return harness.solver.dense_lu_solve(A, b)
+        return harness.solver.solve(A, b)
 
     monkeypatch.setattr(harness, "_study_solve", failing_solve)
     spec = StudySpec(problem="poisson", element="lagrange:1", levels=(4, 8),
@@ -189,8 +189,11 @@ def test_stats_report_values(tmp_path):
     row = run_stats_report("poisson", "lagrange:1", 1)
     assert row["dofs"] == 4
     assert row["nnz_per_row"] <= 4.0
-    with pytest.raises(ValueError):
-        run_stats_report("poisson", "hermite", 32)
+    # past the dense cutover, within the size limit
+    row = run_stats_report("poisson", "morley", 32)
+    assert row["dofs"] == 4225
+    with pytest.raises(ValueError, match="N <= 32"):
+        run_stats_report("poisson", "hermite", 64)
 
 
 def test_write_csv_format(tmp_path):

@@ -13,8 +13,7 @@ from trifem.harness import (biharmonic_problem, parse_element, poisson_problem,
                             study_form)
 from trifem.mesh import build_mesh, build_unit_square_mesh
 from trifem.refelem import build_reference_element
-from trifem.solver import (SolveReport, cg_solve, dense_lu_solve, l2_error,
-                           sparse_lu_solve)
+from trifem.solver import SolveReport, cg_solve, l2_error, solve
 
 HERMITE = build_reference_element("hermite")
 
@@ -32,13 +31,13 @@ def laplacian_1d(n):
 
 def test_lu_identity():
     b = np.array([3.0, -1.0, 2.5])
-    rep = dense_lu_solve(np.eye(3), b)
+    rep = solve(np.eye(3), b)
     assert np.array_equal(rep.x, b)
     assert rep.residual == 0.0
 
 
 def test_lu_two_by_two():
-    rep = dense_lu_solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
+    rep = solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
     assert np.abs(rep.x - 1.0).max() < 1e-14
 
 
@@ -47,7 +46,7 @@ def test_lu_random_spd():
     R = rng.standard_normal((200, 200))
     A = R.T @ R + np.eye(200)
     x_star = rng.standard_normal(200)
-    rep = dense_lu_solve(A, A @ x_star)
+    rep = solve(A, A @ x_star)
     assert np.linalg.norm(rep.x - x_star) < 1e-10 * np.linalg.norm(x_star)
     assert rep.residual < 1e-12
     assert rep.pivot_growth > 0.0
@@ -56,7 +55,7 @@ def test_lu_random_spd():
 def test_lu_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(np.linalg.LinAlgError):
-        dense_lu_solve(A, np.array([1.0, 1.0]))
+        solve(A, np.array([1.0, 1.0]))
 
 
 def test_factorized_singular_raises():
@@ -79,7 +78,7 @@ def test_refinement_never_increases_residual():
     b = rng.standard_normal(80)
     x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
     plain = SolveReport(x=x, residual=np.linalg.norm(A @ x - b) / np.linalg.norm(b))
-    refined = dense_lu_solve(A, b)
+    refined = solve(A, b)
     assert refined.residual <= plain.residual + 1e-16
 
 
@@ -121,7 +120,7 @@ def test_lu_and_cg_agree():
     form = assembly.poisson_nitsche()
     A = assembly.assemble_operator(m, HERMITE, form)
     b = assembly.assemble_load(m, HERMITE, f, form)
-    x_lu = dense_lu_solve(A, b).x
+    x_lu = solve(A, b).x
     x_cg = cg_solve(A, b, rtol=1e-13).x
     scale = np.abs(x_lu).max()
     assert np.abs(x_lu - x_cg).max() < 1e-8 * scale
@@ -129,14 +128,16 @@ def test_lu_and_cg_agree():
     assert np.linalg.norm(A.matvec(x_lu) - b) < 1e-10 * np.linalg.norm(b)
 
 
-def test_sparse_lu_matches_dense():
+def test_sparse_lu_matches_dense(monkeypatch):
     m = build_unit_square_mesh(6, 0.2)
     form = assembly.poisson_nitsche()
     A = assembly.assemble_operator(m, HERMITE, form)
     b = np.sin(np.arange(A.n))
-    xd = dense_lu_solve(A, b).x
-    xs = sparse_lu_solve(A, b).x
-    assert np.abs(xd - xs).max() < 1e-9 * np.abs(xd).max()
+    xd = solve(A, b).x
+    monkeypatch.setattr(solver, "DENSE_CUTOVER", 0)
+    rep = solve(A, b)
+    assert rep.method == "sparse_lu_sym"
+    assert np.abs(xd - rep.x).max() < 1e-9 * np.abs(xd).max()
 
 
 def test_l2_error_exact_reproduction():
@@ -194,12 +195,26 @@ def test_dense_guard_rail(monkeypatch):
                                  np.zeros(30001, dtype=np.int64)),
                                 shape=(30000, 30000))
     with pytest.raises(ValueError):
-        solver.dense_lu_solve(big, np.zeros(30000))
+        solver._dense_lu(big)
     # just over the budget: A and its LU copy need 16 n^2 bytes
     n = int(np.sqrt(solver.DENSE_BUDGET / 16)) + 1
     assert 16 * (n - 1) ** 2 <= solver.DENSE_BUDGET < 16 * n * n
     with pytest.raises(ValueError, match="budget"):
-        solver.dense_lu_solve(assembly.SparseMatrix((n, n)), np.zeros(n))
+        solver._dense_lu(assembly.SparseMatrix((n, n)))
+
+
+def test_matrix_stats_matches_dense_eigenvalues():
+    # Hermite Poisson N=8 (371 DoFs), the stats report's operator: Lanczos
+    # on A and A^-1 gives the dense eigvalsh ratio, not just a lower bound
+    m = build_unit_square_mesh(8)
+    A = assembly.assemble_operator(m, HERMITE, assembly.poisson_nitsche())
+    assert A.shape[0] == 371
+    lam = scipy.linalg.eigvalsh(A.toarray())
+    exact = lam[-1] / lam[0]
+    stats = solver.matrix_stats(A)
+    assert abs(stats["condition_estimate"] - exact) < 1e-8 * exact
+    # the Lanczos start vector is seeded: a second call gives the same bits
+    assert solver.matrix_stats(A) == stats
 
 
 def test_cg_default_iterations_capped(monkeypatch):
