@@ -33,8 +33,8 @@ from . import transform
 from .mesh import (CellGeometry, TriangleMesh, batch_geometry,
                    vertex_size_field)
 from .quadrature import interval_rule, triangle_rule
-from .refelem import (EDGE_VERTICES, ReferenceElement, ref_edge_points,
-                      tabulate_coeffs)
+from .refelem import (EDGE_VERTICES, ReferenceElement, apply_functionals,
+                      ref_edge_points, tabulate_coeffs)
 from .transform import hessian_pushforward, scaling_diagonal
 
 # The one-cell entry points stay importable from here for per-cell callers
@@ -238,21 +238,20 @@ class FormSpec:
                 raise ValueError(f"{name} must be positive")
 
 
-def poisson_nitsche(alpha=None, **kw) -> FormSpec:
-    return FormSpec(kind="poisson_nitsche", alpha=alpha, **kw)
+def poisson_nitsche(**kw) -> FormSpec:
+    return FormSpec(kind="poisson_nitsche", **kw)
 
 
-def plate(nu=0.0, **kw) -> FormSpec:
-    return FormSpec(kind="plate", nu=nu, **kw)
+def plate(**kw) -> FormSpec:
+    return FormSpec(kind="plate", **kw)
 
 
-def plate_ip(alpha=100.0, **kw) -> FormSpec:
-    return FormSpec(kind="plate_ip", alpha=alpha, **kw)
+def plate_ip(**kw) -> FormSpec:
+    return FormSpec(kind="plate_ip", **kw)
 
 
-def plate_clamped_nitsche(nu=0.0, beta1=100.0, beta2=100.0, **kw) -> FormSpec:
-    return FormSpec(kind="plate_clamped_nitsche", nu=nu, beta1=beta1,
-                    beta2=beta2, **kw)
+def plate_clamped_nitsche(**kw) -> FormSpec:
+    return FormSpec(kind="plate_clamped_nitsche", **kw)
 
 
 def _check_compatible(element: ReferenceElement, form: FormSpec):
@@ -271,8 +270,9 @@ def _resolve_form(element: ReferenceElement, form: FormSpec) -> FormSpec:
     _check_compatible(element, form)
     p = element.degree
     updates = {}
-    if form.alpha is None:
-        updates["alpha"] = 10.0 * p ** 2 if form.kind == "poisson_nitsche" else 20.0
+    # every form parameter's default lives here; the factories above set none
+    if form.alpha is None:  # read by the Poisson and interior-penalty forms
+        updates["alpha"] = 10.0 * p ** 2 if form.kind == "poisson_nitsche" else 100.0
     # clamped-boundary penalties: calibrated so the weak forms stay positive
     # definite on perturbed meshes while reaching their asymptotic rates
     clamped_beta = 10.0 * p ** 4 if p > 2 else 20.0
@@ -576,9 +576,6 @@ def assemble_load(mesh: TriangleMesh, element: ReferenceElement,
     return b
 
 
-_HESS_INDEX = {"xx": (0, 0), "xy": (0, 1), "yy": (1, 1)}
-
-
 def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
                 scale: bool = True) -> np.ndarray:
     """Global DoF vector of the nodal interpolant, consistent with the
@@ -589,24 +586,16 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     fns = element.functionals
     X = geom.ref_to_phys(np.array([fn.point for fn in fns]))
     x, y = X[..., 0], X[..., 1]
-    kinds = {fn.kind for fn in fns}
-    value = np.broadcast_to(f(X), x.shape)
-    grad = (np.asarray(f.grad(x, y), dtype=float)
-            if kinds & {"point_deriv", "edge_normal_deriv"} else None)
-    hess = (np.asarray(f.hess(x, y), dtype=float)
-            if "point_second_deriv" in kinds else None)
-
-    local = np.empty(x.shape)
-    for i, fn in enumerate(fns):
-        if fn.kind == "point_eval":
-            local[:, i] = value[:, i]
-        elif fn.kind in ("point_deriv", "edge_normal_deriv"):
-            d = fn.direction if fn.kind == "point_deriv" else geom.normals[:, fn.edge].T
-            local[:, i] = d[0] * grad[0, :, i] + d[1] * grad[1, :, i]
-        else:
-            local[:, i] = hess[_HESS_INDEX[fn.component]][:, i]
-    if scale and element.family != "lagrange":
-        local = local / scaling_diagonal(element.family, geom)
+    order = max(fn.derivative_order for fn in fns)
+    tab = {(0, 0): np.broadcast_to(f(X), x.shape)}
+    if order >= 1:
+        tab[(1, 0)], tab[(0, 1)] = np.asarray(f.grad(x, y), dtype=float)
+    if order >= 2:
+        hess = np.asarray(f.hess(x, y), dtype=float)
+        tab[(2, 0)], tab[(1, 1)], tab[(0, 2)] = hess[0, 0], hess[0, 1], hess[1, 1]
+    local = apply_functionals(fns, tab, geom.normals)
+    if scale:
+        local = local / scaling_diagonal(element, geom)
 
     u = np.zeros(dofmap.total_dofs)
     dofs = dofmap.cell_dofs.ravel()

@@ -164,7 +164,10 @@ def run_convergence_study(spec: StudySpec):
         b = assembly.assemble_load(msh, element, f, form, scale=spec.scaling)
         try:
             rep = _study_solve(A, b, spec.solver)
-        except Exception as exc:  # singular matrix, factorization breakdown
+        # singular matrix (LinAlgError is a ValueError), dense budget
+        # (ValueError), singular sparse factor (RuntimeError); anything else
+        # is a fault of the program and propagates
+        except (ValueError, RuntimeError) as exc:
             failure = exc
             break
         err = solver.l2_error(msh, element, rep.x, u, scale=spec.scaling)

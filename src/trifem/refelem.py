@@ -174,24 +174,33 @@ class NodalFunctional:
                 "edge_normal_deriv": 1, "point_second_deriv": 2}[self.kind]
 
 
-def _apply_functionals_to_poly(functionals, poly: PolyBasis) -> np.ndarray:
-    """Generalized Vandermonde: row k is functional k applied to each member."""
-    rows = []
-    for f in functionals:
-        tab = poly.tabulate([f.point], max_order=f.derivative_order)
+def apply_functionals(functionals, tab, normals) -> np.ndarray:
+    """Functional k applied to column k of a tabulation: tab maps alpha to
+    arrays (..., n) and normals (..., 3, 2) are the edge normals the
+    edge-normal derivatives read.  Returns (..., n)."""
+    cols = []
+    for k, f in enumerate(functionals):
         if f.kind == "point_eval":
-            rows.append(tab[(0, 0)][:, 0])
-        elif f.kind == "point_deriv":
-            dx, dy = f.direction
-            rows.append(dx * tab[(1, 0)][:, 0] + dy * tab[(0, 1)][:, 0])
-        elif f.kind == "edge_normal_deriv":
-            nx, ny = REF_NORMALS[f.edge]
-            rows.append(nx * tab[(1, 0)][:, 0] + ny * tab[(0, 1)][:, 0])
+            cols.append(tab[(0, 0)][..., k])
+        elif f.kind in ("point_deriv", "edge_normal_deriv"):
+            d = (f.direction if f.kind == "point_deriv"
+                 else np.moveaxis(normals[..., f.edge, :], -1, 0))
+            cols.append(d[0] * tab[(1, 0)][..., k] + d[1] * tab[(0, 1)][..., k])
         elif f.kind == "point_second_deriv":
-            rows.append(tab[_SECOND_DERIV_ALPHAS[f.component]][:, 0])
+            cols.append(tab[_SECOND_DERIV_ALPHAS[f.component]][..., k])
         else:
             raise ValueError(f"unknown functional kind {f.kind}")
-    return np.array(rows)
+    return np.stack(cols, axis=-1)
+
+
+def _vandermonde(functionals, poly: PolyBasis) -> np.ndarray:
+    """Generalized Vandermonde: row k is functional k applied to each member,
+    with the members tabulated at one functional's point at a time."""
+    order = max(f.derivative_order for f in functionals)
+    tabs = [poly.tabulate([f.point], max_order=order) for f in functionals]
+    tab = {alpha: np.concatenate([t[alpha] for t in tabs], axis=1)
+           for alpha in tabs[0]}
+    return apply_functionals(functionals, tab, REF_NORMALS).T
 
 
 def legendre4(sigma):
@@ -325,7 +334,7 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
         raise ValueError(f"unsupported element family {family!r}")
 
     poly = build_poly_basis(k)
-    B = _apply_functionals_to_poly(fns, poly)
+    B = _vandermonde(fns, poly)
     constraint_coeffs = None
     if family == "bell":
         B = np.vstack([B, _edge_quartic_moment_rows(poly)])

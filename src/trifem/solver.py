@@ -5,9 +5,9 @@ Every direct solve factors through _factor, the one place that chooses
 between dense LU with partial pivoting (up to DENSE_CUTOVER) and sparse
 LU (beyond it): solve() adds one step of iterative refinement, and
 factorized() and matrix_stats() reuse the factor as A^-1.  The scalable
-path is preconditioned conjugate gradients; solve() runs it on request
-and falls back to the direct path.  matrix_stats() finds the extreme
-eigenvalues of A and A^-1 with scipy's Lanczos (eigsh).
+path is preconditioned conjugate gradients (scipy's cg); solve() runs it
+on request and falls back to the direct path.  matrix_stats() finds the
+extreme eigenvalues of A and A^-1 with scipy's Lanczos (eigsh).
 
 CG is preconditioned by a two-level V-cycle when the operator carries a
 coarse space, and by Jacobi otherwise.  assembly attaches the exact P1
@@ -201,8 +201,10 @@ def _two_level(A, P):
 
 def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
              precondition: bool = True) -> SolveReport:
-    """Preconditioned conjugate gradients on an SPD system, stopped when
-    the unpreconditioned residual falls to rtol |b|.
+    """Preconditioned conjugate gradients on an SPD system by scipy's cg,
+    stopped when its (unpreconditioned) recurrence residual falls below
+    rtol |b|; the report carries the true relative residual |A x - b| / |b|,
+    as the direct path's does, and cg's iteration count.
 
     An operator that carries a coarse space (A.coarse, the P1 prolongation
     that assembly attaches to Lagrange k >= 2 Poisson operators) gets the
@@ -215,48 +217,35 @@ def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
     invariant under diagonal rescaling of the system, so the effect of the
     derivative-DoF scaling on iteration counts only shows without it.
     """
+    # kept out of `import trifem`, as splu is
+    from scipy.sparse.linalg import LinearOperator, cg
     b = np.asarray(b, dtype=float)
     n = len(b)
     if max_iter is None:
         max_iter = min(50 * n, CG_MAX_ITER)
+    kind, precond = "none", None
     if precondition:
         diag = A.diagonal()
         if np.any(diag <= 0):
             raise ValueError("CG preconditioners need a positive diagonal")
-    coarse = getattr(A, "coarse", None) if precondition else None
-    if coarse is not None:
-        kind, precond = "two_level", _two_level(A, coarse)
-    else:
-        kind, dinv = ("jacobi", 1.0 / diag) if precondition else \
-            ("none", np.ones(n))
+        coarse = getattr(A, "coarse", None)
+        if coarse is not None:
+            kind, apply = "two_level", _two_level(A, coarse)
+        else:
+            dinv = 1.0 / diag
+            kind, apply = "jacobi", lambda r: dinv * r
+        precond = LinearOperator((n, n), matvec=apply, dtype=float)
 
-        def precond(r):
-            return dinv * r
+    iterations = 0
 
-    x = np.zeros(n)
-    r = b.copy()
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return SolveReport(x=x, residual=0.0, iterations=0, method="cg",
-                           preconditioner=kind)
-    z = precond(r)
-    p = z.copy()
-    rz = r @ z
-    it = 0
-    while it < max_iter:
-        if np.linalg.norm(r) <= rtol * nb:
-            break
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        z = precond(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    res = np.linalg.norm(r) / nb
-    return SolveReport(x=x, residual=res, iterations=it, converged=res <= rtol,
+    def count(xk):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=max_iter, M=precond,
+                 callback=count)
+    return SolveReport(x=x, residual=_relative_residual(A, x, b),
+                       iterations=iterations, converged=info == 0,
                        method="cg", preconditioner=kind)
 
 

@@ -11,6 +11,9 @@ B^i = Ghat_i J^{-T} G_i^T; Bell restricts a mapped enriched quintic.
 Every builder takes the geometry of one cell or of a batch of cells
 (mesh.batch_geometry) and returns matrices with the same leading axes, so
 a single cell is the batch of one and there is one code path.
+cell_transform is the one entry point: it picks the family's builder and
+scales the rows by the diagonal S that scaling_diagonal reads off the
+element's functionals.
 
 All constructions are pinned by nodal duality: applying the physical
 functionals to the transformed basis must give the identity.
@@ -26,14 +29,9 @@ from .refelem import EDGE_VERTICES, REF_NORMALS, REF_TANGENTS, ReferenceElement
 
 @dataclass
 class TransformMatrix:
-    """Transformation: matrix has shape (..., n_dofs, n_tab_basis).
-
-    scaling records the diagonal applied by scale_M (None while unscaled).
-    """
+    """Transformation: matrix has shape (..., n_dofs, n_tab_basis)."""
 
     matrix: np.ndarray
-    family: str
-    scaling: np.ndarray = None
 
 
 @dataclass
@@ -81,7 +79,7 @@ def hermite_M(geom: CellGeometry) -> TransformMatrix:
     M = _eye(10, geom.J.shape[:-2])
     for v in range(3):
         M[..., 3 * v + 1:3 * v + 3, 3 * v + 1:3 * v + 3] = geom.Jinv
-    return TransformMatrix(matrix=M, family="hermite")
+    return TransformMatrix(matrix=M)
 
 
 def _morley_V(geom: CellGeometry) -> np.ndarray:
@@ -97,8 +95,7 @@ def _morley_V(geom: CellGeometry) -> np.ndarray:
 
 def morley_M(geom: CellGeometry) -> TransformMatrix:
     """Morley: closed-form V with entries -+B^i_01/l_i and B^i_00; M = V^T."""
-    return TransformMatrix(matrix=np.swapaxes(_morley_V(geom), -1, -2),
-                           family="morley")
+    return TransformMatrix(matrix=np.swapaxes(_morley_V(geom), -1, -2))
 
 
 def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
@@ -170,7 +167,7 @@ def argyris_three_step(geom: CellGeometry) -> ThreeStepFactors:
 def argyris_M(geom: CellGeometry) -> TransformMatrix:
     f = argyris_three_step(geom)
     V = f.E @ f.VC @ f.D
-    return TransformMatrix(matrix=np.swapaxes(V, -1, -2), family="argyris")
+    return TransformMatrix(matrix=np.swapaxes(V, -1, -2))
 
 
 def _bell_pushforward_matrix(element: ReferenceElement,
@@ -206,29 +203,12 @@ def bell_M(geom: CellGeometry, element: ReferenceElement) -> TransformMatrix:
         raise ValueError("bell_M needs a bell reference element")
     W = _bell_pushforward_matrix(element, geom)
     M_full = np.linalg.inv(np.swapaxes(W, -1, -2))
-    return TransformMatrix(matrix=M_full[..., :18, :], family="bell")
+    return TransformMatrix(matrix=M_full[..., :18, :])
 
 
-def transform_matrix(element: ReferenceElement,
-                     geom: CellGeometry) -> TransformMatrix:
-    """Unscaled transformation for any supported family.  Lagrange gets one
-    identity that stands for every cell of a batch."""
-    fam = element.family
-    if fam == "lagrange":
-        return TransformMatrix(matrix=np.eye(element.n_dofs), family="lagrange")
-    if fam == "hermite":
-        return hermite_M(geom)
-    if fam == "morley":
-        return morley_M(geom)
-    if fam == "argyris":
-        return argyris_M(geom)
-    if fam == "bell":
-        return bell_M(geom, element)
-    raise ValueError(f"unsupported family {fam}")
-
-
-def scaling_diagonal(family: str, geom: CellGeometry) -> np.ndarray:
-    """Diagonal S equilibrating basis magnitudes across DoF kinds.
+def scaling_diagonal(element: ReferenceElement, geom: CellGeometry) -> np.ndarray:
+    """Diagonal S equilibrating basis magnitudes across DoF kinds, read off
+    the element's functionals.
 
     Value DoFs keep 1; a DoF of derivative order k at vertex v gets
     h(v)^{-k} and an edge-normal derivative gets 1/l_i.  A unit-derivative
@@ -236,43 +216,35 @@ def scaling_diagonal(family: str, geom: CellGeometry) -> np.ndarray:
     basis (equivalently, the scaled DoF values h^k d^k u behave like
     divided differences of u), which restores Lagrange-like conditioning.
     """
-    if family == "lagrange":
-        raise ValueError("lagrange has no derivative DoFs to scale")
     h = geom.vertex_h
     if h is None:
         raise ValueError("scaling requires vertex sizes in the cell geometry")
-    inv_ell = 1.0 / geom.edge_lengths
-    one, inv_h, inv_h2 = np.ones_like(h), 1.0 / h, 1.0 / h ** 2
-    batch = h.shape[:-1]
-    if family == "hermite":
-        jets = np.stack([one, inv_h, inv_h], axis=-1).reshape(batch + (9,))
-        return np.concatenate([jets, np.ones(batch + (1,))], axis=-1)
-    if family == "morley":
-        return np.concatenate([np.ones(batch + (3,)), inv_ell], axis=-1)
-    jets = np.stack([one, inv_h, inv_h, inv_h2, inv_h2, inv_h2],
-                    axis=-1).reshape(batch + (18,))
-    if family == "argyris":
-        return np.concatenate([jets, inv_ell], axis=-1)
-    if family == "bell":
-        return jets
-    raise ValueError(f"unsupported family {family}")
-
-
-def scale_M(tm: TransformMatrix, geom: CellGeometry) -> TransformMatrix:
-    """Rescale derivative basis functions by local mesh size to fix conditioning."""
-    if tm.family == "lagrange":
-        return TransformMatrix(matrix=tm.matrix, family=tm.family,
-                               scaling=np.ones(tm.matrix.shape[0]))
-    S = scaling_diagonal(tm.family, geom)
-    return TransformMatrix(matrix=S[..., :, None] * tm.matrix, family=tm.family,
-                           scaling=S)
+    S = np.ones(h.shape[:-1] + (element.n_dofs,))
+    for i, f in enumerate(element.functionals):
+        k = f.derivative_order
+        if k:
+            dim, idx = f.entity
+            size = h[..., idx] if dim == 0 else geom.edge_lengths[..., f.edge]
+            S[..., i] = 1.0 / size ** k
+    return S
 
 
 def cell_transform(element: ReferenceElement, geom: CellGeometry,
                    scale: bool) -> TransformMatrix:
-    """(Scaled) M of one cell, or of every cell of a batched geometry."""
-    tm = transform_matrix(element, geom)
-    return scale_M(tm, geom) if scale else tm
+    """M of one cell, or of every cell of a batched geometry, with its rows
+    scaled by scaling_diagonal when scale is set.  Unscaled Lagrange gets
+    one identity that stands for every cell of a batch."""
+    fam = element.family
+    if fam == "lagrange":
+        M = np.eye(element.n_dofs)
+    elif fam == "bell":
+        M = bell_M(geom, element).matrix
+    else:
+        M = {"hermite": hermite_M, "morley": morley_M,
+             "argyris": argyris_M}[fam](geom).matrix
+    if scale:
+        M = scaling_diagonal(element, geom)[..., :, None] * M
+    return TransformMatrix(matrix=M)
 
 
 def dump_M_csv(tm: TransformMatrix, path) -> None:

@@ -234,7 +234,7 @@ def test_morley_edge_dof_sign_consistency():
     values = {}
     for c in range(m.n_cells):
         geom = cell_geometry(m, c, sf)
-        S = scaling_diagonal("morley", geom)
+        S = scaling_diagonal(MORLEY, geom)
         for e_loc in range(3):
             i = 3 + e_loc
             x = geom.ref_to_phys(np.asarray(MORLEY.functionals[i].point)[None, :])[0]
@@ -261,7 +261,7 @@ def test_interpolate_consistent_between_cells():
         for c in range(m.n_cells):
             geom = cell_geometry(m, c, sf)
             local = interpolate_on_cell(el, geom, field)
-            local = local / scaling_diagonal(el.family, geom)
+            local = local / scaling_diagonal(el, geom)
             for i in range(el.n_dofs):
                 g = dm.cell_dofs[c, i]
                 val = dm.cell_signs[c, i] * local[i]
@@ -330,6 +330,21 @@ def test_incompatible_forms_rejected():
         assembly.plate(nu=0.7)
     with pytest.raises(ValueError):
         assembly.poisson_nitsche(alpha=-1.0)
+
+
+def test_form_factories_resolve_like_plain_specs():
+    # every default lives in _resolve_form: a factory and a bare FormSpec
+    # of the same kind resolve to the same parameters
+    cases = [(lagrange(2), "poisson_nitsche"), (lagrange(3), "plate_ip"),
+             (ARGYRIS, "plate"), (MORLEY, "plate_clamped_nitsche")]
+    for el, kind in cases:
+        made = assembly._resolve_form(el, getattr(assembly, kind)())
+        assert made == assembly._resolve_form(el, assembly.FormSpec(kind=kind))
+    ip = assembly._resolve_form(lagrange(3), assembly.plate_ip())
+    assert ip.alpha == 100.0
+    verbatim = assembly._resolve_form(MORLEY, assembly.plate_clamped_nitsche())
+    assert (verbatim.beta1, verbatim.beta2) == (100.0, 100.0)
+    assert assembly._resolve_form(lagrange(2), assembly.poisson_nitsche()).alpha == 40.0
 
 
 def test_matrix_market_export(tmp_path):

@@ -179,6 +179,19 @@ def test_solver_failure_writes_partial_csv(tmp_path, monkeypatch):
     assert len(lines) == 2  # header plus the one rung that solved
 
 
+def test_non_solver_error_propagates(tmp_path, monkeypatch):
+    # only solver failures (ValueError, RuntimeError) become SolverFailure;
+    # a fault of the program surfaces as itself
+    def broken_solve(A, b, choice):
+        raise TypeError("synthetic fault")
+
+    monkeypatch.setattr(harness, "_study_solve", broken_solve)
+    spec = StudySpec(problem="poisson", element="lagrange:1", levels=(4,),
+                     out=str(tmp_path / "s.csv"))
+    with pytest.raises(TypeError, match="synthetic fault"):
+        run_convergence_study(spec)
+
+
 def test_stats_report_values(tmp_path):
     row = run_stats_report("poisson", "morley", 8, str(tmp_path / "s.csv"))
     assert row["dofs"] == 289

@@ -98,6 +98,16 @@ def test_cg_finite_termination_bound():
     assert np.abs(A.matvec(rep.x) - b).max() < 1e-8
 
 
+def test_cg_reports_true_residual():
+    A = laplacian_1d(60)
+    b = np.linspace(1.0, 2.0, 60)
+    for precondition in (True, False):
+        rep = cg_solve(A, b, rtol=1e-9, precondition=precondition)
+        assert rep.converged and rep.iterations > 0
+        assert rep.residual == np.linalg.norm(A @ rep.x - b) / np.linalg.norm(b)
+        assert rep.residual < 1e-8
+
+
 def test_cg_scaling_lowers_iterations():
     # without Jacobi preconditioning (which absorbs any diagonal rescaling),
     # the derivative-DoF scaling gives a visibly better-conditioned system

@@ -13,7 +13,7 @@ from trifem.quadrature import interval_rule
 from trifem.refelem import build_reference_element, legendre4, tabulate_coeffs
 from trifem.transform import (argyris_M, bell_M, cell_transform, edge_blocks,
                               hermite_M, hessian_pushforward, morley_M,
-                              morley_three_step, scale_M, transform_matrix)
+                              morley_three_step, scaling_diagonal)
 
 ELEMENTS = {}
 for fam in ("hermite", "morley", "argyris", "bell"):
@@ -207,37 +207,66 @@ def test_hessian_pushforward_matches_direct():
 def test_lagrange_transform_is_identity():
     el = build_reference_element("lagrange", 3)
     geom = triangle_geometry(random_triangle(make_rng(8)))
-    tm = transform_matrix(el, geom)
-    assert np.array_equal(tm.matrix, np.eye(10))
-    scaled = cell_transform(el, geom, scale=True)
-    assert np.array_equal(scaled.matrix, np.eye(10))
+    for scale in (False, True):
+        assert np.array_equal(cell_transform(el, geom, scale).matrix, np.eye(10))
 
 
 def test_scale_M_hermite_rows():
     geom = triangle_geometry(random_triangle(make_rng(21)))
-    tm = hermite_M(geom)
-    scaled = scale_M(tm, geom)
+    tm = cell_transform(ELEMENTS["hermite"], geom, scale=False)
+    scaled = cell_transform(ELEMENTS["hermite"], geom, scale=True)
     h = geom.vertex_h
     for v in range(3):
         expect = tm.matrix[3 * v + 1:3 * v + 3] / h[v]
         assert np.abs(scaled.matrix[3 * v + 1:3 * v + 3] - expect).max() < 1e-14
     assert np.array_equal(scaled.matrix[0], tm.matrix[0])
-    assert scaled.scaling is not None
 
 
 def test_scale_M_preserves_zero_pattern():
     for fam in ("hermite", "morley", "argyris", "bell"):
         geom = triangle_geometry(random_triangle(make_rng(31)))
-        tm = build_M(fam, geom)
-        scaled = scale_M(tm, geom)
+        tm = cell_transform(ELEMENTS[fam], geom, scale=False)
+        scaled = cell_transform(ELEMENTS[fam], geom, scale=True)
+        assert np.array_equal(tm.matrix, build_M(fam, geom).matrix)
         assert np.array_equal(tm.matrix == 0.0, scaled.matrix == 0.0)
 
 
 def test_scale_M_requires_vertex_sizes():
     geom = triangle_geometry(random_triangle(make_rng(41)), with_sizes=False)
-    tm = morley_M(geom)
     with pytest.raises(ValueError):
-        scale_M(tm, geom)
+        cell_transform(ELEMENTS["morley"], geom, scale=True)
+
+
+def _family_scaling_layout(family, geom):
+    """The per-family layouts of S, written out by hand: vertex jets
+    (1, 1/h, 1/h[, 1/h^2 x3]) per vertex, then 1 for Hermite's barycenter
+    value or 1/l per edge normal."""
+    h = geom.vertex_h
+    inv_ell = 1.0 / geom.edge_lengths
+    one, inv_h, inv_h2 = np.ones_like(h), 1.0 / h, 1.0 / h ** 2
+    batch = h.shape[:-1]
+    if family == "hermite":
+        jets = np.stack([one, inv_h, inv_h], axis=-1).reshape(batch + (9,))
+        return np.concatenate([jets, np.ones(batch + (1,))], axis=-1)
+    if family == "morley":
+        return np.concatenate([np.ones(batch + (3,)), inv_ell], axis=-1)
+    jets = np.stack([one, inv_h, inv_h, inv_h2, inv_h2, inv_h2],
+                    axis=-1).reshape(batch + (18,))
+    if family == "argyris":
+        return np.concatenate([jets, inv_ell], axis=-1)
+    return jets
+
+
+def test_scaling_diagonal_matches_family_layouts():
+    # S read off the functionals equals the hand-written layouts bit for bit
+    msh = mesh.build_unit_square_mesh(4, 0.2)
+    geom = mesh.batch_geometry(msh, mesh.vertex_size_field(msh))
+    for fam in ("hermite", "morley", "argyris", "bell"):
+        S = scaling_diagonal(ELEMENTS[fam], geom)
+        assert S.shape == (msh.n_cells, ELEMENTS[fam].n_dofs)
+        assert np.array_equal(S, _family_scaling_layout(fam, geom))
+    S = scaling_diagonal(build_reference_element("lagrange", 3), geom)
+    assert np.array_equal(S, np.ones((msh.n_cells, 10)))
 
 
 def test_dump_M_csv(tmp_path):
