@@ -80,26 +80,67 @@ class SparseMatrix(scipy.sparse.csr_array):
 
 
 def csr_from_coo(n, rows, cols, vals) -> SparseMatrix:
-    """Build CSR from triplets; duplicate entries are summed in input order.
+    """Build CSR from triplets; duplicate entries are grouped in input order
+    and summed by np.add.reduceat (see _csr_from_blocks).
 
     scipy's own COO-to-CSR conversion sums duplicates in another order: that
     moves some entries by an ulp, and the biharmonic study errors far more.
     """
-    keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
-    return _csr_from_keys(n, keys, np.asarray(vals, dtype=float))
+    rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+    return _csr_from_blocks(n, rows.size, [(rows, cols, vals)])
 
 
-def _csr_from_keys(n, keys, vals) -> SparseMatrix:
-    """CSR from flat keys row * n + col and their values; duplicate keys are
-    summed in input order (a stable sort, then a sequential reduceat)."""
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+# _csr_from_blocks sorts composite keys (row * n + col) * size + position
+# only while n^2 * size stays below this bound, so that they fit in int64
+KEY_LIMIT = 2 ** 63
+
+
+def _csr_from_blocks(n, size, blocks) -> SparseMatrix:
+    """CSR of order n from blocks of COO triplets (rows, cols, vals), arrays
+    that broadcast to one shape, `size` triplets in all.
+
+    The triplets are written straight into one int64 key buffer (row * n +
+    col) and one value buffer.  Duplicates are grouped in input order: the
+    composite keys key * size + position are unique, so numpy's in-place
+    sort orders them by (row, col, position) as a stable sort of the keys
+    would, and a stable argsort remains only where the composite key would
+    overflow.  np.add.reduceat then sums each group: a run of 8 or more
+    values goes through numpy's unrolled pairwise reduction rather than a
+    left-to-right sum, so the input order fixes the bits but is not the
+    order of the additions.  This function holds the only references to
+    the buffers and frees each array once it has been read.
+    """
+    n, size = int(n), int(size)
+    keys, vals = np.empty(size, dtype=np.int64), np.empty(size)
+    lo = 0
+    for r, c, v in blocks:
+        shape = np.broadcast_shapes(np.shape(r), np.shape(c), np.shape(v))
+        hi = lo + int(np.prod(shape))
+        np.add(r * n, c, out=keys[lo:hi].reshape(shape))
+        vals[lo:hi].reshape(shape)[...] = v
+        lo = hi
+    if lo != size:
+        raise ValueError(f"blocks hold {lo} triplets, not {size}")
+    if n * n * size < KEY_LIMIT:
+        keys *= size
+        keys += np.arange(size)
+        keys.sort()
+        order = np.empty_like(keys)
+        np.divmod(keys, size, out=(keys, order))
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    first = np.ones(size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    vals = vals[order]
+    del order
     starts = np.flatnonzero(first)
-    summed = np.add.reduceat(vals, starts) if len(vals) else vals
-    indptr = np.searchsorted(keys[starts], np.arange(n + 1) * n)
-    return SparseMatrix((summed, keys[starts] % n, indptr), shape=(n, n))
+    del first
+    summed = np.add.reduceat(vals, starts) if size else vals
+    del vals
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return SparseMatrix((summed, keys % n, indptr), shape=(n, n))
 
 
 def symmetry_error(A: SparseMatrix) -> float:
@@ -335,11 +376,11 @@ def _congruence(M, A):
     return A if M is None else M @ A @ _T(M)
 
 
-def _triplets(n, dofs, signs, local):
-    """Flat keys row * n + col and values of local matrices (B, k, k)
-    through DoFs and signs (B, k), row by row."""
-    return ((dofs[:, :, None] * n + dofs[:, None, :]).ravel(),
-            (local * (signs[:, :, None] * signs[:, None, :])).ravel())
+def _triplets(dofs, signs, local):
+    """COO block (rows, cols, vals) of local matrices (B, k, k) through DoFs
+    and signs (B, k), row by row; rows and cols broadcast to (B, k, k)."""
+    return (dofs[:, :, None], dofs[:, None, :],
+            local * (signs[:, :, None] * signs[:, None, :]))
 
 
 def _interior_facets(mesh: TriangleMesh):
@@ -453,7 +494,8 @@ class _Kernels:
 
     def ip_facet_triplets(self, mesh, dofmap, geom):
         """Interior-penalty jump/average blocks over all interior edges of
-        the cells in geom, as keys and values in edge order.
+        the cells in geom, yielded one COO block of at most BLOCK edges at a
+        time, in edge order.
 
         Jumps and averages use the master side A's outward normal; the
         facet quadrature runs along the stored edge direction, so a side
@@ -462,7 +504,6 @@ class _Kernels:
         take this form, so M = I and there is no congruence.
         """
         (cA, eA), (cB, eB) = _interior_facets(mesh)
-        parts = []
         for lo in range(0, len(cA), BLOCK):
             blk = slice(lo, lo + BLOCK)
             sides = ((cA[blk], eA[blk]), (cB[blk], eB[blk]))
@@ -475,12 +516,10 @@ class _Kernels:
             w = self.facet_rule.weights * ell
             local = ((self.form.alpha / ell) * (jump * w) @ _T(jump)
                      - (avg * w) @ _T(jump) - (jump * w) @ _T(avg))
-            parts.append(_triplets(
-                dofmap.total_dofs,
+            yield _triplets(
                 np.concatenate([dofmap.cell_dofs[c] for c, _ in sides], axis=1),
                 np.concatenate([dofmap.cell_signs[c] for c, _ in sides], axis=1),
-                local))
-        return parts
+                local)
 
     def _ip_traces(self, mesh, geom, cells, e_loc, n):
         """Derivative along n and Laplacian of one side's traces on its local
@@ -505,25 +544,26 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
                       or form.clamped_boundary)
     on_boundary = np.isin(mesh.cell_edges, mesh.boundary_edges)
 
-    parts = []
-    for cells, geom, M in data.blocks:
-        A = kern.cell_matrices(geom)
-        if boundary_terms:
-            # (cell, local edge) pairs in cell order, so each cell's facet
-            # terms are added in local edge order
-            fc, fe = np.nonzero(on_boundary[cells])
-            np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
-        parts.append(_triplets(dofmap.total_dofs, dofmap.cell_dofs[cells],
-                               dofmap.cell_signs[cells], _congruence(M, A)))
-    if form.kind == "plate_ip":
-        parts += kern.ip_facet_triplets(mesh, dofmap, data.geom)
+    def blocks():
+        for cells, geom, M in data.blocks:
+            A = kern.cell_matrices(geom)
+            if boundary_terms:
+                # (cell, local edge) pairs in cell order, so each cell's
+                # facet terms are added in local edge order
+                fc, fe = np.nonzero(on_boundary[cells])
+                np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
+            yield _triplets(dofmap.cell_dofs[cells], dofmap.cell_signs[cells],
+                            _congruence(M, A))
+        if form.kind == "plate_ip":
+            yield from kern.ip_facet_triplets(mesh, dofmap, data.geom)
 
-    keys, vals = (np.concatenate(x) for x in zip(*parts))
-    # free each copy of the triplets once it is read: the peak memory of a
-    # rung is here, in the sort of _csr_from_keys
-    del parts
-    A = _csr_from_keys(dofmap.total_dofs, keys, vals)
-    del keys, vals
+    # the triplet count sizes the buffers of the CSR step, which holds the
+    # peak memory of a rung: k^2 per cell, (2k)^2 per interior facet
+    size = mesh.n_cells * element.n_dofs ** 2
+    if form.kind == "plate_ip":
+        interior = mesh.n_edges - len(mesh.boundary_edges)
+        size += interior * (2 * element.n_dofs) ** 2
+    A = _csr_from_blocks(dofmap.total_dofs, size, blocks())
     if form.kind == "poisson_nitsche" and element.family == "lagrange" \
             and element.lagrange_degree >= 2:
         A.coarse = p1_prolongation(mesh, element, dofmap)

@@ -26,6 +26,8 @@ refactored with a COLAMD column ordering and partial pivoting.  All
 solvers are deterministic.
 """
 
+import ctypes
+import importlib
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +42,30 @@ from .refelem import ReferenceElement, tabulate_coeffs
 # error pass uses the batched pipeline (assembly.cell_blocks).
 from .mesh import cell_geometry, vertex_size_field  # noqa: E402,F401
 from .transform import cell_transform  # noqa: E402,F401
+
+# numpy and scipy each load their own OpenBLAS, each with a thread pool
+# as wide as the machine.  A blocked LU then depends on the pool width in
+# its last bits, and the two pools contend for the same cores.
+_OPENBLAS_THREADS = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
+)
+
+
+def _pin_blas_threads():
+    """Set both OpenBLAS pools to one thread, for the whole process, so
+    that every result is the same whatever the core count.  Other BLAS
+    builds (MKL, Accelerate) lack these symbols and are left alone."""
+    for module, symbol in _OPENBLAS_THREADS:
+        try:
+            set_threads = getattr(
+                ctypes.CDLL(importlib.import_module(module).__file__), symbol)
+        except (ImportError, OSError, AttributeError):
+            continue
+        set_threads(1)
+
+
+_pin_blas_threads()
 
 # Dense LU runs up to this order, sparse LU (SuperLU) beyond it: dense LU
 # is the reference path but too slow past a few thousand DoFs

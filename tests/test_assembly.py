@@ -140,6 +140,153 @@ def test_csr_roundtrip_and_sorted_columns():
     assert np.allclose(A.diagonal(), np.diag(D))
 
 
+def reference_csr(n, rows, cols, vals):
+    """The stable-argsort CSR build: duplicates grouped in input order by a
+    stable sort of row * n + col, then summed by np.add.reduceat."""
+    keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], np.asarray(vals, dtype=float)[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    summed = np.add.reduceat(vals, starts) if len(vals) else vals
+    indptr = np.searchsorted(keys[starts], np.arange(n + 1) * n)
+    return assembly.SparseMatrix((summed, keys[starts] % n, indptr), shape=(n, n))
+
+
+def assert_same_csr(A, B):
+    """Byte-identical CSR arrays; data compared as bits, so that signed
+    zeros count."""
+    assert A.shape == B.shape
+    assert A.data.dtype == B.data.dtype == np.float64
+    assert A.data.view(np.uint64).tobytes() == B.data.view(np.uint64).tobytes()
+    for a, b in ((A.indices, B.indices), (A.indptr, B.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_duplicate_triplets(rng, n=40, n_keys=300):
+    """Triplets in shuffled order with 8 to 20 copies of every key, values
+    spread over 16 decades, plus keys whose copies are all -0.0."""
+    flat = rng.choice(n * n, n_keys + 2, replace=False)
+    counts = rng.integers(8, 21, n_keys + 2)
+    keys = np.repeat(flat, counts)
+    vals = rng.standard_normal(len(keys)) * 10.0 ** rng.integers(-8, 8, len(keys))
+    vals[keys == flat[-1]] = -0.0
+    vals[keys == flat[-2]] = -0.0
+    perm = rng.permutation(len(keys))
+    keys, vals = keys[perm], vals[perm]
+    return keys // n, keys % n, vals
+
+
+def test_csr_matches_stable_sort_reference_on_duplicates():
+    rng = np.random.default_rng(13)
+    n = 40
+    rows, cols, vals = random_duplicate_triplets(rng, n)
+    A = csr_from_coo(n, rows, cols, vals)
+    assert_same_csr(A, reference_csr(n, rows, cols, vals))
+    assert np.signbit(A.data[A.data == 0.0]).sum() == 2
+    # every group has 8 or more values, so reduceat takes its unrolled
+    # pairwise path: some sums differ from a left-to-right sum
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    left_to_right = {}
+    for k, v in zip(keys[order], vals[order]):
+        left_to_right[k] = left_to_right.get(k, -0.0) + v
+    coo = A.tocoo()
+    sequential = np.array([left_to_right[r * n + c] for r, c in zip(coo.row, coo.col)])
+    assert np.any(sequential != coo.data)
+
+
+@pytest.mark.parametrize("n, rows, cols, vals", [
+    (3, [], [], []),
+    (1, [], [], []),
+    (1, [0, 0, 0], [0, 0, 0], [1.0, -0.0, 2.5]),
+    (1, [0], [0], [-0.0]),
+])
+def test_csr_matches_reference_on_empty_and_order_one(n, rows, cols, vals):
+    assert_same_csr(csr_from_coo(n, rows, cols, vals),
+                    reference_csr(n, rows, cols, vals))
+
+
+STUDY_FORMS = ([("poisson", el) for el in ("lagrange:1", "lagrange:2", "lagrange:3",
+                                           "lagrange:4", "lagrange:5", "hermite",
+                                           "argyris", "bell")]
+               + [("biharmonic", el) for el in ("morley", "argyris", "bell",
+                                                "lagrange:2", "lagrange:3",
+                                                "lagrange:4", "lagrange:5")])
+
+
+def _operator_and_triplets(monkeypatch, problem, name, n_mesh=4):
+    """A study operator, and the COO triplets its CSR step received."""
+    from trifem.harness import parse_element, study_form
+    captured = []
+    build = assembly._csr_from_blocks
+
+    def capture(n, size, blocks):
+        blocks = list(blocks)
+        rows, cols, vals = (np.concatenate([np.broadcast_arrays(*b)[i].ravel()
+                                            for b in blocks]) for i in range(3))
+        captured.append((n, rows, cols, vals))
+        return build(n, size, blocks)
+
+    monkeypatch.setattr(assembly, "_csr_from_blocks", capture)
+    el = parse_element(name)
+    A = assemble_operator(build_unit_square_mesh(n_mesh, 0.2), el,
+                          study_form(problem, el))
+    monkeypatch.undo()
+    (triplets,) = captured
+    return A, triplets
+
+
+@pytest.mark.parametrize("problem, name", STUDY_FORMS)
+def test_operator_csr_matches_stable_sort_reference(monkeypatch, problem, name):
+    A, (n, rows, cols, vals) = _operator_and_triplets(monkeypatch, problem, name)
+    assert len(vals) > A.nnz
+    assert_same_csr(A, reference_csr(n, rows, cols, vals))
+
+
+@pytest.mark.parametrize("problem, name", [("poisson", "lagrange:3"),
+                                           ("biharmonic", "lagrange:3"),
+                                           ("biharmonic", "argyris")])
+def test_csr_overflow_fallback_gives_the_same_bits(monkeypatch, problem, name):
+    # past KEY_LIMIT the composite key would overflow int64, and the
+    # stable argsort runs instead
+    A, (n, rows, cols, vals) = _operator_and_triplets(monkeypatch, problem, name)
+    monkeypatch.setattr(assembly, "KEY_LIMIT", 0)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw))
+    B = csr_from_coo(n, rows, cols, vals)
+    monkeypatch.undo()
+    assert calls == [{"kind": "stable"}]
+    assert_same_csr(B, A)
+    assert_same_csr(B, reference_csr(n, rows, cols, vals))
+    rng = np.random.default_rng(5)
+    rows, cols, vals = random_duplicate_triplets(rng)
+    monkeypatch.setattr(assembly, "KEY_LIMIT", 0)
+    assert_same_csr(csr_from_coo(40, rows, cols, vals),
+                    reference_csr(40, rows, cols, vals))
+
+
+def test_operator_pass_peak_memory_per_triplet():
+    # after the cell data exists, the operator pass's peak is its CSR step:
+    # one key and one value buffer, the sort permutation and the gathered
+    # values, about 34 bytes per triplet for P3 Poisson (68 with a stable
+    # argsort of concatenated copies)
+    import tracemalloc
+    el = lagrange(3)
+    m = build_unit_square_mesh(32, 0.2)
+    assembly.cell_blocks(m, el, True)
+    tracemalloc.start()
+    try:
+        assemble_operator(m, el, assembly.poisson_nitsche())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    triplets = m.n_cells * el.n_dofs ** 2
+    assert peak <= 48 * triplets
+
+
 FORM_CASES = [
     (lambda: lagrange(2), assembly.poisson_nitsche()),
     (lambda: HERMITE, assembly.poisson_nitsche()),

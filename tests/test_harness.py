@@ -237,6 +237,30 @@ def test_cli_study_and_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_study_csv_independent_of_blas_threads(tmp_path):
+    # the dense LU of Bell N=8 (486 DoFs) changes in its last bits with the
+    # OpenBLAS pool width, unless import trifem pins both pools to one thread
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import trifem
+    src = str(pathlib.Path(trifem.__file__).resolve().parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"bell-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "trifem", "study",
+                        "--problem", "biharmonic", "--element", "bell",
+                        "--levels", "4,8", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
     def boom(spec):
         raise SolverFailure("synthetic")
