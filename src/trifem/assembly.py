@@ -90,25 +90,18 @@ def csr_from_coo(n, rows, cols, vals) -> SparseMatrix:
     return _csr_from_blocks(n, rows.size, [(rows, cols, vals)])
 
 
-# _csr_from_blocks sorts composite keys (row * n + col) * size + position
-# only while n^2 * size stays below this bound, so that they fit in int64
-KEY_LIMIT = 2 ** 63
-
-
 def _csr_from_blocks(n, size, blocks) -> SparseMatrix:
     """CSR of order n from blocks of COO triplets (rows, cols, vals), arrays
     that broadcast to one shape, `size` triplets in all.
 
     The triplets are written straight into one int64 key buffer (row * n +
-    col) and one value buffer.  Duplicates are grouped in input order: the
-    composite keys key * size + position are unique, so numpy's in-place
-    sort orders them by (row, col, position) as a stable sort of the keys
-    would, and a stable argsort remains only where the composite key would
-    overflow.  np.add.reduceat then sums each group: a run of 8 or more
-    values goes through numpy's unrolled pairwise reduction rather than a
-    left-to-right sum, so the input order fixes the bits but is not the
-    order of the additions.  This function holds the only references to
-    the buffers and frees each array once it has been read.
+    col) and one value buffer, so no block is copied twice.  A stable
+    argsort of the keys groups duplicates in input order, and
+    np.add.reduceat sums each group: a run of 8 or more values goes through
+    numpy's unrolled pairwise reduction rather than a left-to-right sum, so
+    the input order fixes the bits but is not the order of the additions.
+    This function holds the only references to the buffers and frees each
+    array once it has been read.
     """
     n, size = int(n), int(size)
     keys, vals = np.empty(size, dtype=np.int64), np.empty(size)
@@ -121,15 +114,8 @@ def _csr_from_blocks(n, size, blocks) -> SparseMatrix:
         lo = hi
     if lo != size:
         raise ValueError(f"blocks hold {lo} triplets, not {size}")
-    if n * n * size < KEY_LIMIT:
-        keys *= size
-        keys += np.arange(size)
-        keys.sort()
-        order = np.empty_like(keys)
-        np.divmod(keys, size, out=(keys, order))
-    else:
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     first = np.ones(size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]

@@ -45,22 +45,42 @@ from .transform import cell_transform  # noqa: E402,F401
 
 # numpy and scipy each load their own OpenBLAS, each with a thread pool
 # as wide as the machine.  A blocked LU then depends on the pool width in
-# its last bits, and the two pools contend for the same cores.
+# its last bits, and the two pools contend for the same cores.  Each entry
+# names the package, an extension module linked to its OpenBLAS, and the
+# thread setter that the scipy-openblas wheels export.
 _OPENBLAS_THREADS = (
-    ("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
-    ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
+    ("numpy", "numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
 )
+
+
+def _blas_name(package):
+    """The BLAS a package was built against, from its build configuration."""
+    try:
+        config = importlib.import_module(package + ".__config__").CONFIG
+    except (ImportError, AttributeError):
+        return None
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name")
 
 
 def _pin_blas_threads():
     """Set both OpenBLAS pools to one thread, for the whole process, so
     that every result is the same whatever the core count.  Other BLAS
-    builds (MKL, Accelerate) lack these symbols and are left alone."""
-    for module, symbol in _OPENBLAS_THREADS:
+    builds (MKL, Accelerate) lack these symbols and are left alone; a
+    package built on scipy-openblas whose setter cannot be found (on
+    Windows, say, where a module's handle does not reach its DLL's
+    symbols) gets a RuntimeWarning, since its results then depend on the
+    thread count again."""
+    for package, module, symbol in _OPENBLAS_THREADS:
         try:
             set_threads = getattr(
                 ctypes.CDLL(importlib.import_module(module).__file__), symbol)
         except (ImportError, OSError, AttributeError):
+            if _blas_name(package) == "scipy-openblas":
+                warnings.warn(
+                    f"{package} is built on scipy-openblas but {symbol} was "
+                    "not found; its BLAS pool keeps its thread count, and "
+                    "results may depend on it", RuntimeWarning, stacklevel=2)
             continue
         set_threads(1)
 

@@ -245,34 +245,11 @@ def test_operator_csr_matches_stable_sort_reference(monkeypatch, problem, name):
     assert_same_csr(A, reference_csr(n, rows, cols, vals))
 
 
-@pytest.mark.parametrize("problem, name", [("poisson", "lagrange:3"),
-                                           ("biharmonic", "lagrange:3"),
-                                           ("biharmonic", "argyris")])
-def test_csr_overflow_fallback_gives_the_same_bits(monkeypatch, problem, name):
-    # past KEY_LIMIT the composite key would overflow int64, and the
-    # stable argsort runs instead
-    A, (n, rows, cols, vals) = _operator_and_triplets(monkeypatch, problem, name)
-    monkeypatch.setattr(assembly, "KEY_LIMIT", 0)
-    calls = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw))
-    B = csr_from_coo(n, rows, cols, vals)
-    monkeypatch.undo()
-    assert calls == [{"kind": "stable"}]
-    assert_same_csr(B, A)
-    assert_same_csr(B, reference_csr(n, rows, cols, vals))
-    rng = np.random.default_rng(5)
-    rows, cols, vals = random_duplicate_triplets(rng)
-    monkeypatch.setattr(assembly, "KEY_LIMIT", 0)
-    assert_same_csr(csr_from_coo(40, rows, cols, vals),
-                    reference_csr(40, rows, cols, vals))
-
-
 def test_operator_pass_peak_memory_per_triplet():
     # after the cell data exists, the operator pass's peak is its CSR step:
-    # one key and one value buffer, the sort permutation and the gathered
-    # values, about 34 bytes per triplet for P3 Poisson (68 with a stable
-    # argsort of concatenated copies)
+    # one key and one value buffer, the sort permutation and the sorted
+    # keys or gathered values, about 34 bytes per triplet for P3 Poisson
+    # (68 when the blocks were kept and concatenated into copies)
     import tracemalloc
     el = lagrange(3)
     m = build_unit_square_mesh(32, 0.2)

@@ -1,5 +1,7 @@
 """Direct and iterative solvers, and the L2 error evaluator."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,6 +66,22 @@ def test_factorized_singular_raises():
                                          [0.0, 0.0, 1.0]]))
     with pytest.raises(np.linalg.LinAlgError):
         solver.factorized(A)
+
+
+def test_blas_pin_warns_when_an_openblas_setter_is_missing(monkeypatch):
+    # a scipy-openblas build whose setter cannot be found is reported, not
+    # skipped in silence; a BLAS of another name is left alone
+    monkeypatch.setattr(solver, "_OPENBLAS_THREADS", (
+        ("numpy", "numpy", "no_such_set_num_threads"),
+        ("scipy", "scipy.no_such_module", "scipy_openblas_set_num_threads")))
+    monkeypatch.setattr(solver, "_blas_name", lambda package: "scipy-openblas")
+    with pytest.warns(RuntimeWarning) as record:
+        solver._pin_blas_threads()
+    assert [str(w.message).split()[0] for w in record] == ["numpy", "scipy"]
+    monkeypatch.setattr(solver, "_blas_name", lambda package: "mkl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver._pin_blas_threads()
 
 
 def test_solve_rejects_unknown_method():
