@@ -94,39 +94,85 @@ def _csr_from_blocks(n, size, blocks) -> SparseMatrix:
     """CSR of order n from blocks of COO triplets (rows, cols, vals), arrays
     that broadcast to one shape, `size` triplets in all.
 
-    The triplets are written straight into one int64 key buffer (row * n +
-    col) and one value buffer, so no block is copied twice.  A stable
-    argsort of the keys groups duplicates in input order, and
-    np.add.reduceat sums each group: a run of 8 or more values goes through
-    numpy's unrolled pairwise reduction rather than a left-to-right sum, so
-    the input order fixes the bits but is not the order of the additions.
-    This function holds the only references to the buffers and frees each
-    array once it has been read.
+    The triplets are written straight into one int64 key buffer and one
+    value buffer, so no block is copied twice.  Duplicates are grouped in
+    input order, and np.add.reduceat sums each group: a run of 8 or more
+    values goes through numpy's unrolled pairwise reduction rather than a
+    left-to-right sum, so the input order fixes the bits but is not the
+    order of the additions.
+
+    The key of the triplet at position p is (row * n + col) * size + p.
+    Keys are unique, so an in-place sort puts them in the stable order of
+    row * n + col (see _sort_composite).  Past int64, when n^2 size >=
+    2^63, the key is row * n + col and a stable argsort orders it, with the
+    same result at 8 bytes more per triplet.  This function holds the only
+    references to the buffers and frees each array once it has been read;
+    the CSR arrays are made in the dtypes that csr_array keeps, so it copies
+    none of them.
     """
     n, size = int(n), int(size)
+    composite = n * n * size < 2 ** 63
+    keys, vals = _write_triplets(n, size, blocks, composite)
+    if composite:
+        vals = _sort_composite(keys, vals)
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        vals = vals[order]
+        del order
+    first = np.ones(size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    keys = keys[starts]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    keys %= n  # now the column indices
+    summed = np.add.reduceat(vals, starts) if size else vals
+    return SparseMatrix((summed, keys, indptr), shape=(n, n))
+
+
+def _write_triplets(n, size, blocks, composite):
+    """The key and value buffers of _csr_from_blocks, each block written
+    into its slice; with composite keys, (row * n + col) * size + p."""
     keys, vals = np.empty(size, dtype=np.int64), np.empty(size)
     lo = 0
     for r, c, v in blocks:
         shape = np.broadcast_shapes(np.shape(r), np.shape(c), np.shape(v))
         hi = lo + int(np.prod(shape))
-        np.add(r * n, c, out=keys[lo:hi].reshape(shape))
+        k = keys[lo:hi].reshape(shape)
+        np.add(r * n, c, out=k)
+        if composite:
+            k *= size
+            k += np.arange(lo, hi).reshape(shape)
         vals[lo:hi].reshape(shape)[...] = v
         lo = hi
+        del r, c, v  # before the next block is made
     if lo != size:
         raise ValueError(f"blocks hold {lo} triplets, not {size}")
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    vals = vals[order]
-    del order
-    starts = np.flatnonzero(first)
-    del first
-    summed = np.add.reduceat(vals, starts) if size else vals
-    del vals
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return SparseMatrix((summed, keys % n, indptr), shape=(n, n))
+    return keys, vals
+
+
+# Triplets per chunk of _sort_composite's gather: 256 KB of positions
+_GATHER_CHUNK = 1 << 15
+
+
+def _sort_composite(keys, vals):
+    """Sort composite keys in place, in the stable order of row * n + col,
+    and return the values gathered in that order.
+
+    The positions are read back a chunk at a time, and dividing by the
+    triplet count restores each key to row * n + col in place, so only the
+    gathered values are allocated whole."""
+    size = len(keys)
+    keys.sort()
+    gathered = np.empty(size)
+    pos = np.empty(min(size, _GATHER_CHUNK), dtype=np.int64)
+    for lo in range(0, size, _GATHER_CHUNK):
+        k = keys[lo:lo + _GATHER_CHUNK]
+        p = pos[:len(k)]
+        np.divmod(k, size, out=(k, p))
+        np.take(vals, p, out=gathered[lo:lo + len(k)])
+    return gathered
 
 
 def symmetry_error(A: SparseMatrix) -> float:
@@ -325,19 +371,22 @@ def _push(J, d):
 
 
 def _physical_hessian(tab, J):
-    """Physical (hxx, hxy, hyy) of the pullbacks: the Voigt pushforward T
+    """Physical hxx, hxy, hyy of the pullbacks: the Voigt pushforward T
     contracted with the reference second derivatives of a cell table
-    (n, q) or a facet table (F, n, q)."""
+    (n, q) or a facet table (F, n, q).  The components are made one at a
+    time, as they are iterated."""
     T = hessian_pushforward(J)
     href = np.stack([tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]])
     spec = "bj,jnq->bnq" if href.ndim == 3 else "bj,jbnq->bnq"
-    return tuple(np.einsum(spec, T[:, k], href) for k in range(3))
+    return (np.einsum(spec, T[:, k], href) for k in range(3))
 
 
 def _directional_first(tab, J, d):
     """d . grad of the pullbacks: reference gradients contracted with J d."""
     e = _push(J, d)
-    return _per(e[0]) * tab[(1, 0)] + _per(e[1]) * tab[(0, 1)]
+    out = _per(e[0]) * tab[(1, 0)]
+    out += _per(e[1]) * tab[(0, 1)]
+    return out
 
 
 def _directional_third(tab, J, d1, d2, d3):
@@ -360,6 +409,12 @@ _EY = np.array([0.0, 1.0])
 def _congruence(M, A):
     """M A M^T for a batch; Lagrange (M None) skips it, since M = I."""
     return A if M is None else M @ A @ _T(M)
+
+
+def _weighted(t, a, w, b):
+    """(a * w) @ b^T for rows a, b (B, n, q) and weights w (B, 1, q), with
+    a * w written into the scratch array t."""
+    return np.multiply(a, w, out=t) @ _T(b)
 
 
 def _triplets(dofs, signs, local):
@@ -401,19 +456,39 @@ class _Kernels:
                           for alpha in tabs[0]}
 
     def cell_matrices(self, geom):
-        """Element matrices (B, n, n) in the pulled-back basis."""
+        """Element matrices (B, n, n) in the pulled-back basis.
+
+        The rows are made one at a time and dropped once read, each
+        weighted through one scratch array (see _weighted); the plate
+        form's factors 2 and 4 scale the products, which is exact, so the
+        bits are those of scaling the weighted rows.
+        """
         form, tab = self.form, self.cell_tab
         w = (self.cell_rule.weights * geom.detJinv_abs[:, None])[:, None, :]
         if form.kind == "poisson_nitsche":
-            gx, gy = (_directional_first(tab, geom.J, d) for d in (_EX, _EY))
-            return (gx * w) @ _T(gx) + (gy * w) @ _T(gy)
-        hxx, hxy, hyy = _physical_hessian(tab, geom.J)
-        lap = hxx + hyy
-        A = (lap * w) @ _T(lap)
-        if form.kind in ("plate", "plate_clamped_nitsche"):
-            c = 1.0 - form.nu
-            A -= c * (2.0 * (hxx * w) @ _T(hyy) + 2.0 * (hyy * w) @ _T(hxx)
-                      - 4.0 * (hxy * w) @ _T(hxy))
+            g = _directional_first(tab, geom.J, _EX)
+            t = np.empty_like(g)
+            A = _weighted(t, g, w, g)
+            del g
+            g = _directional_first(tab, geom.J, _EY)
+            A += _weighted(t, g, w, g)
+            return A
+        plate = form.kind in ("plate", "plate_clamped_nitsche")
+        rows = _physical_hessian(tab, geom.J)
+        hxx, hxy = next(rows), next(rows)
+        t = np.empty_like(hxx)
+        if plate:
+            twist = 4.0 * _weighted(t, hxy, w, hxy)
+        del hxy
+        hyy = next(rows)
+        if plate:
+            bend = (1.0 - form.nu) * (2.0 * _weighted(t, hxx, w, hyy)
+                                      + 2.0 * _weighted(t, hyy, w, hxx) - twist)
+        hxx += hyy  # the Laplacian rows
+        del hyy
+        A = _weighted(t, hxx, w, hxx)
+        if plate:
+            A -= bend
         return A
 
     def _facet_rows(self, geom, e_loc, order):
@@ -457,8 +532,10 @@ class _Kernels:
         form = self.form
         r = self._facet_rows(geom, e_loc, order=3)
         c = (1.0 - form.nu) if form.kind == "plate" else 0.0
-        gn = r["lap_n"] - 2.0 * c * r["vntt"]
-        gl = r["lap"] - 2.0 * c * r["vtt"]
+        # the third-order and tangential rows are dropped once read
+        gn, gl = r.pop("lap_n"), r.pop("lap")
+        gn -= 2.0 * c * r.pop("vntt")
+        gl -= 2.0 * c * r.pop("vtt")
         v, vn = r["v"], r["vn"]
         return ((gn * w) @ _T(v) + (v * w) @ _T(gn)
                 - (gl * w) @ _T(vn) - (vn * w) @ _T(gl)
@@ -540,6 +617,7 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
                 np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
             yield _triplets(dofmap.cell_dofs[cells], dofmap.cell_signs[cells],
                             _congruence(M, A))
+            del A  # before the next block's kernels run
         if form.kind == "plate_ip":
             yield from kern.ip_facet_triplets(mesh, dofmap, data.geom)
 

@@ -12,7 +12,8 @@ higher-numbered endpoint of each edge.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 
 import numpy as np
 
@@ -60,18 +61,33 @@ def _exact_moment(a, b):
 def _exact_gram_schmidt(gram):
     """Exact Gram-Schmidt of the unit vectors e_k under G: the u_k and <u_k, u_k>.
 
-    Each u_j is carried as [u_j | G u_j].  The u_j are exactly orthogonal, so
-    <v, u_j> = (G u_j)[k] for any partial projection v of e_k: O(n^3) in all.
+    Gram-Schmidt of the e_k is Gaussian elimination without pivoting on
+    [G | I]: row k ends as [G u_k | u_k], and (G u_k)[k] = <u_k, u_k>.  It
+    runs fraction-free (Bareiss) on s G, scaled to integers by the least
+    common denominator s: every entry stays an integer, and row k ends as
+    d_{k-1} times its Gaussian row, where d_k is the leading minor of order
+    k + 1 of s G and its pivot.  Exact, so the Fractions are those of any
+    exact Gram-Schmidt.
     """
     n = len(gram)
-    rows = []
-    for k in range(n):
-        w = [Fraction(int(i == k)) for i in range(n)] + list(gram[k])
-        for j, r in enumerate(rows):
-            coef = r[n + k] / r[n + j]
-            w = [wi - coef * ri if ri else wi for wi, ri in zip(w, r)]
-        rows.append(w)
-    return [r[:n] for r in rows], [r[n + k] for k, r in enumerate(rows)]
+    s = lcm(*(g.denominator for row in gram for g in row))
+    rows = [[g.numerator * (s // g.denominator) for g in row]
+            + [int(i == k) for i in range(n)] for k, row in enumerate(gram)]
+    prev = 1
+    for k, rk in enumerate(rows):
+        p = rk[k]
+        for i in range(k + 1, n):
+            ri, m = rows[i], rows[i][k]
+            # row i of the identity block is zero past column n + i
+            ri[k + 1:n + i + 1] = [(p * a - m * b) // prev for a, b in
+                                   zip(ri[k + 1:n + i + 1], rk[k + 1:n + i + 1])]
+        prev = p
+    vectors, sq_norms, prev = [], [], 1
+    for k, rk in enumerate(rows):
+        vectors.append([Fraction(x, prev) for x in rk[n:]])
+        sq_norms.append(Fraction(rk[k], prev * s))
+        prev = rk[k]
+    return vectors, sq_norms
 
 
 class PolyBasis:
@@ -111,6 +127,8 @@ class PolyBasis:
             if b > 0:
                 dy[self._index[(a, b - 1)], j] = b
         self._dx, self._dy = dx, dy
+        for a in (self.coeffs, dx, dy):
+            a.flags.writeable = False
 
     def _alpha_coeffs(self, alpha):
         c = self.coeffs
@@ -135,8 +153,11 @@ class PolyBasis:
         return out
 
 
+@cache
 def build_poly_basis(degree: int) -> PolyBasis:
-    """Orthonormal basis spanning polynomials of total degree <= degree."""
+    """Orthonormal basis spanning polynomials of total degree <= degree,
+    built once per degree and shared read-only (Argyris and Bell share the
+    quintic one)."""
     return PolyBasis(degree)
 
 

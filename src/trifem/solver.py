@@ -146,17 +146,18 @@ def _sparse_lu(A):
     pivots only.  It is accepted, as "sparse_lu_sym", when SuperLU kept
     every pivot on the diagonal and all of them are positive, that is when
     A is numerically SPD.  Otherwise A is refactored with COLAMD and
-    partial pivoting, as "sparse_lu".
+    partial pivoting, as "sparse_lu".  The CSC copy of A that splu reads
+    is made for each call and held by nothing after it, so it is freed
+    before lu.U makes its copy of the factor.
     """
     from scipy.sparse.linalg import splu  # kept out of `import trifem`
-    A = A.tocsc()
     # with a zero diagonal SuperLU still pivots off it, so this raises only
     # when A is singular, as the fallback would
-    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     if np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0:
         return lu, "sparse_lu_sym"
-    return splu(A), "sparse_lu"
+    return splu(A.tocsc()), "sparse_lu"
 
 
 def _factor(A):

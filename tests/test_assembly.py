@@ -8,7 +8,7 @@ from trifem import assembly, solver
 from trifem.assembly import (ScalarField, assemble_load, assemble_operator,
                              build_dof_map, csr_from_coo, export_matrix_market,
                              export_vector, interpolate, symmetry_error)
-from trifem.harness import poisson_problem
+from trifem.harness import poisson_problem, study_form
 from trifem.mesh import build_mesh, build_unit_square_mesh
 from trifem.quadrature import triangle_rule
 from trifem.refelem import REF_VERTICES, build_reference_element
@@ -245,23 +245,70 @@ def test_operator_csr_matches_stable_sort_reference(monkeypatch, problem, name):
     assert_same_csr(A, reference_csr(n, rows, cols, vals))
 
 
-def test_operator_pass_peak_memory_per_triplet():
-    # after the cell data exists, the operator pass's peak is its CSR step:
-    # one key and one value buffer, the sort permutation and the sorted
-    # keys or gathered values, about 34 bytes per triplet for P3 Poisson
-    # (68 when the blocks were kept and concatenated into copies)
+def _operator_pass_peak(el, form, n_mesh=32):
+    """tracemalloc peak of the operator pass once the cell data exists, and
+    the pass's triplet count."""
     import tracemalloc
-    el = lagrange(3)
-    m = build_unit_square_mesh(32, 0.2)
+    m = build_unit_square_mesh(n_mesh, 0.2)
     assembly.cell_blocks(m, el, True)
     tracemalloc.start()
     try:
-        assemble_operator(m, el, assembly.poisson_nitsche())
+        assemble_operator(m, el, form)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    triplets = m.n_cells * el.n_dofs ** 2
-    assert peak <= 48 * triplets
+    return peak, m.n_cells * el.n_dofs ** 2
+
+
+def test_operator_pass_peak_memory_per_triplet():
+    # after the cell data exists, the operator pass's peak is its CSR step
+    # (the key and value buffers and the values gathered in sorted order,
+    # 24 bytes per triplet) or the fill, where a block's kernels run beside
+    # the two buffers: about 29 bytes per triplet for P3 Poisson, against
+    # 34 with the stable argsort and 68 when the blocks were concatenated
+    peak, triplets = _operator_pass_peak(lagrange(3), assembly.poisson_nitsche())
+    assert peak <= 30 * triplets
+
+
+def test_plate_operator_pass_peak_memory_per_triplet():
+    # for Argyris the fill sets the peak: the buffers, 16 bytes per
+    # triplet, and one block's Hessian rows, weighted rows and products,
+    # about 33 bytes per triplet in all (43 when every weighted row was its
+    # own temporary and all three Hessian components were held at once)
+    peak, triplets = _operator_pass_peak(ARGYRIS, study_form("biharmonic", ARGYRIS))
+    assert peak <= 36 * triplets
+
+
+def _boundary_triplets(rng, n, size):
+    """size triplets in shuffled order, every key repeated, the last one at
+    (n - 1, n - 1) so that the largest key is reached."""
+    flat = rng.choice(n * n, size // 16, replace=False)
+    keys = rng.permutation(np.resize(flat, size))
+    keys[-1] = n * n - 1
+    vals = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+    return keys // n, keys % n, vals
+
+
+@pytest.mark.parametrize("size, stable_argsort", [(2 ** 21 - 1, False),
+                                                  (2 ** 21, True)])
+def test_csr_sort_paths_match_reference_at_int64_bound(monkeypatch, size,
+                                                       stable_argsort):
+    # n = 2^21: composite keys (row * n + col) * size + position reach
+    # n^2 size - 1 = 2^63 - 2^42 - 1 one triplet below the bound; at it,
+    # n^2 size = 2^63 and the stable argsort of row * n + col runs instead
+    n = 2 ** 21
+    rows, cols, vals = _boundary_triplets(np.random.default_rng(21), n, size)
+    argsort, calls = np.argsort, []
+
+    def spy(*args, **kw):
+        calls.append(kw.get("kind"))
+        return argsort(*args, **kw)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    A = csr_from_coo(n, rows, cols, vals)
+    monkeypatch.undo()
+    assert calls == (["stable"] if stable_argsort else [])
+    assert_same_csr(A, reference_csr(n, rows, cols, vals))
 
 
 FORM_CASES = [

@@ -94,6 +94,13 @@ def test_poly_basis_bits_match_modified_gram_schmidt(degree):
     assert all(s > 0 for s in sq_norms)
 
 
+def test_poly_basis_cached_per_degree_read_only():
+    argyris, bell = (build_reference_element(f) for f in ("argyris", "bell"))
+    assert argyris.poly is bell.poly is build_poly_basis(5)
+    for a in (bell.poly.coeffs, bell.poly._dx, bell.poly._dy):
+        assert not a.flags.writeable
+
+
 def test_poly_basis_degree_range():
     with pytest.raises(ValueError):
         build_poly_basis(7)
