@@ -18,10 +18,13 @@ geometry of all cells and M for each fixed-size block of cells once per
 (mesh, element, scale), with array operations, and the mesh holds the
 result for the passes that follow; so M stays in memory for the whole
 rung, n_cells * n_dofs * n_tab doubles.  The cell and facet kernels run
-on whole blocks as batched matmuls.  Each kernel performs, per cell, the
-same floating-point operations as a cell-by-cell evaluation would, so
-batching changes no result bit; blocks, facets and COO entries come in a
-fixed order, so results are deterministic.
+on whole blocks as batched matmuls.  They read the form once, when built,
+and make only the derivative rows it reads; one facet-trace builder
+serves boundary facets and both sides of interior-penalty facets.  Each
+kernel performs, per cell, the same floating-point operations as a
+cell-by-cell evaluation would, so batching changes no result bit; blocks,
+facets and COO entries come in a fixed order, so results are
+deterministic.
 """
 
 from dataclasses import dataclass, replace
@@ -370,15 +373,15 @@ def _push(J, d):
     return (J @ np.broadcast_to(d, J.shape[:-1])[:, :, None])[:, :, 0].T
 
 
-def _physical_hessian(tab, J):
-    """Physical hxx, hxy, hyy of the pullbacks: the Voigt pushforward T
-    contracted with the reference second derivatives of a cell table
-    (n, q) or a facet table (F, n, q).  The components are made one at a
-    time, as they are iterated."""
+def _physical_hessian(tab, J, components):
+    """Physical hxx, hxy, hyy (components 0, 1, 2) of the pullbacks: the
+    Voigt pushforward T contracted with the reference second derivatives of
+    a cell table (n, q) or a facet table (F, n, q).  Only the components
+    asked for are made, one at a time, as they are iterated."""
     T = hessian_pushforward(J)
     href = np.stack([tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]])
     spec = "bj,jnq->bnq" if href.ndim == 3 else "bj,jbnq->bnq"
-    return (np.einsum(spec, T[:, k], href) for k in range(3))
+    return (np.einsum(spec, T[:, k], href) for k in components)
 
 
 def _directional_first(tab, J, d):
@@ -437,13 +440,23 @@ class _Kernels:
 
     Kernels work pointwise: rows (B, n, q) of physical derivatives at the
     quadrature points, weighted and contracted by batched matmul.  A batch
-    is one block of cells (or facets), which bounds these arrays.
+    is one block of cells (or facets), which bounds these arrays.  The form
+    is read once, here: boundary is its boundary kernel or None, ip_facets
+    says whether interior-penalty facet blocks follow, and c is the plate
+    forms' (1 - nu) weight, None where no twist or tangential row is read.
     """
 
     def __init__(self, element, form):
-        self.form = _resolve_form(element, form)
+        self.form = form = _resolve_form(element, form)
         coeffs, poly = element.tabulation_coeffs(), element.poly
-        poisson = self.form.kind == "poisson_nitsche"
+        poisson = form.kind == "poisson_nitsche"
+        self.ip_facets = form.kind == "plate_ip"
+        self.c = None if poisson or self.ip_facets else 1.0 - form.nu
+        self.boundary = (self.poisson_boundary_matrices if poisson else
+                         self.clamped_nitsche_verbatim_matrices
+                         if form.kind == "plate_clamped_nitsche" else
+                         self.clamped_boundary_matrices
+                         if form.clamped_boundary else None)
         self.cell_rule = triangle_rule(2 * element.degree)
         self.cell_tab = tabulate_coeffs(poly, coeffs, self.cell_rule.points,
                                         1 if poisson else 2)
@@ -463,9 +476,9 @@ class _Kernels:
         form's factors 2 and 4 scale the products, which is exact, so the
         bits are those of scaling the weighted rows.
         """
-        form, tab = self.form, self.cell_tab
+        tab, c = self.cell_tab, self.c
         w = (self.cell_rule.weights * geom.detJinv_abs[:, None])[:, None, :]
-        if form.kind == "poisson_nitsche":
+        if self.form.kind == "poisson_nitsche":
             g = _directional_first(tab, geom.J, _EX)
             t = np.empty_like(g)
             A = _weighted(t, g, w, g)
@@ -473,53 +486,56 @@ class _Kernels:
             g = _directional_first(tab, geom.J, _EY)
             A += _weighted(t, g, w, g)
             return A
-        plate = form.kind in ("plate", "plate_clamped_nitsche")
-        rows = _physical_hessian(tab, geom.J)
-        hxx, hxy = next(rows), next(rows)
+        rows = _physical_hessian(tab, geom.J, (0, 2) if c is None else (0, 1, 2))
+        hxx = next(rows)
         t = np.empty_like(hxx)
-        if plate:
+        if c is not None:
+            hxy = next(rows)
             twist = 4.0 * _weighted(t, hxy, w, hxy)
-        del hxy
+            del hxy
         hyy = next(rows)
-        if plate:
-            bend = (1.0 - form.nu) * (2.0 * _weighted(t, hxx, w, hyy)
-                                      + 2.0 * _weighted(t, hyy, w, hxx) - twist)
+        if c is not None:
+            bend = c * (2.0 * _weighted(t, hxx, w, hyy)
+                        + 2.0 * _weighted(t, hyy, w, hxx) - twist)
         hxx += hyy  # the Laplacian rows
         del hyy
         A = _weighted(t, hxx, w, hxx)
-        if plate:
+        if c is not None:
             A -= bend
         return A
 
     def _facet_rows(self, geom, e_loc, order):
-        """Trace rows (F, n, q) on local edges e_loc (F,) of the cells in geom."""
-        tab = {alpha: t[e_loc] for alpha, t in self.facet_tab.items()}
+        """Trace rows (F, n, q) on local edges e_loc (F,) of the cells in
+        geom, along each cell's outward normal.  Order 3 adds the clamped
+        terms' rows gl = lap - 2c vtt and gn = lap_n - 2c vntt, whose
+        tangential parts only the plate forms (c not None) make."""
+        tab = {alpha: t[e_loc] for alpha, t in self.facet_tab.items()
+               if sum(alpha) <= order}
+        J, c = geom.J, self.c
         n = geom.normals[np.arange(len(e_loc)), e_loc]
         rows = {"v": tab[(0, 0)]}
         if order >= 1:
-            rows["vn"] = _directional_first(tab, geom.J, n)
+            rows["vn"] = _directional_first(tab, J, n)
         if order >= 2:
-            hxx, hxy, hyy = _physical_hessian(tab, geom.J)
-            rows["lap"] = hxx + hyy
-            t = np.stack([-n[:, 1], n[:, 0]], axis=-1)  # facet tangent, CCW rotation of n
-            tt = (t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2)
-            rows["vtt"] = _per(tt[0]) * hxx + _per(tt[1]) * hxy + _per(tt[2]) * hyy
-            if order >= 3:
-                rows["lap_n"] = (_directional_third(tab, geom.J, n, _EX, _EX)
-                                 + _directional_third(tab, geom.J, n, _EY, _EY))
-                rows["vntt"] = _directional_third(tab, geom.J, n, t, t)
+            hxx, hyy = _physical_hessian(tab, J, (0, 2))
+            rows["lap"] = rows["gl"] = hxx + hyy
+        if order >= 3:
+            rows["gn"] = (_directional_third(tab, J, n, _EX, _EX)
+                          + _directional_third(tab, J, n, _EY, _EY))
+            if c is not None:
+                t = np.stack([-n[:, 1], n[:, 0]], axis=-1)  # CCW rotation of n
+                tt = (t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2)
+                hxy, = _physical_hessian(tab, J, (1,))
+                vtt = _per(tt[0]) * hxx + _per(tt[1]) * hxy + _per(tt[2]) * hyy
+                rows["gl"] = rows["lap"] - 2.0 * c * vtt
+                rows["gn"] -= 2.0 * c * _directional_third(tab, J, n, t, t)
         return rows
 
     def boundary_matrices(self, geom, e_loc):
         """Boundary-facet matrices (F, n, n) on local edges e_loc (F,) of the
-        cells in geom, for the form's boundary terms."""
+        cells in geom, by the form's boundary kernel."""
         ell = _per(geom.edge_lengths[np.arange(len(e_loc)), e_loc])
-        w = self.facet_rule.weights * ell
-        if self.form.kind == "poisson_nitsche":
-            return self.poisson_boundary_matrices(geom, e_loc, ell, w)
-        if self.form.kind == "plate_clamped_nitsche":
-            return self.clamped_nitsche_verbatim_matrices(geom, e_loc, ell, w)
-        return self.clamped_boundary_matrices(geom, e_loc, ell, w)
+        return self.boundary(geom, e_loc, ell, self.facet_rule.weights * ell)
 
     def poisson_boundary_matrices(self, geom, e_loc, ell, w):
         r = self._facet_rows(geom, e_loc, order=1)
@@ -529,14 +545,8 @@ class _Kernels:
 
     def clamped_boundary_matrices(self, geom, e_loc, ell, w):
         """Consistent symmetric Nitsche terms for u = du/dn = 0 on the boundary."""
-        form = self.form
-        r = self._facet_rows(geom, e_loc, order=3)
-        c = (1.0 - form.nu) if form.kind == "plate" else 0.0
-        # the third-order and tangential rows are dropped once read
-        gn, gl = r.pop("lap_n"), r.pop("lap")
-        gn -= 2.0 * c * r.pop("vntt")
-        gl -= 2.0 * c * r.pop("vtt")
-        v, vn = r["v"], r["vn"]
+        form, r = self.form, self._facet_rows(geom, e_loc, order=3)
+        gn, gl, v, vn = r["gn"], r["gl"], r["v"], r["vn"]
         return ((gn * w) @ _T(v) + (v * w) @ _T(gn)
                 - (gl * w) @ _T(vn) - (vn * w) @ _T(gl)
                 + (form.beta1 / ell ** 3) * (v * w) @ _T(v)
@@ -544,12 +554,8 @@ class _Kernels:
 
     def clamped_nitsche_verbatim_matrices(self, geom, e_loc, ell, w):
         """The six boundary terms of the clamped-plate form as printed."""
-        form = self.form
-        r = self._facet_rows(geom, e_loc, order=3)
-        c = 1.0 - form.nu
-        gn = r["lap_n"] - 2.0 * c * r["vntt"]
-        gl = r["lap"] - 2.0 * c * r["vtt"]
-        v, vn, lap = r["v"], r["vn"], r["lap"]
+        form, r = self.form, self._facet_rows(geom, e_loc, order=3)
+        gn, gl, v, vn, lap = r["gn"], r["gl"], r["v"], r["vn"], r["lap"]
         return ((form.beta1 / ell ** 2) * (v * w) @ _T(v)
                 + (form.beta2 / ell) * (lap * w) @ _T(lap)
                 + (gn * w) @ _T(v) + (v * w) @ _T(gn)
@@ -560,22 +566,27 @@ class _Kernels:
         the cells in geom, yielded one COO block of at most BLOCK edges at a
         time, in edge order.
 
-        Jumps and averages use the master side A's outward normal; the
+        Each side differentiates along its own outward normal, minus the
+        other's, so [vn_A, vn_B] is the jump along side A's normal.  The
         facet quadrature runs along the stored edge direction, so a side
-        whose local parametrization is reversed gets its point axis
-        flipped (the Gauss rule is symmetric).  Only Lagrange elements
-        take this form, so M = I and there is no congruence.
+        whose local parametrization is reversed gets its point axis flipped
+        (the Gauss rule is symmetric).  Only Lagrange elements take this
+        form, so M = I and there is no congruence.
         """
         (cA, eA), (cB, eB) = _interior_facets(mesh)
+        a, b = np.array(EDGE_VERTICES).T
         for lo in range(0, len(cA), BLOCK):
             blk = slice(lo, lo + BLOCK)
             sides = ((cA[blk], eA[blk]), (cB[blk], eB[blk]))
-            n = geom.normals[cA[blk], eA[blk]]
+            traces = []
+            for c, e in sides:
+                r = self._facet_rows(geom[c], e, order=2)
+                forward = _per(mesh.cells[c, a[e]] < mesh.cells[c, b[e]])
+                traces.append([np.where(forward, x, x[..., ::-1])
+                               for x in (r["vn"], r["lap"])])
+            jump, avg = (np.concatenate(x, axis=1) for x in zip(*traces))
+            avg *= 0.5
             ell = _per(geom.edge_lengths[cA[blk], eA[blk]])
-            (vnA, lapA), (vnB, lapB) = (self._ip_traces(mesh, geom, c, e, n)
-                                        for c, e in sides)
-            jump = np.concatenate([vnA, -vnB], axis=1)
-            avg = 0.5 * np.concatenate([lapA, lapB], axis=1)
             w = self.facet_rule.weights * ell
             local = ((self.form.alpha / ell) * (jump * w) @ _T(jump)
                      - (avg * w) @ _T(jump) - (jump * w) @ _T(avg))
@@ -584,33 +595,19 @@ class _Kernels:
                 np.concatenate([dofmap.cell_signs[c] for c, _ in sides], axis=1),
                 local)
 
-    def _ip_traces(self, mesh, geom, cells, e_loc, n):
-        """Derivative along n and Laplacian of one side's traces on its local
-        edges e_loc, with the point axis along the stored edge direction."""
-        tab = {alpha: t[e_loc] for alpha, t in self.facet_tab.items()}
-        J = geom.J[cells]
-        hxx, _, hyy = _physical_hessian(tab, J)
-        a, b = np.array(EDGE_VERTICES)[e_loc].T
-        forward = _per(mesh.cells[cells, a] < mesh.cells[cells, b])
-        return [np.where(forward, x, x[..., ::-1])
-                for x in (_directional_first(tab, J, n), hxx + hyy)]
-
 
 def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
                       form: FormSpec, scale: bool = True) -> SparseMatrix:
     """Assemble the global operator of the requested form (CSR, symmetric)."""
     kern = _Kernels(element, form)
-    form = kern.form
     data = cell_blocks(mesh, element, scale)
     dofmap = data.dofmap
-    boundary_terms = (form.kind in ("poisson_nitsche", "plate_clamped_nitsche")
-                      or form.clamped_boundary)
     on_boundary = np.isin(mesh.cell_edges, mesh.boundary_edges)
 
     def blocks():
         for cells, geom, M in data.blocks:
             A = kern.cell_matrices(geom)
-            if boundary_terms:
+            if kern.boundary is not None:
                 # (cell, local edge) pairs in cell order, so each cell's
                 # facet terms are added in local edge order
                 fc, fe = np.nonzero(on_boundary[cells])
@@ -618,17 +615,17 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
             yield _triplets(dofmap.cell_dofs[cells], dofmap.cell_signs[cells],
                             _congruence(M, A))
             del A  # before the next block's kernels run
-        if form.kind == "plate_ip":
+        if kern.ip_facets:
             yield from kern.ip_facet_triplets(mesh, dofmap, data.geom)
 
     # the triplet count sizes the buffers of the CSR step, which holds the
     # peak memory of a rung: k^2 per cell, (2k)^2 per interior facet
     size = mesh.n_cells * element.n_dofs ** 2
-    if form.kind == "plate_ip":
+    if kern.ip_facets:
         interior = mesh.n_edges - len(mesh.boundary_edges)
         size += interior * (2 * element.n_dofs) ** 2
     A = _csr_from_blocks(dofmap.total_dofs, size, blocks())
-    if form.kind == "poisson_nitsche" and element.family == "lagrange" \
+    if kern.form.kind == "poisson_nitsche" and element.family == "lagrange" \
             and element.lagrange_degree >= 2:
         A.coarse = p1_prolongation(mesh, element, dofmap)
     return A
@@ -708,13 +705,13 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     return u
 
 
-def export_matrix_market(A: SparseMatrix, path) -> None:
+def export_matrix_market(A: scipy.sparse.csr_array, path) -> None:
     """MatrixMarket coordinate format, real symmetric (lower triangle)."""
     C = A.tocoo()
     keep = C.row >= C.col
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{A.n} {A.n} {int(keep.sum())}\n")
+        fh.write(f"{A.shape[0]} {A.shape[0]} {int(keep.sum())}\n")
         for r, c, v in zip(C.row[keep], C.col[keep], C.data[keep]):
             fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
 

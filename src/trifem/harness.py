@@ -97,8 +97,7 @@ def study_form(problem: str, element: ReferenceElement) -> FormSpec:
         if fam == "lagrange":
             return assembly.plate_ip(alpha=20.0, clamped_boundary=True)
         if fam == "morley":
-            return assembly.plate(nu=0.5, clamped_boundary=True,
-                                  beta1=20.0, beta2=20.0)
+            return assembly.plate(nu=0.5, clamped_boundary=True)
         if fam in ("argyris", "bell"):
             return assembly.plate(nu=0.0, clamped_boundary=True)
         raise ValueError(f"{fam} cannot discretize the biharmonic problem")
@@ -174,7 +173,7 @@ def run_convergence_study(spec: StudySpec):
         # order of convergence per halving of h: ladders need not double
         rate = None if not rows else float(np.log2(rows[-1].error / err)
                                            / np.log2(n / rows[-1].n))
-        rows.append(ConvergenceRow(n=n, dofs=A.n, error=err, rate=rate,
+        rows.append(ConvergenceRow(n=n, dofs=A.shape[0], error=err, rate=rate,
                                    iterations=rep.iterations,
                                    residual=rep.residual, method=rep.method,
                                    preconditioner=rep.preconditioner))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import poly_field
 from trifem import assembly, solver
@@ -9,7 +10,7 @@ from trifem.assembly import (ScalarField, assemble_load, assemble_operator,
                              build_dof_map, csr_from_coo, export_matrix_market,
                              export_vector, interpolate, symmetry_error)
 from trifem.harness import poisson_problem, study_form
-from trifem.mesh import build_mesh, build_unit_square_mesh
+from trifem.mesh import batch_geometry, build_mesh, build_unit_square_mesh
 from trifem.quadrature import triangle_rule
 from trifem.refelem import REF_VERTICES, build_reference_element
 from trifem.solver import matrix_stats
@@ -56,6 +57,17 @@ def test_interior_facets_in_edge_order_lower_cell_first():
     assert np.array_equal(m.cell_edges[cA, eA], interior)
     assert np.array_equal(m.cell_edges[cB, eB], interior)
     assert np.all(cA < cB)
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2, 0.45])
+def test_interior_facet_normals_opposite(perturb):
+    # the interior-penalty jump [vn_A, vn_B] differentiates each side along
+    # its own outward normal, so side B's must be exactly -n_A; compared by
+    # value, since an axis-aligned pair may differ in the sign of a zero
+    m = build_unit_square_mesh(8, perturb)
+    geom = batch_geometry(m)
+    (cA, eA), (cB, eB) = assembly._interior_facets(m)
+    assert np.array_equal(geom.normals[cB, eB], -geom.normals[cA, eA])
 
 
 def test_edge_normal_dof_signs_opposite():
@@ -534,6 +546,11 @@ def test_matrix_market_export(tmp_path):
         D[int(r) - 1, int(c) - 1] = float(v)
         D[int(c) - 1, int(r) - 1] = float(v)
     assert np.abs(D - A.toarray()).max() < 1e-15
+    # a plain csr_array, without the operator's extra members, exports alike
+    plain = scipy.sparse.csr_array(A)
+    assert type(plain) is scipy.sparse.csr_array
+    export_matrix_market(plain, tmp_path / "plain.mtx")
+    assert (tmp_path / "plain.mtx").read_text() == path.read_text()
 
 
 def test_vector_export(tmp_path):
