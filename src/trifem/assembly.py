@@ -335,7 +335,7 @@ def _check_compatible(element: ReferenceElement, form: FormSpec):
     if form.kind == "poisson_nitsche":
         return
     if form.kind == "plate_ip":
-        if fam != "lagrange" or element.lagrange_degree < 2:
+        if fam != "lagrange" or element.degree < 2:
             raise ValueError("interior-penalty plate form needs Lagrange k >= 2")
         return
     if fam not in ("morley", "argyris", "bell"):
@@ -626,7 +626,7 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
         size += interior * (2 * element.n_dofs) ** 2
     A = _csr_from_blocks(dofmap.total_dofs, size, blocks())
     if kern.form.kind == "poisson_nitsche" and element.family == "lagrange" \
-            and element.lagrange_degree >= 2:
+            and element.degree >= 2:
         A.coarse = p1_prolongation(mesh, element, dofmap)
     return A
 
@@ -719,5 +719,4 @@ def export_matrix_market(A: scipy.sparse.csr_array, path) -> None:
 def export_vector(vec, path) -> None:
     """Plain-text vector export, one value per line, 17 significant digits."""
     with open(path, "w") as fh:
-        for v in np.asarray(vec).ravel():
-            fh.write(f"{v:.17g}\n")
+        np.savetxt(fh, np.asarray(vec).ravel(), fmt="%.17g")

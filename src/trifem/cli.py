@@ -71,9 +71,9 @@ def _cmd_dump_m(args) -> int:
         raise ValueError(f"cell index {args.cell} out of range "
                          f"[0, {msh.n_cells})")
     geom = cell_geometry(msh, args.cell, vertex_size_field(msh))
-    tm = transform.cell_transform(element, geom, scale=not args.no_scaling)
-    transform.dump_M_csv(tm, args.out)
-    print(f"wrote {tm.matrix.shape[0]}x{tm.matrix.shape[1]} matrix to {args.out}")
+    M = transform.cell_transform(element, geom, scale=not args.no_scaling).matrix
+    transform.dump_M_csv(M, args.out)
+    print(f"wrote {M.shape[0]}x{M.shape[1]} matrix to {args.out}")
     return 0
 
 

@@ -142,7 +142,6 @@ def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
     if not 0.0 <= perturb < 0.5:
         raise ValueError("perturbation amplitude must lie in [0, 0.5)")
 
-    idx = lambda i, j: j * (n + 1) + i
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([xx.ravel(order="F"), yy.ravel(order="F")])
@@ -154,15 +153,12 @@ def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
         vertices[interior, 0] += amp * np.sin(2 * np.pi * y[interior]) * np.sin(np.pi * x[interior])
         vertices[interior, 1] += amp * np.sin(2 * np.pi * x[interior]) * np.sin(np.pi * y[interior])
 
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    mesh = build_mesh(vertices, np.array(cells))
-    return mesh
+    # square (i, j), j-major, has lower-left vertex j (n + 1) + i and is
+    # split into (v00, v10, v11) and (v00, v11, v01)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    return build_mesh(vertices, cells)
 
 
 @dataclass
@@ -275,7 +271,5 @@ def global_edge_normal(mesh: TriangleMesh, edge_index: int) -> np.ndarray:
 def export_text(mesh: TriangleMesh, path) -> None:
     """Plain-text export: lines 'v x y' then 'c i j k' (0-based)."""
     with open(path, "w") as fh:
-        for x, y in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.cells:
-            fh.write(f"c {i} {j} {k}\n")
+        np.savetxt(fh, mesh.vertices, fmt="v %.17g %.17g")
+        np.savetxt(fh, mesh.cells, fmt="c %d %d %d")

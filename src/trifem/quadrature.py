@@ -16,7 +16,7 @@ MAX_INTERVAL_DEGREE = 24
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Quadrature points, weights and certified polynomial exactness degree.
+    """Quadrature points and weights.
 
     ``points`` has shape (n, 2) for triangle rules and (n,) for interval
     rules.  Instances are immutable and safe to share.
@@ -24,7 +24,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
 
 def _gauss01(npts):
@@ -40,7 +39,7 @@ def interval_rule(exact_degree: int) -> QuadRule:
                          f"[0, {MAX_INTERVAL_DEGREE}]")
     npts = exact_degree // 2 + 1  # 2*npts - 1 >= exact_degree
     x, w = _gauss01(npts)
-    return QuadRule(points=x, weights=w, exact_degree=exact_degree)
+    return QuadRule(points=x, weights=w)
 
 
 def triangle_rule(exact_degree: int) -> QuadRule:
@@ -60,5 +59,4 @@ def triangle_rule(exact_degree: int) -> QuadRule:
     x = ss.ravel()
     y = (tt * (1.0 - ss)).ravel()
     w = (np.outer(ws * (1.0 - s), wt)).ravel()
-    return QuadRule(points=np.column_stack([x, y]), weights=w,
-                    exact_degree=exact_degree)
+    return QuadRule(points=np.column_stack([x, y]), weights=w)

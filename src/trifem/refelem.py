@@ -264,7 +264,6 @@ class ReferenceElement:
     coeffs: np.ndarray
     poly: PolyBasis
     constraint_coeffs: np.ndarray = None
-    lagrange_degree: int = None
     bell_tables: tuple = None
 
     @property
@@ -289,7 +288,7 @@ class ReferenceElement:
 
     def describe(self) -> str:
         if self.family == "lagrange":
-            return f"lagrange:{self.lagrange_degree}"
+            return f"lagrange:{self.degree}"
         return self.family
 
 
@@ -371,7 +370,6 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
     return ReferenceElement(family=family, degree=k, functionals=tuple(fns),
                             coeffs=C, poly=poly,
                             constraint_coeffs=constraint_coeffs,
-                            lagrange_degree=degree if family == "lagrange" else None,
                             bell_tables=bell_tables)
 
 
@@ -389,14 +387,6 @@ def _bell_tables(poly, coeffs):
     return vertex_tab, edge_grads
 
 
-@dataclass(frozen=True)
-class Tabulation:
-    """Basis values/derivatives: values[alpha] has shape (n_basis, n_points)."""
-
-    values: dict
-    points: np.ndarray
-
-
 def tabulate_coeffs(poly: PolyBasis, coeffs: np.ndarray, points,
                     max_order: int) -> dict:
     """Tabulate an arbitrary coefficient-row basis (internal, allows order 3)."""
@@ -404,8 +394,9 @@ def tabulate_coeffs(poly: PolyBasis, coeffs: np.ndarray, points,
     return {alpha: coeffs @ v for alpha, v in ptab.items()}
 
 
-def tabulate(element: ReferenceElement, points, max_order: int = 0) -> Tabulation:
-    """Tabulate nodal basis values and derivatives (orders 0..max_order <= 2).
+def tabulate(element: ReferenceElement, points, max_order: int = 0) -> dict:
+    """Tabulate nodal basis values and derivatives (orders 0..max_order <= 2),
+    as a dict alpha -> (n_basis, n_points).
 
     Derivatives are computed by differentiating the polynomial basis
     analytically and contracting with the nodal coefficients.
@@ -415,13 +406,10 @@ def tabulate(element: ReferenceElement, points, max_order: int = 0) -> Tabulatio
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if (pts.min() < -1e-12 or (pts[:, 0] + pts[:, 1]).max() > 1.0 + 1e-12):
         raise ValueError("tabulation points must lie in the closed reference triangle")
-    return Tabulation(values=tabulate_coeffs(element.poly, element.coeffs,
-                                             pts, max_order),
-                      points=pts)
+    return tabulate_coeffs(element.poly, element.coeffs, pts, max_order)
 
 
 def dump_coeffs_csv(element: ReferenceElement, path) -> None:
     """Dump coeffs as CSV (row = basis function) for cross-language diffing."""
     with open(path, "w") as fh:
-        for row in element.coeffs:
-            fh.write(",".join(f"{c:.17g}" for c in row) + "\n")
+        np.savetxt(fh, element.coeffs, fmt="%.17g", delimiter=",")

@@ -35,6 +35,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from .assembly import cell_blocks
 from .quadrature import triangle_rule
 from .refelem import ReferenceElement, tabulate_coeffs
 
@@ -300,7 +301,6 @@ def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
              scale: bool = True) -> float:
     """L2 norm of (u_h - u_exact), with u_h reconstructed per cell through the
     transformed basis and integrated at degree 2*embedded_degree + 2."""
-    from .assembly import cell_blocks
     data = cell_blocks(mesh, element, scale)
     dofmap = data.dofmap
     rule = triangle_rule(2 * element.degree + 2)

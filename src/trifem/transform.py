@@ -9,11 +9,11 @@ the three-step extended-node construction with edge blocks
 B^i = Ghat_i J^{-T} G_i^T; Bell restricts a mapped enriched quintic.
 
 Every builder takes the geometry of one cell or of a batch of cells
-(mesh.batch_geometry) and returns matrices with the same leading axes, so
-a single cell is the batch of one and there is one code path.
-cell_transform is the one entry point: it picks the family's builder and
+(mesh.batch_geometry) and returns M as an array with the same leading
+axes, so a single cell is the batch of one and there is one code path.
+cell_transform is the one entry point: it picks the family's builder,
 scales the rows by the diagonal S that scaling_diagonal reads off the
-element's functionals.
+element's functionals, and returns M in a TransformMatrix.
 
 All constructions are pinned by nodal duality: applying the physical
 functionals to the transformed basis must give the identity.
@@ -36,12 +36,11 @@ class TransformMatrix:
 
 @dataclass
 class ThreeStepFactors:
-    """Factors of V = E @ VC @ D and the per-edge 2x2 blocks B^i."""
+    """Factors of V = E @ VC @ D."""
 
     D: np.ndarray
     VC: np.ndarray
     E: np.ndarray
-    B: np.ndarray
 
 
 def _eye(n, batch):
@@ -69,7 +68,7 @@ def hessian_pushforward(J: np.ndarray) -> np.ndarray:
     return np.stack([P[..., 0, 0], P[..., 0, 1], P[..., 1, 1]], axis=-2)
 
 
-def hermite_M(geom: CellGeometry) -> TransformMatrix:
+def hermite_M(geom: CellGeometry) -> np.ndarray:
     """Cubic Hermite: value rows untouched, per-vertex gradient pairs mapped.
 
     The gradient block is the Jacobian of the reference-to-physical map
@@ -79,10 +78,11 @@ def hermite_M(geom: CellGeometry) -> TransformMatrix:
     M = _eye(10, geom.J.shape[:-2])
     for v in range(3):
         M[..., 3 * v + 1:3 * v + 3, 3 * v + 1:3 * v + 3] = geom.Jinv
-    return TransformMatrix(matrix=M)
+    return M
 
 
-def _morley_V(geom: CellGeometry) -> np.ndarray:
+def morley_M(geom: CellGeometry) -> np.ndarray:
+    """Morley: closed-form V with entries -+B^i_01/l_i and B^i_00; M = V^T."""
     V = _eye(6, geom.J.shape[:-2])
     B = edge_blocks(geom)
     for e, (a, b) in enumerate(EDGE_VERTICES):
@@ -90,12 +90,7 @@ def _morley_V(geom: CellGeometry) -> np.ndarray:
         V[..., 3 + e, 3 + e] = B[..., e, 0, 0]
         V[..., 3 + e, a] = -B[..., e, 0, 1] / ell
         V[..., 3 + e, b] = B[..., e, 0, 1] / ell
-    return V
-
-
-def morley_M(geom: CellGeometry) -> TransformMatrix:
-    """Morley: closed-form V with entries -+B^i_01/l_i and B^i_00; M = V^T."""
-    return TransformMatrix(matrix=np.swapaxes(_morley_V(geom), -1, -2))
+    return np.swapaxes(V, -1, -2)
 
 
 def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
@@ -119,7 +114,7 @@ def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
         D[..., 4 + 2 * e, b] = 1.0 / ell
         VC[..., 3 + 2 * e:5 + 2 * e, 3 + 2 * e:5 + 2 * e] = B[..., e, :, :]
         E[3 + e, 3 + 2 * e] = 1.0
-    return ThreeStepFactors(D=D, VC=VC, E=E, B=B)
+    return ThreeStepFactors(D=D, VC=VC, E=E)
 
 
 # midpoint first derivative of a 1D quintic from endpoint jets on [0, l]:
@@ -161,13 +156,12 @@ def argyris_three_step(geom: CellGeometry) -> ThreeStepFactors:
     E[:18, :18] = np.eye(18)
     for e in range(3):
         E[18 + e, 18 + 2 * e] = 1.0
-    return ThreeStepFactors(D=D, VC=VC, E=E, B=B)
+    return ThreeStepFactors(D=D, VC=VC, E=E)
 
 
-def argyris_M(geom: CellGeometry) -> TransformMatrix:
+def argyris_M(geom: CellGeometry) -> np.ndarray:
     f = argyris_three_step(geom)
-    V = f.E @ f.VC @ f.D
-    return TransformMatrix(matrix=np.swapaxes(V, -1, -2))
+    return np.swapaxes(f.E @ f.VC @ f.D, -1, -2)
 
 
 def _bell_pushforward_matrix(element: ReferenceElement,
@@ -196,14 +190,13 @@ def _bell_pushforward_matrix(element: ReferenceElement,
     return W
 
 
-def bell_M(geom: CellGeometry, element: ReferenceElement) -> TransformMatrix:
+def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
     """Bell: map the enriched quintic, keep the 18 combinations that match the
     vertex functionals and have vanishing quartic edge modes (18 x 21)."""
     if element.family != "bell":
         raise ValueError("bell_M needs a bell reference element")
     W = _bell_pushforward_matrix(element, geom)
-    M_full = np.linalg.inv(np.swapaxes(W, -1, -2))
-    return TransformMatrix(matrix=M_full[..., :18, :])
+    return np.linalg.inv(np.swapaxes(W, -1, -2))[..., :18, :]
 
 
 def scaling_diagonal(element: ReferenceElement, geom: CellGeometry) -> np.ndarray:
@@ -238,17 +231,16 @@ def cell_transform(element: ReferenceElement, geom: CellGeometry,
     if fam == "lagrange":
         M = np.eye(element.n_dofs)
     elif fam == "bell":
-        M = bell_M(geom, element).matrix
+        M = bell_M(geom, element)
     else:
         M = {"hermite": hermite_M, "morley": morley_M,
-             "argyris": argyris_M}[fam](geom).matrix
+             "argyris": argyris_M}[fam](geom)
     if scale:
         M = scaling_diagonal(element, geom)[..., :, None] * M
     return TransformMatrix(matrix=M)
 
 
-def dump_M_csv(tm: TransformMatrix, path) -> None:
+def dump_M_csv(M: np.ndarray, path) -> None:
     """Dump M as CSV, 17 significant digits, for cross-implementation diffing."""
     with open(path, "w") as fh:
-        for row in tm.matrix:
-            fh.write(",".join(f"{c:.17g}" for c in row) + "\n")
+        np.savetxt(fh, M, fmt="%.17g", delimiter=",")

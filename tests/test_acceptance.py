@@ -20,8 +20,7 @@ from trifem.harness import (StudySpec, poisson_problem,
 from trifem.mesh import build_unit_square_mesh
 from trifem.refelem import build_reference_element, tabulate_coeffs
 from trifem.solver import DENSE_CUTOVER, l2_error
-from trifem.transform import (argyris_M, bell_M, hermite_M, morley_M,
-                              morley_three_step)
+from trifem.transform import cell_transform, morley_M, morley_three_step
 
 H2_FAMILIES = ("hermite", "morley", "argyris", "bell")
 ELEMENTS = {f: build_reference_element(f) for f in H2_FAMILIES}
@@ -34,13 +33,6 @@ REPRO_POLY = {
     "argyris": (5, X ** 5 - 3 * X ** 2 * Y ** 3),
     "bell": (4, X ** 4 + X ** 2 * Y ** 2 - Y ** 4 + X ** 3 - Y + 2),
 }
-
-
-def _transform(family, geom):
-    if family == "bell":
-        return bell_M(geom, ELEMENTS["bell"])
-    return {"hermite": hermite_M, "morley": morley_M,
-            "argyris": argyris_M}[family](geom)
 
 
 def _report(num, ok, detail):
@@ -70,7 +62,7 @@ def test_criterion_2_transformation_duality():
         err = 0.0
         for _ in range(100):
             geom = triangle_geometry(random_triangle(rng))
-            M = _transform(family, geom).matrix
+            M = cell_transform(el, geom, scale=False).matrix
             N = physical_functional_matrix(el, geom) @ M.T
             err = max(err, np.abs(N - np.eye(el.n_dofs)).max())
         worst[family] = err
@@ -91,7 +83,7 @@ def test_criterion_3_polynomial_reproduction_through_map():
         err = 0.0
         for _ in range(20):
             geom = triangle_geometry(random_triangle(rng))
-            M = _transform(family, geom).matrix
+            M = cell_transform(el, geom, scale=False).matrix
             dofs = interpolate_on_cell(el, geom, field)
             phys = geom.ref_to_phys(pts)
             exact = np.array([field.f(x, y) for x, y in phys])
@@ -110,7 +102,7 @@ def test_criterion_4_morley_three_step_cross_check():
         geom = triangle_geometry(random_triangle(rng))
         fac = morley_three_step(geom)
         V = fac.E @ fac.VC @ fac.D
-        worst = max(worst, np.abs(V - morley_M(geom).matrix.T).max())
+        worst = max(worst, np.abs(V - morley_M(geom).T).max())
     _report(4, worst < 1e-10, f"E VC D vs closed-form V, worst {worst:.2e}")
     assert worst < 1e-10
 

@@ -1,16 +1,19 @@
 """DoF maps, operators, loads, interpolation, stats and exports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 from conftest import poly_field
-from trifem import assembly, solver
+from trifem import assembly, refelem, solver, transform
 from trifem.assembly import (ScalarField, assemble_load, assemble_operator,
                              build_dof_map, csr_from_coo, export_matrix_market,
                              export_vector, interpolate, symmetry_error)
 from trifem.harness import poisson_problem, study_form
-from trifem.mesh import batch_geometry, build_mesh, build_unit_square_mesh
+from trifem.mesh import (batch_geometry, build_mesh, build_unit_square_mesh,
+                         export_text)
 from trifem.quadrature import triangle_rule
 from trifem.refelem import REF_VERTICES, build_reference_element
 from trifem.solver import matrix_stats
@@ -559,6 +562,27 @@ def test_vector_export(tmp_path):
     export_vector(v, path)
     back = np.array([float(t) for t in path.read_text().split()])
     assert np.array_equal(back, v)
+
+
+def test_text_writers_keep_their_bytes(tmp_path):
+    # each writer's bytes equal those of the hand-written formatting it
+    # replaced, here as the reference, on values whose text a change of
+    # format would alter: -0.0, a subnormal, +-inf and nan
+    vals = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, -1 / 3, 1e300, 0.1])
+    M = np.stack([vals, vals[::-1]])
+    csv = "".join(",".join(f"{c:.17g}" for c in row) + "\n" for row in M)
+    transform.dump_M_csv(M, tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_text() == csv
+    refelem.dump_coeffs_csv(replace(MORLEY, coeffs=M), tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == csv
+    export_vector(vals, tmp_path / "v.txt")
+    assert (tmp_path / "v.txt").read_text() == "".join(f"{v:.17g}\n" for v in vals)
+    m = build_unit_square_mesh(1)
+    m = replace(m, vertices=vals.reshape(m.vertices.shape))
+    export_text(m, tmp_path / "mesh.txt")
+    assert (tmp_path / "mesh.txt").read_text() == (
+        "".join(f"v {x:.17g} {y:.17g}\n" for x, y in m.vertices)
+        + "".join(f"c {i} {j} {k}\n" for i, j, k in m.cells))
 
 
 def _condition(el, n, scale):

@@ -11,7 +11,7 @@ from trifem.harness import (ConvergenceRow, SolverFailure, StudySpec,
 
 
 def test_parse_element():
-    assert parse_element("lagrange:3").lagrange_degree == 3
+    assert parse_element("lagrange:3").degree == 3
     assert parse_element("HERMITE").family == "hermite"
     with pytest.raises(ValueError):
         parse_element("lagrange")

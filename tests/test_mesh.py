@@ -21,6 +21,18 @@ def test_unit_square_counts_n1():
     assert len(m.boundary_edges) == 4
 
 
+def test_unit_square_cells_match_square_loop():
+    # the square-by-square loop the cell arrays were first built with
+    for n in (1, 2, 3, 5, 8):
+        idx = lambda i, j: j * (n + 1) + i
+        cells = []
+        for j in range(n):
+            for i in range(n):
+                cells.append((idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)))
+                cells.append((idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)))
+        assert np.array_equal(build_unit_square_mesh(n).cells, cells)
+
+
 def test_unit_square_counts_n8_euler():
     m = build_unit_square_mesh(8)
     assert (m.n_vertices, m.n_cells, m.n_edges) == (81, 128, 208)

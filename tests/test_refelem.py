@@ -114,7 +114,7 @@ def _independent_functional_rows(element):
     rows = []
     for fn in element.functionals:
         pt = np.asarray(fn.point)[None, :]
-        tab = tabulate(element, pt, max_order=2).values
+        tab = tabulate(element, pt, max_order=2)
         if fn.kind == "point_eval":
             rows.append(tab[(0, 0)][:, 0])
         elif fn.kind == "point_deriv":
@@ -138,7 +138,7 @@ def test_nodal_duality(family, degree):
 
 def test_lagrange1_barycentric():
     el = build_reference_element("lagrange", 1)
-    vals = tabulate(el, np.array([[1 / 3, 1 / 3]]), 0).values[(0, 0)]
+    vals = tabulate(el, np.array([[1 / 3, 1 / 3]]), 0)[(0, 0)]
     assert np.allclose(vals[:, 0], 1 / 3, atol=1e-14)
 
 
@@ -146,7 +146,7 @@ def test_hermite_nodal_values():
     el = build_reference_element("hermite")
     assert el.n_dofs == 10
     pts = np.vstack([[1 / 3, 1 / 3], REF_VERTICES])
-    tab = tabulate(el, pts, 1).values
+    tab = tabulate(el, pts, 1)
     assert abs(tab[(0, 0)][9, 0] - 1.0) < 1e-12      # barycenter function
     assert np.abs(tab[(0, 0)][9, 1:]).max() < 1e-12  # vanishes at vertices
     assert abs(tab[(1, 0)][1, 1 + 0] - 1.0) < 1e-12  # psi_1: unit dx at v0
@@ -166,7 +166,7 @@ def test_bell_quartic_edge_modes_vanish():
     leg = rule.weights * legendre4(rule.points)
     for e, (a, b) in enumerate(EDGE_VERTICES):
         pts = REF_VERTICES[a] + rule.points[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])
-        tab = tabulate(el, pts, 1).values
+        tab = tabulate(el, pts, 1)
         dn = REF_NORMALS[e, 0] * tab[(1, 0)] + REF_NORMALS[e, 1] * tab[(0, 1)]
         assert np.abs(dn @ leg).max() < 1e-10
 
@@ -175,7 +175,7 @@ def test_bell_reproduces_quartics_not_quintics():
     el = build_reference_element("bell")
     geom = reference_cell_geometry()
     pts = sample_points()
-    tab0 = tabulate(el, pts, 0).values[(0, 0)]
+    tab0 = tabulate(el, pts, 0)[(0, 0)]
 
     dofs4 = interpolate_on_cell(el, geom, poly_field(X ** 4))
     assert np.abs(dofs4 @ tab0 - pts[:, 0] ** 4).max() < 1e-9
@@ -192,7 +192,7 @@ def test_polynomial_reproduction(family, degree):
     expr = sum((X + 2 * Y) ** k for k in range(d + 1)) + X * Y ** max(d - 1, 0)
     field = poly_field(sympy.expand(expr))
     pts = sample_points()
-    tab0 = tabulate(el, pts, 0).values[(0, 0)]
+    tab0 = tabulate(el, pts, 0)[(0, 0)]
     dofs = interpolate_on_cell(el, geom, field)
     exact = np.array([field.f(x, y) for x, y in pts])
     assert np.abs(dofs @ tab0 - exact).max() < 1e-9
@@ -202,7 +202,7 @@ def test_polynomial_reproduction(family, degree):
 def test_lagrange_partition_of_unity(k):
     el = build_reference_element("lagrange", k)
     pts = sample_points()
-    vals = tabulate(el, pts, 0).values[(0, 0)]
+    vals = tabulate(el, pts, 0)[(0, 0)]
     assert np.abs(vals.sum(axis=0) - 1.0).max() < 1e-12
 
 
@@ -210,7 +210,7 @@ def test_lagrange_partition_of_unity(k):
 def test_lagrange_kronecker(k):
     el = build_reference_element("lagrange", k)
     nodes = np.array([f.point for f in el.functionals])
-    vals = tabulate(el, nodes, 0).values[(0, 0)]
+    vals = tabulate(el, nodes, 0)[(0, 0)]
     assert np.abs(vals - np.eye(el.n_dofs)).max() < 1e-11
 
 
@@ -224,12 +224,12 @@ def test_gradient_matches_finite_differences(family, degree, rng):
             pts.append(p)
     pts = np.array(pts)
     h = 1e-6
-    tab = tabulate(el, pts, 1).values
+    tab = tabulate(el, pts, 1)
     for alpha, axis in [((1, 0), 0), ((0, 1), 1)]:
         shift = np.zeros(2)
         shift[axis] = h
-        fp = tabulate(el, pts + shift, 0).values[(0, 0)]
-        fm = tabulate(el, pts - shift, 0).values[(0, 0)]
+        fp = tabulate(el, pts + shift, 0)[(0, 0)]
+        fm = tabulate(el, pts - shift, 0)[(0, 0)]
         fd = (fp - fm) / (2 * h)
         scale = np.maximum(np.abs(tab[alpha]), 1.0)
         assert (np.abs(tab[alpha] - fd) / scale).max() < 1e-6
@@ -241,18 +241,18 @@ def test_second_derivatives_match_finite_differences(family, degree, rng):
     el = build_reference_element(family, degree)
     pts = np.array([[0.2, 0.3], [0.4, 0.15], [0.1, 0.6], [0.3, 0.3]])
     h = 1e-5
-    tab = tabulate(el, pts, 2).values
+    tab = tabulate(el, pts, 2)
     for alpha, axis in [((2, 0), 0), ((0, 2), 1)]:
         shift = np.zeros(2)
         shift[axis] = h
         d1 = {0: (1, 0), 1: (0, 1)}[axis]
-        fp = tabulate(el, pts + shift, 1).values[d1]
-        fm = tabulate(el, pts - shift, 1).values[d1]
+        fp = tabulate(el, pts + shift, 1)[d1]
+        fm = tabulate(el, pts - shift, 1)[d1]
         assert np.abs(tab[alpha] - (fp - fm) / (2 * h)).max() < 1e-5
     # mixed derivative against cross difference of the gradient
     shift = np.array([0.0, h])
-    fp = tabulate(el, pts + shift, 1).values[(1, 0)]
-    fm = tabulate(el, pts - shift, 1).values[(1, 0)]
+    fp = tabulate(el, pts + shift, 1)[(1, 0)]
+    fm = tabulate(el, pts - shift, 1)[(1, 0)]
     assert np.abs(tab[(1, 1)] - (fp - fm) / (2 * h)).max() < 1e-5
 
 

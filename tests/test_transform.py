@@ -11,9 +11,9 @@ from trifem import mesh, transform
 from trifem.mesh import reference_cell_geometry
 from trifem.quadrature import interval_rule
 from trifem.refelem import build_reference_element, legendre4, tabulate_coeffs
-from trifem.transform import (argyris_M, bell_M, cell_transform, edge_blocks,
-                              hermite_M, hessian_pushforward, morley_M,
-                              morley_three_step, scaling_diagonal)
+from trifem.transform import (bell_M, cell_transform, edge_blocks, hermite_M,
+                              hessian_pushforward, morley_M, morley_three_step,
+                              scaling_diagonal)
 
 ELEMENTS = {}
 for fam in ("hermite", "morley", "argyris", "bell"):
@@ -27,24 +27,17 @@ REPRO_POLY = {
 }
 
 
-def build_M(family, geom):
-    if family == "bell":
-        return bell_M(geom, ELEMENTS["bell"])
-    return {"hermite": hermite_M, "morley": morley_M,
-            "argyris": argyris_M}[family](geom)
-
-
 def test_identity_geometry_gives_identity():
     geom = reference_cell_geometry()
     for fam in ("hermite", "morley", "argyris"):
-        M = build_M(fam, geom).matrix
+        M = cell_transform(ELEMENTS[fam], geom, scale=False).matrix
         assert np.abs(M - np.eye(M.shape[0])).max() < 1e-12
 
 
 def test_bell_identity_geometry_matches_reference_basis():
     el = ELEMENTS["bell"]
     geom = reference_cell_geometry()
-    M = bell_M(geom, el).matrix
+    M = bell_M(geom, el)
     pts = sample_points()
     tab0 = tabulate_coeffs(el.poly, el.tabulation_coeffs(), pts, 0)[(0, 0)]
     transformed = M @ tab0
@@ -65,7 +58,7 @@ def test_bell_physical_quartic_edge_modes_vanish():
     for _ in range(50):
         verts = random_triangle(rng)
         geom = triangle_geometry(verts)
-        M = bell_M(geom, el).matrix
+        M = bell_M(geom, el)
         for e, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
             d = verts[b] - verts[a]
             ell = np.hypot(*d)
@@ -102,7 +95,7 @@ def test_batched_transform_matches_cell_by_cell(scale):
 
 def test_hermite_translation_is_identity():
     geom = triangle_geometry(np.array([[0., 0.], [1., 0.], [0., 1.]]) + [3.7, -1.2])
-    assert np.array_equal(hermite_M(geom).matrix, np.eye(10))
+    assert np.array_equal(hermite_M(geom), np.eye(10))
 
 
 def test_hermite_scaling_blocks():
@@ -110,7 +103,7 @@ def test_hermite_scaling_blocks():
     # so the gradient blocks carry the reference-to-physical Jacobian
     s = 2.0
     geom = triangle_geometry(s * np.array([[0., 0.], [1., 0.], [0., 1.]]))
-    M = hermite_M(geom).matrix
+    M = hermite_M(geom)
     for v in range(3):
         blk = M[3 * v + 1:3 * v + 3, 3 * v + 1:3 * v + 3]
         assert np.abs(blk - s * np.eye(2)).max() < 1e-14
@@ -119,7 +112,7 @@ def test_hermite_scaling_blocks():
 
 def test_hermite_fig5b_duality():
     geom = triangle_geometry([[0.0, 0.0], [1.5, 0.5], [0.8, 1.2]])
-    M = hermite_M(geom).matrix
+    M = hermite_M(geom)
     N = physical_functional_matrix(ELEMENTS["hermite"], geom) @ M.T
     assert np.abs(N - np.eye(10)).max() < 1e-10
 
@@ -129,7 +122,7 @@ def test_morley_identity_blocks():
     B = edge_blocks(geom)
     for e in range(3):
         assert np.abs(B[e] - np.eye(2)).max() < 1e-14
-    assert np.abs(morley_M(geom).matrix - np.eye(6)).max() < 1e-14
+    assert np.abs(morley_M(geom) - np.eye(6)).max() < 1e-14
 
 
 def test_morley_uniform_scaling_blocks():
@@ -140,7 +133,7 @@ def test_morley_uniform_scaling_blocks():
     B = edge_blocks(geom)
     for e in range(3):
         assert np.abs(B[e] - s * np.eye(2)).max() < 1e-13
-    V = morley_M(geom).matrix.T
+    V = morley_M(geom).T
     assert np.abs(V - np.diag([1, 1, 1, s, s, s])).max() < 1e-13
 
 
@@ -151,7 +144,7 @@ def test_duality_on_random_cells(family):
     worst = 0.0
     for _ in range(100):
         geom = triangle_geometry(random_triangle(rng))
-        M = build_M(family, geom).matrix
+        M = cell_transform(el, geom, scale=False).matrix
         N = physical_functional_matrix(el, geom) @ M.T
         worst = max(worst, np.abs(N - np.eye(el.n_dofs)).max())
     assert worst < 1e-8
@@ -165,7 +158,7 @@ def test_polynomial_reproduction_through_map(family):
     pts = sample_points()
     for _ in range(15):
         geom = triangle_geometry(random_triangle(rng))
-        M = build_M(family, geom).matrix
+        M = cell_transform(el, geom, scale=False).matrix
         dofs = interpolate_on_cell(el, geom, field)
         tab0 = tabulate_coeffs(el.poly, el.tabulation_coeffs(), pts, 0)[(0, 0)]
         vals = dofs @ (M @ tab0)
@@ -180,7 +173,7 @@ def test_morley_three_step_matches_closed_form():
         geom = triangle_geometry(random_triangle(rng))
         fac = morley_three_step(geom)
         V = fac.E @ fac.VC @ fac.D
-        assert np.abs(V - morley_M(geom).matrix.T).max() < 1e-10
+        assert np.abs(V - morley_M(geom).T).max() < 1e-10
 
 
 def test_three_step_selector_structure():
@@ -227,7 +220,6 @@ def test_scale_M_preserves_zero_pattern():
         geom = triangle_geometry(random_triangle(make_rng(31)))
         tm = cell_transform(ELEMENTS[fam], geom, scale=False)
         scaled = cell_transform(ELEMENTS[fam], geom, scale=True)
-        assert np.array_equal(tm.matrix, build_M(fam, geom).matrix)
         assert np.array_equal(tm.matrix == 0.0, scaled.matrix == 0.0)
 
 
@@ -271,9 +263,9 @@ def test_scaling_diagonal_matches_family_layouts():
 
 def test_dump_M_csv(tmp_path):
     geom = triangle_geometry(random_triangle(make_rng(51)))
-    tm = morley_M(geom)
+    M = morley_M(geom)
     path = tmp_path / "m.csv"
-    transform.dump_M_csv(tm, path)
+    transform.dump_M_csv(M, path)
     data = np.array([[float(c) for c in line.split(",")]
                      for line in path.read_text().strip().split("\n")])
-    assert np.abs(data - tm.matrix).max() == 0.0
+    assert np.abs(data - M).max() == 0.0
