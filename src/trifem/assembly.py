@@ -18,8 +18,9 @@ geometry of all cells and M for each fixed-size block of cells once per
 (mesh, element, scale), with array operations, and the mesh holds the
 result for the passes that follow; so M stays in memory for the whole
 rung, n_cells * n_dofs * n_tab doubles.  The cell and facet kernels run
-on whole blocks as batched matmuls.  They read the form once, when built,
-and make only the derivative rows it reads; one facet-trace builder
+on whole blocks as batched matmuls, with every derivative row of a block
+live at once, so BLOCK bounds their memory.  They read the form once, when
+built, and make only the derivative rows it reads; one facet-trace builder
 serves boundary facets and both sides of interior-penalty facets.  Each
 kernel performs, per cell, the same floating-point operations as a
 cell-by-cell evaluation would, so batching changes no result bit; blocks,
@@ -149,7 +150,6 @@ def _write_triplets(n, size, blocks, composite):
             k += np.arange(lo, hi).reshape(shape)
         vals[lo:hi].reshape(shape)[...] = v
         lo = hi
-        del r, c, v  # before the next block is made
     if lo != size:
         raise ValueError(f"blocks hold {lo} triplets, not {size}")
     return keys, vals
@@ -232,7 +232,7 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
 
 # Cells (or interior edges) per block: bounds the kernel and trace arrays
 # independently of the mesh size.
-BLOCK = 512
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -376,12 +376,12 @@ def _push(J, d):
 def _physical_hessian(tab, J, components):
     """Physical hxx, hxy, hyy (components 0, 1, 2) of the pullbacks: the
     Voigt pushforward T contracted with the reference second derivatives of
-    a cell table (n, q) or a facet table (F, n, q).  Only the components
-    asked for are made, one at a time, as they are iterated."""
+    a cell table (n, q) or a facet table (F, n, q), as a tuple of the
+    components asked for."""
     T = hessian_pushforward(J)
     href = np.stack([tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]])
     spec = "bj,jnq->bnq" if href.ndim == 3 else "bj,jbnq->bnq"
-    return (np.einsum(spec, T[:, k], href) for k in components)
+    return tuple(np.einsum(spec, T[:, k], href) for k in components)
 
 
 def _directional_first(tab, J, d):
@@ -412,12 +412,6 @@ _EY = np.array([0.0, 1.0])
 def _congruence(M, A):
     """M A M^T for a batch; Lagrange (M None) skips it, since M = I."""
     return A if M is None else M @ A @ _T(M)
-
-
-def _weighted(t, a, w, b):
-    """(a * w) @ b^T for rows a, b (B, n, q) and weights w (B, 1, q), with
-    a * w written into the scratch array t."""
-    return np.multiply(a, w, out=t) @ _T(b)
 
 
 def _triplets(dofs, signs, local):
@@ -471,38 +465,26 @@ class _Kernels:
     def cell_matrices(self, geom):
         """Element matrices (B, n, n) in the pulled-back basis.
 
-        The rows are made one at a time and dropped once read, each
-        weighted through one scratch array (see _weighted); the plate
-        form's factors 2 and 4 scale the products, which is exact, so the
-        bits are those of scaling the weighted rows.
+        Every derivative row of the block is live at once; BLOCK bounds
+        them.  The plate form's factors 2 and 4 scale the products, which is
+        exact, so the bits are those of scaling the weighted rows.
         """
         tab, c = self.cell_tab, self.c
         w = (self.cell_rule.weights * geom.detJinv_abs[:, None])[:, None, :]
         if self.form.kind == "poisson_nitsche":
-            g = _directional_first(tab, geom.J, _EX)
-            t = np.empty_like(g)
-            A = _weighted(t, g, w, g)
-            del g
-            g = _directional_first(tab, geom.J, _EY)
-            A += _weighted(t, g, w, g)
-            return A
-        rows = _physical_hessian(tab, geom.J, (0, 2) if c is None else (0, 1, 2))
-        hxx = next(rows)
-        t = np.empty_like(hxx)
-        if c is not None:
-            hxy = next(rows)
-            twist = 4.0 * _weighted(t, hxy, w, hxy)
-            del hxy
-        hyy = next(rows)
-        if c is not None:
-            bend = c * (2.0 * _weighted(t, hxx, w, hyy)
-                        + 2.0 * _weighted(t, hyy, w, hxx) - twist)
-        hxx += hyy  # the Laplacian rows
-        del hyy
-        A = _weighted(t, hxx, w, hxx)
-        if c is not None:
-            A -= bend
-        return A
+            gx = _directional_first(tab, geom.J, _EX)
+            gy = _directional_first(tab, geom.J, _EY)
+            return (gx * w) @ _T(gx) + (gy * w) @ _T(gy)
+        if c is None:  # interior penalty: the Laplacian product alone
+            hxx, hyy = _physical_hessian(tab, geom.J, (0, 2))
+            lap = hxx + hyy
+            return (lap * w) @ _T(lap)
+        hxx, hxy, hyy = _physical_hessian(tab, geom.J, (0, 1, 2))
+        twist = 4.0 * ((hxy * w) @ _T(hxy))
+        bend = c * (2.0 * ((hxx * w) @ _T(hyy)) + 2.0 * ((hyy * w) @ _T(hxx))
+                    - twist)
+        lap = hxx + hyy
+        return (lap * w) @ _T(lap) - bend
 
     def _facet_rows(self, geom, e_loc, order):
         """Trace rows (F, n, q) on local edges e_loc (F,) of the cells in
@@ -517,16 +499,16 @@ class _Kernels:
         if order >= 1:
             rows["vn"] = _directional_first(tab, J, n)
         if order >= 2:
-            hxx, hyy = _physical_hessian(tab, J, (0, 2))
-            rows["lap"] = rows["gl"] = hxx + hyy
+            h = _physical_hessian(tab, J, (0, 2) if c is None else (0, 1, 2))
+            rows["lap"] = rows["gl"] = h[0] + h[-1]  # hxx + hyy
         if order >= 3:
             rows["gn"] = (_directional_third(tab, J, n, _EX, _EX)
                           + _directional_third(tab, J, n, _EY, _EY))
             if c is not None:
                 t = np.stack([-n[:, 1], n[:, 0]], axis=-1)  # CCW rotation of n
                 tt = (t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2)
-                hxy, = _physical_hessian(tab, J, (1,))
-                vtt = _per(tt[0]) * hxx + _per(tt[1]) * hxy + _per(tt[2]) * hyy
+                vtt = (_per(tt[0]) * h[0] + _per(tt[1]) * h[1]
+                       + _per(tt[2]) * h[2])
                 rows["gl"] = rows["lap"] - 2.0 * c * vtt
                 rows["gn"] -= 2.0 * c * _directional_third(tab, J, n, t, t)
         return rows
@@ -614,7 +596,6 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
                 np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
             yield _triplets(dofmap.cell_dofs[cells], dofmap.cell_signs[cells],
                             _congruence(M, A))
-            del A  # before the next block's kernels run
         if kern.ip_facets:
             yield from kern.ip_facet_triplets(mesh, dofmap, data.geom)
 
@@ -712,8 +693,8 @@ def export_matrix_market(A: scipy.sparse.csr_array, path) -> None:
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{A.shape[0]} {A.shape[0]} {int(keep.sum())}\n")
-        for r, c, v in zip(C.row[keep], C.col[keep], C.data[keep]):
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
+        np.savetxt(fh, np.rec.fromarrays([C.row[keep] + 1, C.col[keep] + 1,
+                                          C.data[keep]]), fmt="%d %d %.17g")
 
 
 def export_vector(vec, path) -> None:

@@ -300,9 +300,13 @@ def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
 def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
              scale: bool = True) -> float:
     """L2 norm of (u_h - u_exact), with u_h reconstructed per cell through the
-    transformed basis and integrated at degree 2*embedded_degree + 2."""
+    transformed basis and integrated at degree 2*embedded_degree + 2.  A u_h
+    whose length is not the space's DoF count is a ValueError."""
     data = cell_blocks(mesh, element, scale)
     dofmap = data.dofmap
+    if len(u_h) != dofmap.total_dofs:
+        raise ValueError(f"u_h has {len(u_h)} entries for "
+                         f"{dofmap.total_dofs} DoFs")
     rule = triangle_rule(2 * element.degree + 2)
     tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
                            rule.points, 0)[(0, 0)]

@@ -279,8 +279,8 @@ def test_operator_pass_peak_memory_per_triplet():
     # after the cell data exists, the operator pass's peak is its CSR step
     # (the key and value buffers and the values gathered in sorted order,
     # 24 bytes per triplet) or the fill, where a block's kernels run beside
-    # the two buffers: about 29 bytes per triplet for P3 Poisson, against
-    # 34 with the stable argsort and 68 when the blocks were concatenated
+    # the two buffers: 28.4 bytes per triplet for P3 Poisson, against 34
+    # with the stable argsort and 68 when the blocks were concatenated
     peak, triplets = _operator_pass_peak(lagrange(3), assembly.poisson_nitsche())
     assert peak <= 30 * triplets
 
@@ -288,9 +288,18 @@ def test_operator_pass_peak_memory_per_triplet():
 def test_plate_operator_pass_peak_memory_per_triplet():
     # for Argyris the fill sets the peak: the buffers, 16 bytes per
     # triplet, and one block's Hessian rows, weighted rows and products,
-    # about 33 bytes per triplet in all (43 when every weighted row was its
-    # own temporary and all three Hessian components were held at once)
+    # 29.7 bytes per triplet in all with 256-cell blocks (32.6 with 512);
+    # the bound adds 1.3, less than one more live row of the block (1.7)
     peak, triplets = _operator_pass_peak(ARGYRIS, study_form("biharmonic", ARGYRIS))
+    assert peak <= 31 * triplets
+
+
+def test_bell_operator_pass_peak_memory_per_triplet():
+    # Bell's fill peaks higher than Argyris's per triplet, since it makes
+    # the rows of its 21 tabulated functions for 18 DoFs: 34.3 bytes per
+    # triplet with 256-cell blocks (38.6 with 512); the bound adds 1.7,
+    # less than one more live row of the block (2.3)
+    peak, triplets = _operator_pass_peak(BELL, study_form("biharmonic", BELL))
     assert peak <= 36 * triplets
 
 
@@ -583,6 +592,20 @@ def test_text_writers_keep_their_bytes(tmp_path):
     assert (tmp_path / "mesh.txt").read_text() == (
         "".join(f"v {x:.17g} {y:.17g}\n" for x, y in m.vertices)
         + "".join(f"c {i} {j} {k}\n" for i, j, k in m.cells))
+    # the MatrixMarket writer keeps the lower triangle, here every value as
+    # an explicit entry, and drops (0, 3)
+    rows = np.array([0, 1, 1, 2, 2, 2, 3, 3, 0])
+    cols = np.array([0, 0, 1, 0, 1, 2, 0, 1, 3])
+    A = scipy.sparse.csr_array((np.append(vals, 2.0), (rows, cols)),
+                               shape=(4, 4))
+    assert A.nnz == 9
+    C = A.tocoo()
+    keep = C.row >= C.col
+    export_matrix_market(A, tmp_path / "A.mtx")
+    assert (tmp_path / "A.mtx").read_text() == (
+        "%%MatrixMarket matrix coordinate real symmetric\n4 4 8\n"
+        + "".join(f"{r + 1} {c + 1} {v:.17g}\n"
+                  for r, c, v in zip(C.row[keep], C.col[keep], C.data[keep])))
 
 
 def _condition(el, n, scale):

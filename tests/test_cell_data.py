@@ -15,7 +15,7 @@ from trifem.transform import hessian_pushforward
 ARGYRIS = build_reference_element("argyris")
 BELL = build_reference_element("bell")
 LAGRANGE3 = build_reference_element("lagrange", 3)
-N = 24  # 1,152 cells: three blocks of at most assembly.BLOCK
+N = 18  # 648 cells: three blocks of assembly.BLOCK = 256, the last partial
 
 
 def _counting(monkeypatch, module, name):
@@ -29,10 +29,11 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _rung(msh, element, scale):
-    """Operator, load, interpolant and L2 error of the biharmonic study."""
-    form = harness.study_form("biharmonic", element)
-    u, f = harness.biharmonic_problem()
+def _rung(msh, element, scale, problem="biharmonic"):
+    """Operator, load, interpolant and L2 error of the problem's study."""
+    form = harness.study_form(problem, element)
+    u, f = (harness.poisson_problem() if problem == "poisson"
+            else harness.biharmonic_problem())
     A = assembly.assemble_operator(msh, element, form, scale)
     b = assembly.assemble_load(msh, element, f, form, scale)
     uI = assembly.interpolate(msh, element, u, scale)
@@ -71,6 +72,23 @@ def test_cell_data_built_once_per_mesh_element_and_scale(monkeypatch):
         _assert_same_bits(shared, _rung(build_unit_square_mesh(N, 0.2),
                                         element, scale))
     assert len(msh._cell_data) == len(cases)
+
+
+@pytest.mark.parametrize("problem, name", [
+    ("poisson", "lagrange:3"), ("biharmonic", "argyris"),
+    ("biharmonic", "bell"), ("biharmonic", "morley"),
+    ("biharmonic", "lagrange:3")])
+def test_every_pass_independent_of_block_size(monkeypatch, problem, name):
+    # N=8 has 128 cells and 176 interior edges, one block each by default;
+    # blocks of 7 split both and end partial (128 = 18 * 7 + 2, 176 =
+    # 25 * 7 + 1), with the same bits in every pass
+    element = harness.parse_element(name)
+    default = _rung(build_unit_square_mesh(8, 0.2), element, True, problem)
+    monkeypatch.setattr(assembly, "BLOCK", 7)
+    msh = build_unit_square_mesh(8, 0.2)
+    small = _rung(msh, element, True, problem)
+    assert len(assembly.cell_blocks(msh, element, True).blocks) == 19
+    _assert_same_bits(default, small)
 
 
 def test_cell_data_held_by_its_mesh():

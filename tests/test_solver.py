@@ -183,6 +183,18 @@ def test_l2_error_constant():
     assert abs(l2_error(m, el, uh, one) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("length", [86, 80])
+def test_l2_error_rejects_a_vector_of_another_length(length):
+    # P2 on N=4 has 81 DoFs: 86 entries were read silently (giving 0.5
+    # here) and 80 raised IndexError
+    m = build_unit_square_mesh(4)
+    el = build_reference_element("lagrange", 2)
+    assert assembly.build_dof_map(m, el).total_dofs == 81
+    half = assembly.ScalarField(f=lambda x, y: np.full_like(x, 0.5))
+    with pytest.raises(ValueError, match=f"u_h has {length} entries for 81"):
+        l2_error(m, el, np.zeros(length), half)
+
+
 def test_l2_error_interpolation_band_and_decay():
     u, _ = poisson_problem()
     errs = {}
