@@ -2,10 +2,11 @@
 
 Element matrices are integrated in the pulled-back reference basis and
 transformed afterwards with the cell's (scaled) transformation matrix,
-A = M Atilde M^T; facet terms are treated the same way.  Shared
-edge-normal derivative DoFs carry orientation signs: +1 on the cell whose
-outward normal agrees with the global edge normal (the stored-edge
-direction rotated 90 degrees counter-clockwise), -1 on the other.
+A = M Atilde M^T; facet terms are treated the same way.  A shared
+edge-normal derivative DoF is the derivative along the global edge normal
+(the stored-edge direction rotated 90 degrees counter-clockwise); the M
+of cell_blocks carries that orientation, while transform.cell_transform
+and trifem dump-m give the local M, along each cell's outward normals.
 
 Supported forms: Poisson with Nitsche boundary terms, the plate-bending
 form (optionally with weakly-enforced clamped boundary conditions), the
@@ -85,12 +86,17 @@ class SparseMatrix(scipy.sparse.csr_array):
 
 def csr_from_coo(n, rows, cols, vals) -> SparseMatrix:
     """Build CSR from triplets; duplicate entries are grouped in input order
-    and summed by np.add.reduceat (see _csr_from_blocks).
+    and summed by np.add.reduceat (see _csr_from_blocks).  An index outside
+    [0, n) or arrays of unequal length are a ValueError.
 
     scipy's own COO-to-CSR conversion sums duplicates in another order: that
     moves some entries by an ulp, and the biharmonic study errors far more.
     """
     rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+    if not rows.shape == cols.shape == np.shape(vals):
+        raise ValueError("rows, cols and vals must have one length")
+    if ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)).any():
+        raise ValueError(f"row or column index outside [0, {n})")
     return _csr_from_blocks(n, rows.size, [(rows, cols, vals)])
 
 
@@ -185,19 +191,18 @@ def symmetry_error(A: SparseMatrix) -> float:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Local-to-global map with orientation signs and entity-block layout.
+    """Local-to-global DoF indices with entity-block layout.
 
     Global DoFs are laid out vertex blocks first, then edge blocks, then
-    cell blocks.  The arrays are read-only, like the mesh's.
+    cell blocks.  The map holds no orientation (cell_blocks' M carries it);
+    cell_dofs is read-only, like the mesh's arrays.
     """
 
     cell_dofs: np.ndarray
-    cell_signs: np.ndarray
     total_dofs: int
 
     def __post_init__(self):
         self.cell_dofs.flags.writeable = False
-        self.cell_signs.flags.writeable = False
 
 
 def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
@@ -209,25 +214,16 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
     total = cell_offset + C * n_c
 
     cell_dofs = np.zeros((C, element.n_dofs), dtype=np.int64)
-    cell_signs = np.ones((C, element.n_dofs))
-    normal_dof = any(f.kind == "edge_normal_deriv" for f in element.functionals)
-
     for v_loc in range(3):
         cell_dofs[:, ent[0][v_loc]] = mesh.cells[:, v_loc, None] * n_v + np.arange(n_v)
     k = np.arange(n_e)
     for e_loc, (a, b) in enumerate(EDGE_VERTICES):
+        # by position along the edge; an edge-normal DoF is alone on its edge
         base = edge_offset + mesh.cell_edges[:, e_loc, None] * n_e
-        if normal_dof:
-            # outward normal agrees with the global edge normal iff the
-            # cell traverses the edge against stored order
-            cell_dofs[:, ent[1][e_loc]] = base + k
-            cell_signs[:, ent[1][e_loc]] = -mesh.cell_edge_signs[:, e_loc, None]
-        else:
-            # point DoFs are matched by position along the edge
-            forward = (mesh.cells[:, a] < mesh.cells[:, b])[:, None]
-            cell_dofs[:, ent[1][e_loc]] = base + np.where(forward, k, n_e - 1 - k)
+        forward = (mesh.cells[:, a] < mesh.cells[:, b])[:, None]
+        cell_dofs[:, ent[1][e_loc]] = base + np.where(forward, k, n_e - 1 - k)
     cell_dofs[:, ent[2][0]] = cell_offset + np.arange(C)[:, None] * n_c + np.arange(n_c)
-    return DofMap(cell_dofs=cell_dofs, cell_signs=cell_signs, total_dofs=total)
+    return DofMap(cell_dofs=cell_dofs, total_dofs=total)
 
 
 # Cells (or interior edges) per block: bounds the kernel and trace arrays
@@ -259,7 +255,9 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
     """The per-cell pipeline every pass shares: the DoF map, geometry and
     M of element on mesh, built on first use and then held by the mesh, so
     the operator, load, interpolation and error passes of a rung build
-    each of them once."""
+    each of them once.  Each edge-normal row of M is negated where the
+    cell's outward normal opposes the global edge normal; only families
+    with such rows are folded, and their builders return a fresh M."""
     key = (id(element), bool(scale))
     data = mesh._cell_data.get(key)
     if data is None:
@@ -267,12 +265,17 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
         for a in vars(geom).values():
             if a is not None:
                 a.flags.writeable = False
+        fns = element.functionals
+        rows = [i for i, f in enumerate(fns) if f.kind == "edge_normal_deriv"]
+        edges = [fns[i].edge for i in rows]
         blocks = []
         for lo in range(0, mesh.n_cells, BLOCK):
             cells = slice(lo, lo + BLOCK)
             g, M = geom[cells], None
             if element.family != "lagrange":
                 M = transform.cell_transform(element, g, scale).matrix
+                if rows:
+                    M[:, rows] *= -mesh.cell_edge_signs[cells][:, edges, None]
                 M.flags.writeable = False
             blocks.append((cells, g, M))
         data = mesh._cell_data[key] = CellData(
@@ -412,13 +415,6 @@ _EY = np.array([0.0, 1.0])
 def _congruence(M, A):
     """M A M^T for a batch; Lagrange (M None) skips it, since M = I."""
     return A if M is None else M @ A @ _T(M)
-
-
-def _triplets(dofs, signs, local):
-    """COO block (rows, cols, vals) of local matrices (B, k, k) through DoFs
-    and signs (B, k), row by row; rows and cols broadcast to (B, k, k)."""
-    return (dofs[:, :, None], dofs[:, None, :],
-            local * (signs[:, :, None] * signs[:, None, :]))
 
 
 def _interior_facets(mesh: TriangleMesh):
@@ -572,10 +568,8 @@ class _Kernels:
             w = self.facet_rule.weights * ell
             local = ((self.form.alpha / ell) * (jump * w) @ _T(jump)
                      - (avg * w) @ _T(jump) - (jump * w) @ _T(avg))
-            yield _triplets(
-                np.concatenate([dofmap.cell_dofs[c] for c, _ in sides], axis=1),
-                np.concatenate([dofmap.cell_signs[c] for c, _ in sides], axis=1),
-                local)
+            dofs = np.concatenate([dofmap.cell_dofs[c] for c, _ in sides], axis=1)
+            yield dofs[:, :, None], dofs[:, None, :], local
 
 
 def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
@@ -594,8 +588,8 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
                 # facet terms are added in local edge order
                 fc, fe = np.nonzero(on_boundary[cells])
                 np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
-            yield _triplets(dofmap.cell_dofs[cells], dofmap.cell_signs[cells],
-                            _congruence(M, A))
+            dofs = dofmap.cell_dofs[cells]  # COO rows and cols, row by row
+            yield dofs[:, :, None], dofs[:, None, :], _congruence(M, A)
         if kern.ip_facets:
             yield from kern.ip_facet_triplets(mesh, dofmap, data.geom)
 
@@ -653,36 +647,41 @@ def assemble_load(mesh: TriangleMesh, element: ReferenceElement,
         local = tab0 @ (w * f(geom.ref_to_phys(rule.points)))[:, :, None]
         if M is not None:
             local = M @ local
-        np.add.at(b, dofmap.cell_dofs[cells],
-                  dofmap.cell_signs[cells] * local[:, :, 0])
+        np.add.at(b, dofmap.cell_dofs[cells], local[:, :, 0])
     return b
 
 
 def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
                 scale: bool = True) -> np.ndarray:
     """Global DoF vector of the nodal interpolant, consistent with the
-    (scaled) transformation pipeline.  A DoF shared by several cells takes
-    the value of the last of them."""
+    (scaled) transformation pipeline, edge-normal DoFs along the global
+    normal.  A DoF shared by several cells takes the value of the last of
+    them.  A field without the grad or hess the DoFs read is a ValueError."""
+    fns = element.functionals
+    order = max(fn.derivative_order for fn in fns)
+    for name in ("grad", "hess")[:order]:
+        if getattr(f, name) is None:
+            raise ValueError(f"interpolating into {element.describe()} "
+                             f"needs the field's {name}")
     data = cell_blocks(mesh, element, scale)
     dofmap, geom = data.dofmap, data.geom
-    fns = element.functionals
     X = geom.ref_to_phys(np.array([fn.point for fn in fns]))
     x, y = X[..., 0], X[..., 1]
-    order = max(fn.derivative_order for fn in fns)
     tab = {(0, 0): np.broadcast_to(f(X), x.shape)}
     if order >= 1:
         tab[(1, 0)], tab[(0, 1)] = np.asarray(f.grad(x, y), dtype=float)
     if order >= 2:
         hess = np.asarray(f.hess(x, y), dtype=float)
         tab[(2, 0)], tab[(1, 1)], tab[(0, 2)] = hess[0, 0], hess[0, 1], hess[1, 1]
-    local = apply_functionals(fns, tab, geom.normals)
+    local = apply_functionals(fns, tab,
+                              -mesh.cell_edge_signs[..., None] * geom.normals)
     if scale:
         local = local / scaling_diagonal(element, geom)
 
     u = np.zeros(dofmap.total_dofs)
     dofs = dofmap.cell_dofs.ravel()
     last = len(dofs) - 1 - np.unique(dofs[::-1], return_index=True)[1]
-    u[dofs[last]] = (dofmap.cell_signs * local).ravel()[last]
+    u[dofs[last]] = local.ravel()[last]
     return u
 
 

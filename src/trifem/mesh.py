@@ -37,7 +37,6 @@ class TriangleMesh:
     cell_edge_signs: np.ndarray
     edge_cells: np.ndarray
     boundary_edges: np.ndarray
-    boundary_vertices: np.ndarray
     _cell_data: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -123,11 +122,9 @@ def build_mesh(vertices, cells) -> TriangleMesh:
     edge_cells[:, 0] = sides[start]
     edge_cells[shared, 1] = sides[start[shared] + 1]
     boundary_edges = np.flatnonzero(counts == 1)
-    boundary_vertices = np.unique(edges[boundary_edges].ravel())
     return TriangleMesh(vertices=vertices, cells=cells, edges=edges,
                         cell_edges=cell_edges, cell_edge_signs=cell_edge_signs,
-                        edge_cells=edge_cells, boundary_edges=boundary_edges,
-                        boundary_vertices=boundary_vertices)
+                        edge_cells=edge_cells, boundary_edges=boundary_edges)
 
 
 def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:

@@ -315,7 +315,7 @@ def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
     # per-cell integrals, summed in cell order by a sequential cumsum
     terms = []
     for cells, geom, M in data.blocks:
-        local = dofmap.cell_signs[cells] * u_h[dofmap.cell_dofs[cells]]
+        local = u_h[dofmap.cell_dofs[cells]]
         vals = (local[:, None, :] @ (tab0 if M is None else M @ tab0))[:, 0]
         X = geom.ref_to_phys(rule.points)
         diff = vals - ue(X[..., 0], X[..., 1])

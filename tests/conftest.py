@@ -94,8 +94,11 @@ def physical_functional_matrix(element, geom):
     return np.array(rows)
 
 
-def interpolate_on_cell(element, geom, field: ScalarField):
-    """Local DoF values of a smooth field on one physical cell (unscaled)."""
+def interpolate_on_cell(element, geom, field: ScalarField, normals=None):
+    """Local DoF values of a smooth field on one physical cell (unscaled);
+    edge-normal DoFs read normals (3, 2), the cell's outward ones by
+    default."""
+    normals = geom.normals if normals is None else normals
     vals = np.zeros(element.n_dofs)
     for i, fn in enumerate(element.functionals):
         x = geom.ref_to_phys(np.asarray(fn.point)[None, :])[0]
@@ -104,7 +107,7 @@ def interpolate_on_cell(element, geom, field: ScalarField):
         elif fn.kind == "point_deriv":
             vals[i] = np.dot(fn.direction, field.grad(x[0], x[1]))
         elif fn.kind == "edge_normal_deriv":
-            vals[i] = np.dot(geom.normals[fn.edge], field.grad(x[0], x[1]))
+            vals[i] = np.dot(normals[fn.edge], field.grad(x[0], x[1]))
         else:
             comp = {"xx": (0, 0), "xy": (0, 1), "yy": (1, 1)}[fn.component]
             vals[i] = np.asarray(field.hess(x[0], x[1]))[comp]
@@ -116,8 +119,8 @@ def l2_projection(msh, element, u_exact: ScalarField, scale=True):
     assembled space of element on msh.
 
     Mass matrix and right-hand side are integrated at degree 12 (exact for
-    the mass matrix of every family) through the same signs, DoF map,
-    geometry and transforms as the solver (assembly.cell_blocks), so up to
+    the mass matrix of every family) through the same DoF map, geometry
+    and transforms as the solver (assembly.cell_blocks), so up to
     quadrature error no function in that space has a smaller
     solver.l2_error.
     """
@@ -130,8 +133,7 @@ def l2_projection(msh, element, u_exact: ScalarField, scale=True):
     rows, cols, vals, loads = [], [], [], []
     for cells, geom, M in data.blocks:
         dofs = dofmap.cell_dofs[cells]
-        phi = dofmap.cell_signs[cells][:, :, None] * (tab0 if M is None
-                                                      else M @ tab0)
+        phi = tab0[None] if M is None else M @ tab0
         w = geom.detJinv_abs[:, None] * rule.weights
         X = geom.ref_to_phys(rule.points)
         rows.append(np.repeat(dofs, n_loc, axis=1).ravel())

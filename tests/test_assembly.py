@@ -73,28 +73,63 @@ def test_interior_facet_normals_opposite(perturb):
     assert np.array_equal(geom.normals[cB, eB], -geom.normals[cA, eA])
 
 
+def _cell_M(data, c):
+    """The M that cell_blocks holds for cell c, the identity for Lagrange."""
+    cells, _, M = data.blocks[c // assembly.BLOCK]
+    return np.eye(data.element.n_dofs) if M is None else M[c - cells.start]
+
+
 def test_edge_normal_dof_signs_opposite():
+    # on each side of an interior edge, the edge-normal row of the M that
+    # cell_blocks holds is cell_transform's row times +1 or -1, and the two
+    # sides take opposite signs
     m = build_unit_square_mesh(4, 0.1)
-    dm = build_dof_map(m, MORLEY)
+    data = assembly.cell_blocks(m, MORLEY, True)
+    local = transform.cell_transform(MORLEY, data.geom, True).matrix
     for e in range(m.n_edges):
-        cells = m.edge_cells[e, :, 0]
-        if cells[1] < 0:
+        if m.edge_cells[e, 1, 0] < 0:
             continue
         signs = []
-        for c in cells:
-            e_loc = int(np.flatnonzero(m.cell_edges[c] == e)[0])
-            signs.append(dm.cell_signs[c, 3 + e_loc])
+        for c, e_loc in m.edge_cells[e]:
+            row, ref = _cell_M(data, c)[3 + e_loc], local[c, 3 + e_loc]
+            signs += [s for s in (1.0, -1.0) if np.array_equal(row, s * ref)]
         assert sorted(signs) == [-1.0, 1.0]
 
 
-def _traces(m, el, dm, u, c, x, normal):
+@pytest.mark.parametrize("scale", [True, False])
+@pytest.mark.parametrize("name", ["lagrange:3", "hermite", "morley", "argyris",
+                                  "bell"])
+def test_cell_blocks_M_orients_edge_normal_rows(monkeypatch, name, scale):
+    # each block's M is cell_transform's bit for bit, with each edge-normal
+    # row negated on the cells that run that edge in stored order (their
+    # outward normal opposes the global one); Lagrange keeps M None.  Blocks
+    # of 7 cells check that each block reads its own cells' orientation
+    from trifem.harness import parse_element
+    monkeypatch.setattr(assembly, "BLOCK", 7)
+    m = build_unit_square_mesh(4, 0.2)
+    el = parse_element(name)
+    normal = [(i, f.edge) for i, f in enumerate(el.functionals)
+              if f.kind == "edge_normal_deriv"]
+    assert bool(normal) == (el.family in ("morley", "argyris"))
+    blocks = assembly.cell_blocks(m, el, scale).blocks
+    assert len(blocks) == 5
+    for cells, geom, M in blocks:
+        if el.family == "lagrange":
+            assert M is None
+            continue
+        expect = transform.cell_transform(el, geom, scale).matrix.copy()
+        for i, e in normal:
+            flip = m.cell_edge_signs[cells, e] == 1
+            expect[flip, i] = -expect[flip, i]
+        assert M.shape == expect.shape and M.tobytes() == expect.tobytes()
+
+
+def _traces(m, el, data, u, c, x, normal):
     """Value and normal derivative of the global function with DoF vector u,
-    evaluated on cell c at physical points x through its own M."""
-    from trifem.mesh import cell_geometry, vertex_size_field
+    evaluated on cell c at physical points x through the M of cell_blocks."""
     from trifem.refelem import tabulate_coeffs
-    from trifem.transform import cell_transform
-    geom = cell_geometry(m, c, vertex_size_field(m))
-    coef = (dm.cell_signs[c] * u[dm.cell_dofs[c]]) @ cell_transform(el, geom, True).matrix
+    geom = data.geom[c]
+    coef = u[data.dofmap.cell_dofs[c]] @ _cell_M(data, c)
     tab = tabulate_coeffs(el.poly, el.tabulation_coeffs(), geom.phys_to_ref(x), 1)
     grad_ref = np.array([coef @ tab[(1, 0)], coef @ tab[(0, 1)]])
     return coef @ tab[(0, 0)], (geom.J @ normal) @ grad_ref
@@ -115,11 +150,11 @@ def test_global_space_continuity_across_interior_edges(name):
     from trifem.quadrature import interval_rule
     m = build_unit_square_mesh(4, 0.2)
     el = parse_element(name)
-    dm = build_dof_map(m, el)
+    data = assembly.cell_blocks(m, el, True)
     s = interval_rule(10).points if name != "morley" else np.array([0.0, 0.5, 1.0])
     rng = np.random.default_rng(17)
     for _ in range(3):
-        u = rng.standard_normal(dm.total_dofs)
+        u = rng.standard_normal(data.dofmap.total_dofs)
         jumps, sizes = [], []
         for e in range(m.n_edges):
             cells = m.edge_cells[e, :, 0]
@@ -128,7 +163,7 @@ def test_global_space_continuity_across_interior_edges(name):
             a, b = m.vertices[m.edges[e]]
             x = a + s[:, None] * (b - a)
             n = global_edge_normal(m, e)
-            (vA, dA), (vB, dB) = (_traces(m, el, dm, u, c, x, n) for c in cells)
+            (vA, dA), (vB, dB) = (_traces(m, el, data, u, c, x, n) for c in cells)
             if name == "morley":
                 jumps.append([*(vA - vB)[[0, 2]], (dA - dB)[1]])
                 sizes.append([*vA[[0, 2]], dA[1]])
@@ -221,6 +256,18 @@ def test_csr_matches_stable_sort_reference_on_duplicates():
 def test_csr_matches_reference_on_empty_and_order_one(n, rows, cols, vals):
     assert_same_csr(csr_from_coo(n, rows, cols, vals),
                     reference_csr(n, rows, cols, vals))
+
+
+@pytest.mark.parametrize("rows, cols, vals", [
+    ([0], [2], [1.0]),  # column n would alias to (1, 0)
+    ([1], [-1], [1.0]),  # a negative column would alias to (0, 1)
+    ([2], [0], [1.0]),
+    ([0, 1], [0], [1.0, 2.0]),  # the short array would broadcast
+    ([0, 1], [0, 1], [1.0]),
+])
+def test_csr_from_coo_rejects_bad_triplets(rows, cols, vals):
+    with pytest.raises(ValueError):
+        csr_from_coo(2, rows, cols, vals)
 
 
 STUDY_FORMS = ([("poisson", el) for el in ("lagrange:1", "lagrange:2", "lagrange:3",
@@ -418,12 +465,12 @@ def test_load_energy_pairing():
 
 
 def test_morley_edge_dof_sign_consistency():
-    # interpolating a smooth field cellwise must give both incident cells
-    # the same global normal-derivative DoF value
+    # interpolating a smooth field cellwise along the global edge normal
+    # must give both incident cells the same normal-derivative DoF value
     m = build_unit_square_mesh(3, 0.2)
     field = poly_field(X ** 2 * Y + 0.5 * Y ** 2 - X)
     dm = build_dof_map(m, MORLEY)
-    from trifem.mesh import cell_geometry, vertex_size_field
+    from trifem.mesh import cell_geometry, global_edge_normal, vertex_size_field
     sf = vertex_size_field(m)
     from trifem.transform import scaling_diagonal
     values = {}
@@ -433,9 +480,9 @@ def test_morley_edge_dof_sign_consistency():
         for e_loc in range(3):
             i = 3 + e_loc
             x = geom.ref_to_phys(np.asarray(MORLEY.functionals[i].point)[None, :])[0]
-            local = np.dot(geom.normals[e_loc], field.grad(x[0], x[1])) / S[i]
+            n = global_edge_normal(m, m.cell_edges[c, e_loc])
+            val = np.dot(n, field.grad(x[0], x[1])) / S[i]
             g = dm.cell_dofs[c, i]
-            val = dm.cell_signs[c, i] * local
             if g in values:
                 assert abs(values[g] - val) < 1e-12 * max(1.0, abs(val))
             values[g] = val
@@ -443,9 +490,9 @@ def test_morley_edge_dof_sign_consistency():
 
 def test_interpolate_consistent_between_cells():
     # every global DoF shared by several cells must receive the same value
-    # from each of them (orientation signs and scaling exercised)
+    # from each of them (global edge normals and scaling exercised)
     from conftest import interpolate_on_cell
-    from trifem.mesh import cell_geometry, vertex_size_field
+    from trifem.mesh import cell_geometry, global_edge_normal, vertex_size_field
     from trifem.transform import scaling_diagonal
     m = build_unit_square_mesh(3, 0.2)
     sf = vertex_size_field(m)
@@ -455,14 +502,26 @@ def test_interpolate_consistent_between_cells():
         seen = {}
         for c in range(m.n_cells):
             geom = cell_geometry(m, c, sf)
-            local = interpolate_on_cell(el, geom, field)
+            normals = [global_edge_normal(m, e) for e in m.cell_edges[c]]
+            local = interpolate_on_cell(el, geom, field, np.array(normals))
             local = local / scaling_diagonal(el, geom)
-            for i in range(el.n_dofs):
-                g = dm.cell_dofs[c, i]
-                val = dm.cell_signs[c, i] * local[i]
+            for g, val in zip(dm.cell_dofs[c], local):
                 if g in seen:
                     assert abs(seen[g] - val) < 1e-11 * max(1.0, abs(val))
                 seen[g] = val
+
+
+@pytest.mark.parametrize("name, given, missing", [
+    ("hermite", ("f",), "grad"),
+    ("argyris", ("f", "grad"), "hess"),
+    ("bell", ("f", "grad"), "hess"),
+])
+def test_interpolate_names_a_missing_derivative(name, given, missing):
+    from trifem.harness import parse_element
+    full = poly_field(X * Y)
+    field = ScalarField(**{k: getattr(full, k) for k in given})
+    with pytest.raises(ValueError, match=f"{name}.*{missing}"):
+        interpolate(build_unit_square_mesh(2), parse_element(name), field)
 
 
 def test_matrix_stats_identity():

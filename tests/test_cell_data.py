@@ -115,8 +115,6 @@ def test_mesh_dofmap_and_cell_data_are_read_only():
     with pytest.raises(ValueError):
         data.dofmap.cell_dofs[0, 0] = 7
     with pytest.raises(ValueError):
-        data.dofmap.cell_signs[0, 0] = -1.0
-    with pytest.raises(ValueError):
         data.geom.J[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         data.blocks[0][2][0, 0, 0] = 1.0

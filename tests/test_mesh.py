@@ -205,7 +205,8 @@ def test_vertex_size_field_small():
 def test_vertex_size_field_uniform_interior():
     m = build_unit_square_mesh(8)
     field = vertex_size_field(m)
-    interior = np.setdiff1d(np.arange(m.n_vertices), m.boundary_vertices)
+    interior = np.setdiff1d(np.arange(m.n_vertices),
+                            m.edges[m.boundary_edges].ravel())
     assert np.allclose(field[interior], np.sqrt(2.0) / 8)
 
 
