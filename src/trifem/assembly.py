@@ -113,32 +113,61 @@ def _csr_from_blocks(n, size, blocks) -> SparseMatrix:
 
     The key of the triplet at position p is (row * n + col) * size + p.
     Keys are unique, so an in-place sort puts them in the stable order of
-    row * n + col (see _sort_composite).  Past int64, when n^2 size >=
-    2^63, the key is row * n + col and a stable argsort orders it, with the
-    same result at 8 bytes more per triplet.  This function holds the only
-    references to the buffers and frees each array once it has been read;
-    the CSR arrays are made in the dtypes that csr_array keeps, so it copies
-    none of them.
+    row * n + col.  Past int64, when n^2 size >= 2^63, the key is
+    row * n + col and a stable argsort orders it, with the same result at
+    up to 16 bytes more per triplet.  The sorted keys are then reduced a chunk at
+    a time, each chunk ending on a group boundary: its values are gathered
+    and summed straight into the output, and its distinct keys move into
+    the front of the key buffer, so at most the two buffers and the summed
+    values are held whole.  The index arrays take _index_dtype, and no
+    array is copied by csr_array.
     """
     n, size = int(n), int(size)
     composite = n * n * size < 2 ** 63
     keys, vals = _write_triplets(n, size, blocks, composite)
     if composite:
-        vals = _sort_composite(keys, vals)
+        keys.sort()
+        step = size  # a group's keys lie in [r * size, (r + 1) * size)
     else:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         vals = vals[order]
         del order
-    first = np.ones(size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    keys = keys[starts]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        step = 1
+    summed, nnz, lo = [], 0, 0
+    while lo < size:
+        hi = min(lo + _CHUNK, size)
+        hi += int(np.searchsorted(keys[hi:], (keys[hi - 1] // step + 1) * step))
+        k = keys[lo:hi]
+        if composite:  # back to row * n + col, in place, and the positions
+            pos = np.empty(len(k), dtype=np.int64)
+            np.divmod(k, size, out=(k, pos))
+            v = np.take(vals, pos)
+        else:
+            v = vals[lo:hi]
+        first = np.empty(len(k), dtype=bool)
+        first[0] = True
+        np.not_equal(k[1:], k[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        summed.append(np.add.reduceat(v, starts))
+        keys[nnz:nnz + len(starts)] = k[starts]
+        nnz += len(starts)
+        lo = hi
+    del vals
+    data = np.concatenate(summed) if summed else np.empty(0)
+    del summed
+    keys = keys[:nnz]
+    idx = _index_dtype(n, size)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(idx)
     keys %= n  # now the column indices
-    summed = np.add.reduceat(vals, starts) if size else vals
-    return SparseMatrix((summed, keys, indptr), shape=(n, n))
+    return SparseMatrix((data, keys.astype(idx), indptr), shape=(n, n))
+
+
+def _index_dtype(n, size):
+    """The dtype of the CSR index arrays of order n from size triplets:
+    int32 while both are below 2^31, so that SuperLU copies no index array
+    and a matvec streams 4 bytes per index, and int64 past that."""
+    return scipy.sparse.get_index_dtype(maxval=max(n, size))
 
 
 def _write_triplets(n, size, blocks, composite):
@@ -161,27 +190,9 @@ def _write_triplets(n, size, blocks, composite):
     return keys, vals
 
 
-# Triplets per chunk of _sort_composite's gather: 256 KB of positions
-_GATHER_CHUNK = 1 << 15
-
-
-def _sort_composite(keys, vals):
-    """Sort composite keys in place, in the stable order of row * n + col,
-    and return the values gathered in that order.
-
-    The positions are read back a chunk at a time, and dividing by the
-    triplet count restores each key to row * n + col in place, so only the
-    gathered values are allocated whole."""
-    size = len(keys)
-    keys.sort()
-    gathered = np.empty(size)
-    pos = np.empty(min(size, _GATHER_CHUNK), dtype=np.int64)
-    for lo in range(0, size, _GATHER_CHUNK):
-        k = keys[lo:lo + _GATHER_CHUNK]
-        p = pos[:len(k)]
-        np.divmod(k, size, out=(k, p))
-        np.take(vals, p, out=gathered[lo:lo + len(k)])
-    return gathered
+# Triplets per chunk of _csr_from_blocks's reduction: its temporaries stay
+# near 1 MB whatever the triplet count
+_CHUNK = 1 << 15
 
 
 def symmetry_error(A: SparseMatrix) -> float:
@@ -609,8 +620,9 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
 def p1_prolongation(mesh: TriangleMesh, element: ReferenceElement,
                     dofmap: DofMap) -> scipy.sparse.csr_array:
     """The exact embedding of continuous P1 into continuous Lagrange P_k on
-    one mesh, as an (n_dofs, n_vertices) CSR matrix: row i holds the
-    barycentric coordinates of node i in a cell that contains it.
+    one mesh, as an (n_dofs, n_vertices) CSR matrix with _index_dtype
+    indices: row i holds the barycentric coordinates of node i in a cell
+    that contains it.
 
     A node shared by several cells has the same coordinates in each, so
     each row is written once, from the node's first cell; summing the
@@ -625,8 +637,9 @@ def p1_prolongation(mesh: TriangleMesh, element: ReferenceElement,
     cell, local = np.divmod(first, element.n_dofs)
     cols, vals = mesh.cells[cell], lam[local]
     keep = vals != 0.0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return scipy.sparse.csr_array((vals[keep], cols[keep], indptr),
+    idx = _index_dtype(dofmap.total_dofs, keep.sum())
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(idx)
+    return scipy.sparse.csr_array((vals[keep], cols[keep].astype(idx), indptr),
                                   shape=(dofmap.total_dofs, mesh.n_vertices))
 
 

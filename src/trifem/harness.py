@@ -148,8 +148,10 @@ _study_solve = solver.solve
 def run_convergence_study(spec: StudySpec):
     """Run the refinement ladder; returns ConvergenceRows and writes CSV.
 
-    A solver failure aborts the ladder but still writes the rows obtained
-    so far (partial CSV), then raises SolverFailure.
+    Nothing a rung makes outlives it: its mesh (with the cell data),
+    operator, load and solve report are freed before the next mesh is
+    built.  A solver failure aborts the ladder but still writes the rows
+    obtained so far (partial CSV), then raises SolverFailure.
     """
     element = parse_element(spec.element)
     form = study_form(spec.problem, element)
@@ -177,6 +179,7 @@ def run_convergence_study(spec: StudySpec):
                                    iterations=rep.iterations,
                                    residual=rep.residual, method=rep.method,
                                    preconditioner=rep.preconditioner))
+        del msh, A, b, rep
     if spec.out:
         write_study_csv(rows, spec.out)
     if failure is not None:

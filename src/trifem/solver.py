@@ -22,8 +22,9 @@ minimum degree and eliminates on the diagonal, without pivoting.  The
 result is kept only when every pivot was taken on the diagonal and is
 positive, so that A is numerically SPD (Sylvester's law of inertia) and
 elimination without pivoting is backward stable.  Any other matrix is
-refactored with a COLAMD column ordering and partial pivoting.  All
-solvers are deterministic.
+refactored with a COLAMD column ordering and partial pivoting, once the
+rejected symmetric factor has been freed, so the two factors are never
+held at once.  All solvers are deterministic.
 """
 
 import ctypes
@@ -95,6 +96,8 @@ DENSE_CUTOVER = 1500
 DENSE_BUDGET = 1 << 30
 # CG iteration cap: 50 n would allow millions of iterations on large systems
 CG_MAX_ITER = 10_000
+# rows per block of _two_level's l1 row sums
+_ROW_BLOCK = 4096
 
 
 @dataclass
@@ -149,7 +152,8 @@ def _sparse_lu(A):
     A is numerically SPD.  Otherwise A is refactored with COLAMD and
     partial pivoting, as "sparse_lu".  The CSC copy of A that splu reads
     is made for each call and held by nothing after it, so it is freed
-    before lu.U makes its copy of the factor.
+    before lu.U makes its copy of the factor, and the rejected symmetric
+    factor is freed before the fallback builds its own.
     """
     from scipy.sparse.linalg import splu  # kept out of `import trifem`
     # with a zero diagonal SuperLU still pivots off it, so this raises only
@@ -158,6 +162,7 @@ def _sparse_lu(A):
               options={"SymmetricMode": True})
     if np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0:
         return lu, "sparse_lu_sym"
+    del lu
     return splu(A.tocsc()), "sparse_lu"
 
 
@@ -234,9 +239,16 @@ def _two_level(A, P):
 
     l1-Jacobi divides by the row sums of |A|, so rho(D_l1^-1 A) <= 1 and
     the smoother converges with no damping constant to tune; damped Jacobi
-    at a fixed weight diverges for P5.
+    at a fixed weight diverges for P5.  Each row sum is one np.add.reduceat
+    group, as over all of |A.data|, but taken a block of rows at a time, so
+    no full-size copy of |A.data| is made.
     """
-    dinv = 1.0 / np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+    dinv = np.empty(A.shape[0])
+    for lo in range(0, A.shape[0], _ROW_BLOCK):
+        ptr = A.indptr[lo:lo + _ROW_BLOCK + 1]
+        dinv[lo:lo + _ROW_BLOCK] = np.add.reduceat(
+            np.abs(A.data[ptr[0]:ptr[-1]]), ptr[:-1] - ptr[0])
+    np.divide(1.0, dinv, out=dinv)
     lu, _ = _sparse_lu(P.T @ (A @ P))
     R = P.T.tocsr()
 

@@ -11,7 +11,7 @@ from trifem import assembly, refelem, solver, transform
 from trifem.assembly import (ScalarField, assemble_load, assemble_operator,
                              build_dof_map, csr_from_coo, export_matrix_market,
                              export_vector, interpolate, symmetry_error)
-from trifem.harness import poisson_problem, study_form
+from trifem.harness import parse_element, poisson_problem, study_form
 from trifem.mesh import (batch_geometry, build_mesh, build_unit_square_mesh,
                          export_text)
 from trifem.quadrature import triangle_rule
@@ -190,9 +190,16 @@ def test_csr_roundtrip_and_sorted_columns():
     assert np.allclose(A.diagonal(), np.diag(D))
 
 
+def index_dtype_policy(n, size):
+    """The CSR index dtype for order n from size triplets: int32 while both
+    are below 2^31, int64 past that."""
+    return np.int32 if max(n, size) < 2 ** 31 else np.int64
+
+
 def reference_csr(n, rows, cols, vals):
     """The stable-argsort CSR build: duplicates grouped in input order by a
-    stable sort of row * n + col, then summed by np.add.reduceat."""
+    stable sort of row * n + col, then summed by np.add.reduceat; index
+    arrays in the dtype of index_dtype_policy."""
     keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], np.asarray(vals, dtype=float)[order]
@@ -201,17 +208,20 @@ def reference_csr(n, rows, cols, vals):
     starts = np.flatnonzero(first)
     summed = np.add.reduceat(vals, starts) if len(vals) else vals
     indptr = np.searchsorted(keys[starts], np.arange(n + 1) * n)
-    return assembly.SparseMatrix((summed, keys[starts] % n, indptr), shape=(n, n))
+    idx = index_dtype_policy(n, len(keys))
+    return assembly.SparseMatrix((summed, (keys[starts] % n).astype(idx),
+                                  indptr.astype(idx)), shape=(n, n))
 
 
 def assert_same_csr(A, B):
-    """Byte-identical CSR arrays; data compared as bits, so that signed
-    zeros count."""
+    """Byte-identical data, compared as bits so that signed zeros count, and
+    equal index values (compared as int64) in one index dtype."""
     assert A.shape == B.shape
     assert A.data.dtype == B.data.dtype == np.float64
     assert A.data.view(np.uint64).tobytes() == B.data.view(np.uint64).tobytes()
     for a, b in ((A.indices, B.indices), (A.indptr, B.indptr)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.astype(np.int64), b.astype(np.int64))
 
 
 def random_duplicate_triplets(rng, n=40, n_keys=300):
@@ -309,7 +319,7 @@ def test_operator_csr_matches_stable_sort_reference(monkeypatch, problem, name):
 
 def _operator_pass_peak(el, form, n_mesh=32):
     """tracemalloc peak of the operator pass once the cell data exists, and
-    the pass's triplet count."""
+    the pass's triplet count, interior-penalty facets included."""
     import tracemalloc
     m = build_unit_square_mesh(n_mesh, 0.2)
     assembly.cell_blocks(m, el, True)
@@ -319,17 +329,35 @@ def _operator_pass_peak(el, form, n_mesh=32):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, m.n_cells * el.n_dofs ** 2
+    triplets = m.n_cells * el.n_dofs ** 2
+    if form.kind == "plate_ip":
+        triplets += (m.n_edges - len(m.boundary_edges)) * (2 * el.n_dofs) ** 2
+    return peak, triplets
 
 
 def test_operator_pass_peak_memory_per_triplet():
-    # after the cell data exists, the operator pass's peak is its CSR step
-    # (the key and value buffers and the values gathered in sorted order,
-    # 24 bytes per triplet) or the fill, where a block's kernels run beside
-    # the two buffers: 28.4 bytes per triplet for P3 Poisson, against 34
-    # with the stable argsort and 68 when the blocks were concatenated
+    # after the cell data exists, the operator pass's peak is its CSR step:
+    # the key and value buffers (16 bytes per triplet), the summed values
+    # (8 per distinct entry, 0.77 of the triplets here) and one chunk's
+    # temporaries, 26.9 bytes per triplet for P3 Poisson, against 28.4
+    # while the sorted values, group starts and distinct keys were made
+    # whole, 34 with the stable argsort and 68 when the blocks were
+    # concatenated; the bound adds 1.1, less than one more live row of a
+    # cell block (1.6)
     peak, triplets = _operator_pass_peak(lagrange(3), assembly.poisson_nitsche())
-    assert peak <= 30 * triplets
+    assert peak <= 28 * triplets
+
+
+def test_ip_operator_pass_peak_memory_per_triplet():
+    # IP-P3, 1.4M triplets at N=32, six in seven from interior facets,
+    # which sum to 0.27 distinct entries per triplet: 18.8 bytes per
+    # triplet at the CSR step's peak, against 24.4 while its arrays were
+    # made whole; the bound adds 0.22, less than one more live row of a
+    # cell block (0.23)
+    el = lagrange(3)
+    peak, triplets = _operator_pass_peak(el, study_form("biharmonic", el))
+    assert triplets == 1_408_000
+    assert peak <= 19 * triplets
 
 
 def test_plate_operator_pass_peak_memory_per_triplet():
@@ -348,6 +376,26 @@ def test_bell_operator_pass_peak_memory_per_triplet():
     # less than one more live row of the block (2.3)
     peak, triplets = _operator_pass_peak(BELL, study_form("biharmonic", BELL))
     assert peak <= 36 * triplets
+
+
+@pytest.mark.parametrize("problem, name", STUDY_FORMS)
+def test_study_operators_have_int32_indices(problem, name):
+    el = parse_element(name)
+    for n_mesh in (4, 8, 16):
+        A = assemble_operator(build_unit_square_mesh(n_mesh, 0.2), el,
+                              study_form(problem, el))
+        mats = [A] if A.coarse is None else [A, A.coarse]
+        for M in mats:
+            assert M.indices.dtype == M.indptr.dtype == np.int32
+        # SuperLU reads C int indices, so it copies none of them
+        assert A.tocsc().indices.dtype == np.intc
+
+
+@pytest.mark.parametrize("n, size, dtype", [
+    (2 ** 31 - 1, 0, np.int32), (2 ** 31 - 1, 2 ** 31 - 1, np.int32),
+    (2 ** 31, 0, np.int64), (1, 2 ** 31, np.int64)])
+def test_index_dtype_at_the_int32_bound(n, size, dtype):
+    assert assembly._index_dtype(n, size) == index_dtype_policy(n, size) == dtype
 
 
 def _boundary_triplets(rng, n, size):

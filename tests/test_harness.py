@@ -192,6 +192,39 @@ def test_non_solver_error_propagates(tmp_path, monkeypatch):
         run_convergence_study(spec)
 
 
+@pytest.mark.parametrize("element, solver", [("lagrange:3", "cg"),
+                                             ("argyris", "lu")])
+def test_rung_is_freed_before_the_next_mesh(monkeypatch, element, solver):
+    # weak references to what each rung makes: the mesh (which holds the
+    # cell data), the operator, the load and the solve report must all be
+    # dead when the next rung builds its mesh
+    import weakref
+    refs = []
+
+    def recorded(fn):
+        def call(*args, **kw):
+            out = fn(*args, **kw)
+            refs.append(weakref.ref(out))
+            return out
+        return call
+
+    build = recorded(harness.build_unit_square_mesh)
+
+    def build_after_free(*args, **kw):
+        assert sum(r() is not None for r in refs) == 0
+        return build(*args, **kw)
+
+    monkeypatch.setattr(harness, "build_unit_square_mesh", build_after_free)
+    for name in ("assemble_operator", "assemble_load"):
+        monkeypatch.setattr(harness.assembly, name,
+                            recorded(getattr(harness.assembly, name)))
+    monkeypatch.setattr(harness, "_study_solve", recorded(harness._study_solve))
+    problem = "poisson" if solver == "cg" else "biharmonic"
+    rows = run_convergence_study(StudySpec(problem=problem, element=element,
+                                           levels=(2, 4, 8), solver=solver))
+    assert len(rows) == 3 and len(refs) == 12
+
+
 def test_stats_report_values(tmp_path):
     row = run_stats_report("poisson", "morley", 8, str(tmp_path / "s.csv"))
     assert row["dofs"] == 289

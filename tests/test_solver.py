@@ -306,6 +306,33 @@ def test_sparse_lu_falls_back_to_pivoting(case):
     assert np.linalg.norm(x - x_star) < 1e-8 * np.linalg.norm(x_star)
 
 
+def test_sparse_lu_frees_the_rejected_factor_before_the_fallback(monkeypatch):
+    # SuperLU objects take no weak references, so each factor is handed out
+    # inside a proxy that forwards to it; the proxy, and with it the factor,
+    # must be gone before the pivoting fallback starts its own factorization
+    import weakref
+    import scipy.sparse.linalg
+    splu_real, finalizers = scipy.sparse.linalg.splu, []
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def spy(*args, **kw):
+        assert not any(f.alive for f in finalizers), "an earlier factor is held"
+        lu = Factor(splu_real(*args, **kw))
+        finalizers.append(weakref.finalize(lu, lambda: None))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    lu, method = solver._sparse_lu(_non_spd_cases()["indefinite"])
+    assert method == "sparse_lu" and len(finalizers) == 2
+    assert not finalizers[0].alive and finalizers[1].alive
+
+
 def test_sparse_lu_singular_raises():
     # a zero row and column: the symmetric mode raises as the fallback would
     n = solver.DENSE_CUTOVER + 1
