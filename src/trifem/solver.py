@@ -24,7 +24,11 @@ positive, so that A is numerically SPD (Sylvester's law of inertia) and
 elimination without pivoting is backward stable.  Any other matrix is
 refactored with a COLAMD column ordering and partial pivoting, once the
 rejected symmetric factor has been freed, so the two factors are never
-held at once.  All solvers are deterministic.
+held at once.  The check reads the pivots where SuperLU stores them, in
+the supernodes of L, through ctypes views (_diagonal_pivots), so a
+factored rung holds SuperLU's factor and nothing more: scipy's lu.U and
+lu.L would convert the whole factor into CSC copies of L and U and keep
+them as long as the factor lives.  All solvers are deterministic.
 """
 
 import ctypes
@@ -89,6 +93,90 @@ def _pin_blas_threads():
 
 _pin_blas_threads()
 
+
+class _SuperMatrix(ctypes.Structure):
+    # SuperLU's SuperMatrix: storage, data and shape kinds, then the shape
+    _fields_ = [("Stype", ctypes.c_int), ("Dtype", ctypes.c_int),
+                ("Mtype", ctypes.c_int), ("nrow", ctypes.c_int),
+                ("ncol", ctypes.c_int), ("Store", ctypes.c_void_p)]
+
+
+class _SCformat(ctypes.Structure):
+    # the supernodal column storage of L, with U's diagonal blocks inside
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int),
+                ("nzval", ctypes.POINTER(ctypes.c_double))] + [
+        (name, ctypes.POINTER(ctypes.c_int)) for name in (
+            "nzval_colptr", "rowind", "rowind_colptr", "col_to_sup",
+            "sup_to_col")]
+
+
+class _SuperLUObject(ctypes.Structure):
+    # the head of scipy's SuperLU object, up to its row permutation
+    _fields_ = [("head", ctypes.c_char * object.__basicsize__),
+                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("L", _SuperMatrix), ("U", _SuperMatrix),
+                ("perm_r", ctypes.c_void_p)]
+
+
+def _in_place_pivots(lu):
+    """The n pivots of a SuperLU factor read from L's supernodes, where
+    column j's U diagonal is nzval[nzval_colptr[j] + j - first column of
+    j's supernode]; None when the object does not have that layout."""
+    from scipy.sparse.linalg import SuperLU
+    n = lu.shape[1]
+    if (type(lu) is not SuperLU
+            or type(lu).__basicsize__ < ctypes.sizeof(_SuperLUObject)):
+        return None
+    obj = _SuperLUObject.from_address(id(lu))
+    L = obj.L
+    if (obj.perm_r != lu.perm_r.ctypes.data or obj.n != n
+            or (L.Stype, L.Dtype, L.Mtype) != (3, 1, 1)  # SC, double, TRLU
+            or L.nrow != n or L.ncol != n or not L.Store):
+        return None
+    store = _SCformat.from_address(L.Store)
+    if not 0 <= store.nsuper < n:
+        return None
+
+    def view(pointer, size):
+        return np.ctypeslib.as_array(pointer, (size,))
+
+    columns = np.arange(n)
+    rowind_colptr = view(store.rowind_colptr, n + 1)
+    nzval_colptr = view(store.nzval_colptr, n + 1)
+    try:  # numpy bounds-checks every gather against the view's length
+        first = view(store.sup_to_col, store.nsuper + 2)[
+            view(store.col_to_sup, n)]
+        offset = columns - first
+        if min(first.min(), offset.min()) < 0 or np.any(
+                view(store.rowind, int(rowind_colptr[n]))[
+                    rowind_colptr[first] + offset] != columns):
+            return None
+        return view(store.nzval, int(nzval_colptr[n]))[
+            nzval_colptr[:n] + offset]
+    except IndexError:
+        return None
+
+
+def _diagonal_pivots(lu):
+    """The diagonal of a SuperLU factor's U, without the CSC copies of L
+    and U that lu.U makes and keeps for the factor's lifetime.
+
+    The pivots are read in place through ctypes once the object's layout
+    checks out: its size, its perm_r pointer, L's storage kind and shape,
+    and the row index at each column's diagonal slot.  An object of any
+    other layout gets lu.U.diagonal() and a RuntimeWarning, as it then
+    pays for the copies.  The result is a copy; no view outlives lu.
+    """
+    pivots = _in_place_pivots(lu)
+    if pivots is None:
+        warnings.warn(
+            "the SuperLU factor's layout was not recognised; its pivots are "
+            "read through lu.U, which copies L and U", RuntimeWarning,
+            stacklevel=2)
+        pivots = lu.U.diagonal()
+    return pivots
+
+
 # Dense LU runs up to this order, sparse LU (SuperLU) beyond it: dense LU
 # is the reference path but too slow past a few thousand DoFs
 DENSE_CUTOVER = 1500
@@ -98,6 +186,9 @@ DENSE_BUDGET = 1 << 30
 CG_MAX_ITER = 10_000
 # rows per block of _two_level's l1 row sums
 _ROW_BLOCK = 4096
+# splu's symmetric mode: MMD on A + A^T, pivots kept on the diagonal
+_SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                 "options": {"SymmetricMode": True}}
 
 
 @dataclass
@@ -146,21 +237,21 @@ def _dense_lu(A):
 def _sparse_lu(A):
     """Sparse LU (SuperLU) of A, checked; returns (lu, method).
 
-    Symmetric mode first: minimum-degree ordering of A + A^T and diagonal
-    pivots only.  It is accepted, as "sparse_lu_sym", when SuperLU kept
-    every pivot on the diagonal and all of them are positive, that is when
-    A is numerically SPD.  Otherwise A is refactored with COLAMD and
-    partial pivoting, as "sparse_lu".  The CSC copy of A that splu reads
-    is made for each call and held by nothing after it, so it is freed
-    before lu.U makes its copy of the factor, and the rejected symmetric
-    factor is freed before the fallback builds its own.
+    Symmetric mode first (_SYMMETRIC_LU): minimum-degree ordering of
+    A + A^T and diagonal pivots only.  It is accepted, as "sparse_lu_sym",
+    when SuperLU kept every pivot on the diagonal and all of them are
+    positive, that is when A is numerically SPD.  Otherwise A is
+    refactored with COLAMD and partial pivoting, as "sparse_lu".  The
+    pivots are read in place (_diagonal_pivots), so no copy of the factor
+    is made; the CSC copy of A that splu reads is made for each call and
+    held by nothing after it, and the rejected symmetric factor is freed
+    before the fallback builds its own.
     """
     from scipy.sparse.linalg import splu  # kept out of `import trifem`
     # with a zero diagonal SuperLU still pivots off it, so this raises only
     # when A is singular, as the fallback would
-    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    if np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0:
+    lu = splu(A.tocsc(), **_SYMMETRIC_LU)
+    if np.array_equal(lu.perm_r, lu.perm_c) and _diagonal_pivots(lu).min() > 0:
         return lu, "sparse_lu_sym"
     del lu
     return splu(A.tocsc()), "sparse_lu"

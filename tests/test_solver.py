@@ -286,13 +286,15 @@ def _non_spd_cases():
     eye = scipy.sparse.identity(n, format="csr")
     return {"indefinite": (T - eye).tocsr(),
             "saddle": scipy.sparse.block_array([[T, eye], [eye, None]],
-                                               format="csr")}
+                                               format="csr"),
+            "negative": (-T).tocsr()}
 
 
-@pytest.mark.parametrize("case", ["indefinite", "saddle"])
+@pytest.mark.parametrize("case", ["indefinite", "saddle", "negative"])
 def test_sparse_lu_falls_back_to_pivoting(case):
-    # T - I has a negative pivot, the saddle point's zero diagonal forces
-    # pivots off the diagonal: both fail the SPD check and go through COLAMD
+    # T - I meets a zero pivot and the saddle point's zero diagonal forces
+    # pivots off the diagonal; -T keeps every pivot on the diagonal, all of
+    # them negative.  All three fail the SPD check and go through COLAMD
     # with partial pivoting
     A = _non_spd_cases()[case]
     assert A.shape[0] > solver.DENSE_CUTOVER
@@ -306,31 +308,87 @@ def test_sparse_lu_falls_back_to_pivoting(case):
     assert np.linalg.norm(x - x_star) < 1e-8 * np.linalg.norm(x_star)
 
 
+class _Forwarding:
+    """A SuperLU factor behind a proxy that forwards every attribute to it:
+    SuperLU objects take no weak references, and the proxy does; it is not
+    a SuperLU, so the in-place pivot read falls back to lu.U."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
 def test_sparse_lu_frees_the_rejected_factor_before_the_fallback(monkeypatch):
-    # SuperLU objects take no weak references, so each factor is handed out
-    # inside a proxy that forwards to it; the proxy, and with it the factor,
-    # must be gone before the pivoting fallback starts its own factorization
+    # each factor is handed out inside a forwarding proxy; the proxy, and
+    # with it the factor, must be gone before the pivoting fallback starts
+    # its own factorization.  -T keeps its pivots on the diagonal, so they
+    # are read, and the proxy's through lu.U, which warns.
     import weakref
     import scipy.sparse.linalg
     splu_real, finalizers = scipy.sparse.linalg.splu, []
 
-    class Factor:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
     def spy(*args, **kw):
         assert not any(f.alive for f in finalizers), "an earlier factor is held"
-        lu = Factor(splu_real(*args, **kw))
+        lu = _Forwarding(splu_real(*args, **kw))
         finalizers.append(weakref.finalize(lu, lambda: None))
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-    lu, method = solver._sparse_lu(_non_spd_cases()["indefinite"])
+    with pytest.warns(RuntimeWarning, match="layout was not recognised"):
+        lu, method = solver._sparse_lu(_non_spd_cases()["negative"])
     assert method == "sparse_lu" and len(finalizers) == 2
     assert not finalizers[0].alive and finalizers[1].alive
+
+
+@pytest.mark.parametrize("problem,family", [
+    ("poisson", "lagrange:3"), ("poisson", "hermite"),
+    ("biharmonic", "argyris"), ("biharmonic", "bell"),
+    ("biharmonic", "lagrange:3"), ("biharmonic", "lagrange:5")])
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_diagonal_pivots_read_in_place_bit_for_bit(problem, family, N):
+    # the pivots read from L's supernodes are U's diagonal, bit for bit, on
+    # the study operators (IP-P5's is indefinite), with no fallback; the
+    # in-place read runs first, since lu.U caches its copies on the factor
+    el = parse_element(family)
+    A = assembly.assemble_operator(build_unit_square_mesh(N, 0.2), el,
+                                   study_form(problem, el))
+    lu = splu(A.tocsc(), **solver._SYMMETRIC_LU)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pivots = solver._diagonal_pivots(lu)
+    assert pivots.dtype == np.float64
+    assert np.array_equal(pivots.view(np.int64), lu.U.diagonal().view(np.int64))
+
+
+def test_diagonal_pivots_fall_back_to_lu_U(monkeypatch):
+    # T - I is read in place, and an object that is not a SuperLU gets
+    # lu.U.diagonal() and a warning: the same bits.  _sparse_lu reaches the
+    # same verdict on either path; T - I and the saddle point are rejected
+    # by their off-diagonal pivots before any pivot is read
+    lu = splu(_non_spd_cases()["indefinite"].tocsc(), **solver._SYMMETRIC_LU)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        in_place = solver._diagonal_pivots(lu)
+    with pytest.warns(RuntimeWarning, match="layout was not recognised"):
+        copied = solver._diagonal_pivots(_Forwarding(lu))
+    assert in_place.min() < 0
+    assert np.array_equal(in_place.view(np.int64), copied.view(np.int64))
+    assert np.array_equal(copied.view(np.int64), lu.U.diagonal().view(np.int64))
+
+    import scipy.sparse.linalg
+    cases = {"spd": laplacian_1d(solver.DENSE_CUTOVER + 1),
+             **_non_spd_cases()}
+    methods = {k: solver._sparse_lu(A)[1] for k, A in cases.items()}
+    splu_real = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *a, **kw: _Forwarding(splu_real(*a, **kw)))
+    with pytest.warns(RuntimeWarning, match="layout was not recognised"):
+        methods_copied = {k: solver._sparse_lu(A)[1] for k, A in cases.items()}
+    assert methods == methods_copied == {
+        "spd": "sparse_lu_sym", "indefinite": "sparse_lu",
+        "saddle": "sparse_lu", "negative": "sparse_lu"}
 
 
 def test_sparse_lu_singular_raises():
@@ -344,23 +402,29 @@ def test_sparse_lu_singular_raises():
 
 
 def test_sparse_lu_peak_memory_per_nonzero():
-    # IP-P3 at N=16 (2,401 DoFs): tracemalloc sees the CSC copy of A that
-    # splu reads and the CSC copy of U that the SPD check reads (SuperLU's
-    # own factor is allocated in C).  A's copy is freed before U's is made:
-    # about 65 bytes per nonzero of A, against 82 while both were held
+    # IP-P3 at N=16 (2,401 DoFs) and the indefinite IP-P5 at N=8 (1,681
+    # DoFs), which takes the rejection and the pivoting fallback.  SuperLU
+    # allocates its factor in C, and the pivots are read in place, so
+    # tracemalloc sees only the CSC copy of A that each splu call reads:
+    # 12 bytes per nonzero (float64 data, int32 indices), measured at 12.15
+    # and 12.31.  The margin, under 2 bytes per nonzero, is less than half
+    # of one more int32 index array.  Reading the pivots through lu.U's CSC
+    # copies of L and U gave 55.2 and 30.0.
     import tracemalloc
-    el = parse_element("lagrange:3")
-    A = assembly.assemble_operator(build_unit_square_mesh(16, 0.2), el,
-                                   study_form("biharmonic", el))
-    assert A.n > solver.DENSE_CUTOVER
-    tracemalloc.start()
-    try:
-        _, method = solver._sparse_lu(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert method == "sparse_lu_sym"
-    assert peak <= 72 * A.nnz
+    for family, N, expected in (("lagrange:3", 16, "sparse_lu_sym"),
+                                ("lagrange:5", 8, "sparse_lu")):
+        el = parse_element(family)
+        A = assembly.assemble_operator(build_unit_square_mesh(N, 0.2), el,
+                                       study_form("biharmonic", el))
+        assert A.n > solver.DENSE_CUTOVER
+        tracemalloc.start()
+        try:
+            _, method = solver._sparse_lu(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert method == expected
+        assert peak <= 14 * A.nnz, (family, peak / A.nnz)
 
 
 def _pivoting_lu_solve(A, b):
