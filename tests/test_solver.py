@@ -427,6 +427,94 @@ def test_sparse_lu_peak_memory_per_nonzero():
         assert peak <= 14 * A.nnz, (family, peak / A.nnz)
 
 
+@pytest.mark.parametrize("family,N", [("argyris", 8), ("lagrange:3", 12)])
+def test_dense_lu_peak_memory(family, N):
+    # Argyris N=8 (694 DoFs) and IP-P3 N=12 (1,369): the dense copy of A and
+    # its LU, 2 x 8 n^2 bytes, and no third n x n array for the pivot
+    # growth; np.abs(lu).max() made one, for a peak of 3.00 x 8 n^2
+    import tracemalloc
+    el = parse_element(family)
+    A = assembly.assemble_operator(build_unit_square_mesh(N, 0.2), el,
+                                   study_form("biharmonic", el))
+    n = A.n
+    assert n <= solver.DENSE_CUTOVER
+    tracemalloc.start()
+    try:
+        dense, (lu, _), growth = solver._dense_lu(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 8 * n * n, peak / (8 * n * n)
+    assert growth == np.abs(lu).max() / np.abs(dense).max()
+
+
+def test_factor_trims_the_heap_before_a_sparse_factor_only(monkeypatch):
+    # the freed heap goes back to the OS just before _factor builds a
+    # sparse factor of an operator at least as large (in nonzeros) as any
+    # before it; a smaller one, the dense path and the two-level coarse
+    # factor of CG do not trim
+    calls = []
+    sparse_lu = solver._sparse_lu
+
+    def spy(A):
+        calls.append(("sparse_lu", A.shape[0]))
+        return sparse_lu(A)
+
+    monkeypatch.setattr(solver, "_malloc_trim",
+                        lambda pad: calls.append(("trim", pad)))
+    monkeypatch.setattr(solver, "_sparse_lu", spy)
+    monkeypatch.setattr(solver, "_trimmed_nnz", 0)
+    for n, trims in [(solver.DENSE_CUTOVER + 2, True),
+                     (solver.DENSE_CUTOVER + 1, False),
+                     (solver.DENSE_CUTOVER + 2, True)]:
+        rep = solver.solve(laplacian_1d(n), np.ones(n))
+        assert rep.method == "sparse_lu_sym"
+        assert calls == [("trim", 0)] * trims + [("sparse_lu", n)], n
+        calls.clear()
+    n = solver.DENSE_CUTOVER
+    assert solver.solve(laplacian_1d(n), np.ones(n)).method == "lu"
+    assert calls == []
+    m = build_unit_square_mesh(8, 0.2)
+    A = assembly.assemble_operator(m, parse_element("lagrange:3"),
+                                   assembly.poisson_nitsche())
+    rep = cg_solve(A, np.ones(A.n))
+    assert rep.preconditioner == "two_level"
+    assert calls == [("sparse_lu", A.coarse.shape[1])]
+
+
+@pytest.mark.skipif(solver._malloc_trim is None,
+                    reason="the C library has no malloc_trim")
+def test_study_ladder_peak_rss_with_the_heap_released():
+    # the default IP-P3 biharmonic ladder (N = 8, 16, 32) in a fresh
+    # process raises its peak RSS over the value after the imports by
+    # 44-46 MB when the freed heap goes back to the OS before each sparse
+    # factor, and by 57-59 MB when SuperLU's factor lands above it.  The
+    # peak is VmHWM, this process image's own: a child's ru_maxrss starts
+    # at the peak of the process that spawned it, here the test runner's
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import trifem
+    src = str(pathlib.Path(trifem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import scipy.sparse.linalg, trifem\n"
+        "from trifem.harness import StudySpec, run_convergence_study\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "base = peak()\n"
+        "run_convergence_study(StudySpec('biharmonic', 'lagrange:3'))\n"
+        "print((peak() - base) / 1024)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert float(out) <= 50.0, out
+
+
 def _pivoting_lu_solve(A, b):
     """The partial-pivoting fallback, COLAMD and one refinement step."""
     lu = splu(A.tocsc())
