@@ -84,22 +84,6 @@ class SparseMatrix(scipy.sparse.csr_array):
         return self @ x
 
 
-def csr_from_coo(n, rows, cols, vals) -> SparseMatrix:
-    """Build CSR from triplets; duplicate entries are grouped in input order
-    and summed by np.add.reduceat (see _csr_from_blocks).  An index outside
-    [0, n) or arrays of unequal length are a ValueError.
-
-    scipy's own COO-to-CSR conversion sums duplicates in another order: that
-    moves some entries by an ulp, and the biharmonic study errors far more.
-    """
-    rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
-    if not rows.shape == cols.shape == np.shape(vals):
-        raise ValueError("rows, cols and vals must have one length")
-    if ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)).any():
-        raise ValueError(f"row or column index outside [0, {n})")
-    return _csr_from_blocks(n, rows.size, [(rows, cols, vals)])
-
-
 def _csr_from_blocks(n, size, blocks) -> SparseMatrix:
     """CSR of order n from blocks of COO triplets (rows, cols, vals), arrays
     that broadcast to one shape, `size` triplets in all.
@@ -109,7 +93,9 @@ def _csr_from_blocks(n, size, blocks) -> SparseMatrix:
     input order, and np.add.reduceat sums each group: a run of 8 or more
     values goes through numpy's unrolled pairwise reduction rather than a
     left-to-right sum, so the input order fixes the bits but is not the
-    order of the additions.
+    order of the additions.  scipy's own COO-to-CSR conversion sums
+    duplicates in another order: that moves some entries by an ulp, and
+    the biharmonic study errors far more.
 
     The key of the triplet at position p is (row * n + col) * size + p.
     Keys are unique, so an in-place sort puts them in the stable order of
@@ -193,11 +179,6 @@ def _write_triplets(n, size, blocks, composite):
 # Triplets per chunk of _csr_from_blocks's reduction: its temporaries stay
 # near 1 MB whatever the triplet count
 _CHUNK = 1 << 15
-
-
-def symmetry_error(A: SparseMatrix) -> float:
-    """max |A - A^T|, computed sparsely."""
-    return float(abs(A - A.T).max())
 
 
 @dataclass(frozen=True)
@@ -696,20 +677,3 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     last = len(dofs) - 1 - np.unique(dofs[::-1], return_index=True)[1]
     u[dofs[last]] = local.ravel()[last]
     return u
-
-
-def export_matrix_market(A: scipy.sparse.csr_array, path) -> None:
-    """MatrixMarket coordinate format, real symmetric (lower triangle)."""
-    C = A.tocoo()
-    keep = C.row >= C.col
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{A.shape[0]} {A.shape[0]} {int(keep.sum())}\n")
-        np.savetxt(fh, np.rec.fromarrays([C.row[keep] + 1, C.col[keep] + 1,
-                                          C.data[keep]]), fmt="%d %d %.17g")
-
-
-def export_vector(vec, path) -> None:
-    """Plain-text vector export, one value per line, 17 significant digits."""
-    with open(path, "w") as fh:
-        np.savetxt(fh, np.asarray(vec).ravel(), fmt="%.17g")

@@ -13,6 +13,7 @@ Every pipeline is deterministic, so CSV output is bitwise reproducible.
 """
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,16 @@ class ConvergenceRow:
     preconditioner: str = None  # as SolveReport.preconditioner
 
 
+def _check_out(path) -> None:
+    """Raise, before any mesh is built, the OSError that writing path would
+    raise: path is a directory, or its directory is missing or read-only."""
+    folder = os.path.dirname(path or "") or "."
+    if path and os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    if path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"cannot write {path}: no writable directory {folder}")
+
+
 # the study's solve, resolved by this name at each rung
 _study_solve = solver.solve
 
@@ -151,8 +162,10 @@ def run_convergence_study(spec: StudySpec):
     Nothing a rung makes outlives it: its mesh (with the cell data),
     operator, load and solve report are freed before the next mesh is
     built.  A solver failure aborts the ladder but still writes the rows
-    obtained so far (partial CSV), then raises SolverFailure.
+    obtained so far (partial CSV), then raises SolverFailure; an out path
+    that cannot be written fails before the first rung (_check_out).
     """
+    _check_out(spec.out)
     element = parse_element(spec.element)
     form = study_form(spec.problem, element)
     u, f = poisson_problem() if spec.problem == "poisson" else biharmonic_problem()
@@ -202,6 +215,7 @@ def run_stats_report(problem: str, element_name: str, n: int = 8,
     if n > 32:
         raise ValueError("stats reports are limited to N <= 32 "
                          "(condition number cost)")
+    _check_out(out)
     element = parse_element(element_name)
     # the Poisson operator assembles for every family (Morley included,
     # nonconforming); only the convergence study excludes Morley

@@ -188,10 +188,6 @@ class CellGeometry:
         pts = np.atleast_2d(points)
         return self.vertices[..., :1, :] + pts @ np.swapaxes(self.Jinv, -1, -2)
 
-    def phys_to_ref(self, points):
-        pts = np.atleast_2d(points)
-        return (pts - self.vertices[..., :1, :]) @ np.swapaxes(self.J, -1, -2)
-
 
 def _edge_vectors(verts):
     """Edge vectors (..., 3, 2) from the lower- to the higher-numbered local
@@ -255,18 +251,3 @@ def vertex_size_field(mesh: TriangleMesh) -> np.ndarray:
     sums = np.bincount(v, weights=np.repeat(diam, 3), minlength=mesh.n_vertices)
     counts = np.bincount(v, minlength=mesh.n_vertices)
     return sums / counts
-
-
-def global_edge_normal(mesh: TriangleMesh, edge_index: int) -> np.ndarray:
-    """Unit normal of an edge: the stored-edge direction rotated 90 deg CCW."""
-    a, b = mesh.edges[edge_index]
-    d = mesh.vertices[b] - mesh.vertices[a]
-    d = d / np.hypot(*d)
-    return np.array([-d[1], d[0]])
-
-
-def export_text(mesh: TriangleMesh, path) -> None:
-    """Plain-text export: lines 'v x y' then 'c i j k' (0-based)."""
-    with open(path, "w") as fh:
-        np.savetxt(fh, mesh.vertices, fmt="v %.17g %.17g")
-        np.savetxt(fh, mesh.cells, fmt="c %d %d %d")

@@ -407,9 +407,3 @@ def tabulate(element: ReferenceElement, points, max_order: int = 0) -> dict:
     if (pts.min() < -1e-12 or (pts[:, 0] + pts[:, 1]).max() > 1.0 + 1e-12):
         raise ValueError("tabulation points must lie in the closed reference triangle")
     return tabulate_coeffs(element.poly, element.coeffs, pts, max_order)
-
-
-def dump_coeffs_csv(element: ReferenceElement, path) -> None:
-    """Dump coeffs as CSV (row = basis function) for cross-language diffing."""
-    with open(path, "w") as fh:
-        np.savetxt(fh, element.coeffs, fmt="%.17g", delimiter=",")

@@ -4,9 +4,9 @@ manufactured solutions.
 Every direct solve factors through _factor, the one place that chooses
 between dense LU with partial pivoting (up to DENSE_CUTOVER) and sparse
 LU (beyond it): solve() adds one step of iterative refinement, and
-factorized() and matrix_stats() reuse the factor as A^-1.  The scalable
-path is preconditioned conjugate gradients (scipy's cg); solve() runs it
-on request and falls back to the direct path.  matrix_stats() finds the
+matrix_stats() reuses the factor as A^-1.  The scalable path is
+preconditioned conjugate gradients (scipy's cg); solve() runs it on
+request and falls back to the direct path.  matrix_stats() finds the
 extreme eigenvalues of A and A^-1 with scipy's Lanczos (eigsh).
 
 CG is preconditioned by a two-level V-cycle when the operator carries a
@@ -224,7 +224,7 @@ class SolveReport:
     pivot_growth: float = None
     converged: bool = True
     method: str = "lu"
-    preconditioner: str = "none"  # CG's: "two_level", "jacobi" or "none"
+    preconditioner: str = "none"  # CG's: "two_level" or "jacobi"
 
 
 def _relative_residual(A, x, b):
@@ -341,25 +341,20 @@ def solve(A, b, method: str = "lu") -> SolveReport:
                        pivot_growth=growth, method=kind)
 
 
-def factorized(A):
-    """Factor once, return a solve handle (for repeated inverse applications)."""
-    return _factor(A)[0]
-
-
 def matrix_stats(A) -> dict:
     """DoF count, mean nonzeros per row and the condition number of a
     symmetric A, max |lambda| / min |lambda|.
 
     Both extreme eigenvalues are the largest in magnitude of A and of A^-1,
     found by Lanczos (eigsh) to working precision, with A^-1 applied
-    through factorized(A).  Lanczos starts from a fixed seeded vector, so
+    through _factor(A).  Lanczos starts from a fixed seeded vector, so
     the result is deterministic.
     """
     # kept out of `import trifem`, as splu is
     from scipy.sparse.linalg import LinearOperator, eigsh
     n = A.shape[0]
     v0 = np.random.default_rng(1234).standard_normal(n)
-    inv = LinearOperator((n, n), matvec=factorized(A), dtype=float)
+    inv = LinearOperator((n, n), matvec=_factor(A)[0], dtype=float)
     lam_max, lam_max_inv = (
         abs(eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
         for op in (A, inv))
@@ -393,8 +388,7 @@ def _two_level(A, P):
     return apply
 
 
-def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
-             precondition: bool = True) -> SolveReport:
+def cg_solve(A, b, rtol: float = 1e-10) -> SolveReport:
     """Preconditioned conjugate gradients on an SPD system by scipy's cg,
     stopped when its (unpreconditioned) recurrence residual falls below
     rtol |b|; the report carries the true relative residual |A x - b| / |b|,
@@ -406,29 +400,22 @@ def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
     grow as the mesh is refined; any other operator gets Jacobi.  Hermite,
     Argyris and Bell have no such coarse space: their gradients are
     single-valued at the vertices, so the P1 hat functions are not in their
-    spaces.  max_iter defaults to min(50 n, CG_MAX_ITER).
-    precondition=False runs plain CG; note that Jacobi preconditioning is
-    invariant under diagonal rescaling of the system, so the effect of the
-    derivative-DoF scaling on iteration counts only shows without it.
+    spaces.  CG stops after min(50 n, CG_MAX_ITER) iterations.
     """
     # kept out of `import trifem`, as splu is
     from scipy.sparse.linalg import LinearOperator, cg
     b = np.asarray(b, dtype=float)
     n = len(b)
-    if max_iter is None:
-        max_iter = min(50 * n, CG_MAX_ITER)
-    kind, precond = "none", None
-    if precondition:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise ValueError("CG preconditioners need a positive diagonal")
-        coarse = getattr(A, "coarse", None)
-        if coarse is not None:
-            kind, apply = "two_level", _two_level(A, coarse)
-        else:
-            dinv = 1.0 / diag
-            kind, apply = "jacobi", lambda r: dinv * r
-        precond = LinearOperator((n, n), matvec=apply, dtype=float)
+    diag = A.diagonal()
+    if np.any(diag <= 0):
+        raise ValueError("CG preconditioners need a positive diagonal")
+    coarse = getattr(A, "coarse", None)
+    if coarse is not None:
+        kind, apply = "two_level", _two_level(A, coarse)
+    else:
+        dinv = 1.0 / diag
+        kind, apply = "jacobi", lambda r: dinv * r
+    precond = LinearOperator((n, n), matvec=apply, dtype=float)
 
     iterations = 0
 
@@ -436,8 +423,8 @@ def cg_solve(A, b, rtol: float = 1e-10, max_iter: int = None,
         nonlocal iterations
         iterations += 1
 
-    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=max_iter, M=precond,
-                 callback=count)
+    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=min(50 * n, CG_MAX_ITER),
+                 M=precond, callback=count)
     return SolveReport(x=x, residual=_relative_residual(A, x, b),
                        iterations=iterations, converged=info == 0,
                        method="cg", preconditioner=kind)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from trifem import cli, harness
 from trifem.harness import (ConvergenceRow, SolverFailure, StudySpec,
@@ -192,6 +193,48 @@ def test_non_solver_error_propagates(tmp_path, monkeypatch):
         run_convergence_study(spec)
 
 
+@pytest.mark.parametrize("command", ["study", "stats"])
+@pytest.mark.parametrize("where", ["missing", "file", "read-only", "directory"])
+def test_cli_bad_out_fails_before_any_mesh(tmp_path, monkeypatch, capsys,
+                                           command, where):
+    # an output directory that is missing, a file or not writable, or an
+    # output that is itself a directory, exits 1 before the first mesh is
+    # built, so no rung's work is lost
+    import os
+    folder = tmp_path / where
+    out = folder / "x.csv"
+    if where == "file":
+        folder.write_text("")
+    elif where == "read-only":
+        if os.geteuid() == 0:
+            pytest.skip("root writes into read-only directories")
+        folder.mkdir(mode=0o500)
+    elif where == "directory":
+        out.mkdir(parents=True)
+
+    def no_mesh(*args, **kw):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_unit_square_mesh", no_mesh)
+    sizes = ["--levels", "4,8"] if command == "study" else ["--n", "4"]
+    code = cli.main([command, "--problem", "poisson", "--element", "lagrange:1",
+                     *sizes, "--out", str(out)])
+    assert code == 1
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["study", "stats"])
+def test_cli_out_in_the_working_directory(tmp_path, monkeypatch, command):
+    # a bare file name has no directory part: it is written where it runs
+    monkeypatch.chdir(tmp_path)
+    sizes = ["--levels", "2,4"] if command == "study" else ["--n", "2"]
+    code = cli.main([command, "--problem", "poisson", "--element", "lagrange:1",
+                     *sizes, "--out", "x.csv"])
+    assert code == 0
+    rows = (tmp_path / "x.csv").read_text().splitlines()
+    assert len(rows) == (3 if command == "study" else 2)  # header and rows
+
+
 @pytest.mark.parametrize("element, solver", [("lagrange:3", "cg"),
                                              ("argyris", "lu")])
 def test_rung_is_freed_before_the_next_mesh(monkeypatch, element, solver):
@@ -335,16 +378,14 @@ def test_poisson_l2_rate_floor():
 
 def test_study_solver_cg_falls_back_to_direct(monkeypatch):
     from trifem.harness import _study_solve
-    from trifem.assembly import csr_from_coo
     import trifem.harness as hmod
 
-    def stub_cg(A, b, rtol=1e-10, max_iter=None, precondition=True):
+    def stub_cg(A, b, rtol=1e-10):
         return hmod.solver.SolveReport(x=np.zeros_like(b), residual=1.0,
-                                       iterations=max_iter or 0,
                                        converged=False, method="cg")
 
     monkeypatch.setattr(hmod.solver, "cg_solve", stub_cg)
-    A = csr_from_coo(2, [0, 1], [0, 1], [2.0, 3.0])
+    A = scipy.sparse.csr_array(([2.0, 3.0], ([0, 1], [0, 1])), shape=(2, 2))
     rep = _study_solve(A, np.array([2.0, 3.0]), "cg")
     assert rep.method == "lu"
     assert np.allclose(rep.x, 1.0)

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from trifem.mesh import (batch_geometry, build_mesh, build_unit_square_mesh,
-                         cell_geometry,
-                         export_text, global_edge_normal,
-                         reference_cell_geometry, signed_area,
+                         cell_geometry, reference_cell_geometry, signed_area,
                          vertex_size_field)
 from trifem.refelem import EDGE_VERTICES
 
@@ -118,7 +116,7 @@ def test_geometry_chain_rule_oracle():
     assert np.abs(g.J - np.diag([0.5, 1.0])).max() < 1e-14
     assert np.abs(g.J @ g.Jinv - np.eye(2)).max() < 1e-12
     # p(x, y) = x^2 y pulls back to 4 xh^2 yh; grad p = J^T refgrad at (1, 1/2)
-    xhat = g.phys_to_ref(np.array([[1.0, 0.5]]))[0]
+    xhat = (np.array([1.0, 0.5]) - g.vertices[0]) @ g.J.T
     ref_grad = np.array([8 * xhat[0] * xhat[1], 4 * xhat[0] ** 2])
     assert np.abs(g.J.T @ ref_grad - np.array([1.0, 1.0])).max() < 1e-13
 
@@ -217,26 +215,16 @@ def test_vertex_size_field_homogeneous():
 
 
 def test_global_edge_normal_is_ccw_rotation():
-    m = build_unit_square_mesh(2)
-    for e in range(m.n_edges):
-        a, b = m.edges[e]
-        d = m.vertices[b] - m.vertices[a]
-        d = d / np.hypot(*d)
-        n = global_edge_normal(m, e)
-        assert abs(np.dot(n, d)) < 1e-14
-        assert abs(d[0] * n[1] - d[1] * n[0] - 1.0) < 1e-14  # 90 deg CCW
-
-
-def test_export_text_roundtrip(tmp_path):
-    m = build_unit_square_mesh(2, 0.1)
-    path = tmp_path / "mesh.txt"
-    export_text(m, path)
-    verts, cells = [], []
-    for line in path.read_text().strip().split("\n"):
-        parts = line.split()
-        if parts[0] == "v":
-            verts.append([float(parts[1]), float(parts[2])])
-        else:
-            cells.append([int(p) for p in parts[1:]])
-    assert np.abs(np.array(verts) - m.vertices).max() == 0.0
-    assert np.array_equal(np.array(cells), m.cells)
+    # the global normal of a shared edge-normal DoF, -cell_edge_signs times
+    # each cell's outward normal (as cell_blocks' M and interpolate orient
+    # it), is the stored edge direction rotated 90 degrees counter-clockwise
+    m = build_unit_square_mesh(4, 0.2)
+    normals = -m.cell_edge_signs[..., None] * batch_geometry(m).normals
+    for c in range(m.n_cells):
+        for e_loc, e in enumerate(m.cell_edges[c]):
+            a, b = m.edges[e]
+            d = m.vertices[b] - m.vertices[a]
+            d = d / np.hypot(*d)
+            n = normals[c, e_loc]
+            assert abs(np.dot(n, d)) < 1e-14
+            assert abs(d[0] * n[1] - d[1] * n[0] - 1.0) < 1e-14  # 90 deg CCW

@@ -273,16 +273,6 @@ def test_unsupported_families():
         build_reference_element("powell-sabin")
 
 
-def test_coeffs_csv_dump(tmp_path):
-    el = build_reference_element("morley")
-    path = tmp_path / "coeffs.csv"
-    refelem.dump_coeffs_csv(el, path)
-    rows = [line.split(",") for line in path.read_text().strip().split("\n")]
-    data = np.array([[float(c) for c in row] for row in rows])
-    assert data.shape == el.coeffs.shape
-    assert np.abs(data - el.coeffs).max() == 0.0
-
-
 def test_functional_validation():
     from trifem.refelem import NodalFunctional
     with pytest.raises(ValueError):

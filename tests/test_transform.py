@@ -67,7 +67,7 @@ def test_bell_physical_quartic_edge_modes_vanish():
                 n = -n
             x = verts[a] + rule.points[:, None] * d
             tab = tabulate_coeffs(el.poly, el.tabulation_coeffs(),
-                                  geom.phys_to_ref(x), 1)
+                                  (x - geom.vertices[0]) @ geom.J.T, 1)
             ghat = np.array([M @ tab[(1, 0)], M @ tab[(0, 1)]])
             dn = np.einsum("k,kl,liq->iq", n, geom.J.T, ghat)
             worst = max(worst, np.abs(ell * dn @ leg).max())
