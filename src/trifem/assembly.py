@@ -13,8 +13,8 @@ form (optionally with weakly-enforced clamped boundary conditions), the
 C0 interior-penalty biharmonic form, and the clamped-plate Nitsche form
 as printed in its source (assembly and symmetry checks only).
 
-The operator, load, interpolation and (in solver) L2-error passes share
-one cell-batched pipeline, cell_blocks.  It builds the DoF map, the
+The operator, load, interpolation and L2-error passes share one
+cell-batched pipeline, cell_blocks.  It builds the DoF map, the
 geometry of all cells and M for each fixed-size block of cells once per
 (mesh, element, scale), with array operations, and the mesh holds the
 result for the passes that follow; so M stays in memory for the whole
@@ -61,10 +61,6 @@ class ScalarField:
     f: callable
     grad: callable = None
     hess: callable = None
-
-    def __call__(self, points):
-        pts = np.atleast_2d(points)
-        return np.asarray(self.f(pts[..., 0], pts[..., 1]), dtype=float)
 
 
 class SparseMatrix(scipy.sparse.csr_array):
@@ -430,7 +426,7 @@ class _Kernels:
 
     def __init__(self, element, form):
         self.form = form = _resolve_form(element, form)
-        coeffs, poly = element.tabulation_coeffs(), element.poly
+        coeffs, poly = element.coeffs, element.poly
         poisson = form.kind == "poisson_nitsche"
         self.ip_facets = form.kind == "plate_ip"
         self.c = None if poisson or self.ip_facets else 1.0 - form.nu
@@ -631,14 +627,14 @@ def assemble_load(mesh: TriangleMesh, element: ReferenceElement,
     tabulated, at the cell rule of the operator's kernels."""
     _check_compatible(element, form)
     rule = triangle_rule(2 * element.degree)
-    tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
-                           rule.points, 0)[(0, 0)]
+    tab0 = tabulate_coeffs(element.poly, element.coeffs, rule.points, 0)[(0, 0)]
     data = cell_blocks(mesh, element, scale)
     dofmap = data.dofmap
     b = np.zeros(dofmap.total_dofs)
     for cells, geom, M in data.blocks:
         w = rule.weights * geom.detJinv_abs[:, None]
-        local = tab0 @ (w * f(geom.ref_to_phys(rule.points)))[:, :, None]
+        X = geom.ref_to_phys(rule.points)
+        local = tab0 @ (w * f.f(X[..., 0], X[..., 1]))[:, :, None]
         if M is not None:
             local = M @ local
         np.add.at(b, dofmap.cell_dofs[cells], local[:, :, 0])
@@ -661,7 +657,7 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     dofmap, geom = data.dofmap, data.geom
     X = geom.ref_to_phys(np.array([fn.point for fn in fns]))
     x, y = X[..., 0], X[..., 1]
-    tab = {(0, 0): np.broadcast_to(f(X), x.shape)}
+    tab = {(0, 0): np.broadcast_to(f.f(x, y), x.shape)}
     if order >= 1:
         tab[(1, 0)], tab[(0, 1)] = np.asarray(f.grad(x, y), dtype=float)
     if order >= 2:
@@ -677,3 +673,27 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     last = len(dofs) - 1 - np.unique(dofs[::-1], return_index=True)[1]
     u[dofs[last]] = local.ravel()[last]
     return u
+
+
+def l2_error(mesh: TriangleMesh, element: ReferenceElement, u_h: np.ndarray,
+             u_exact: ScalarField, scale: bool = True) -> float:
+    """L2 norm of (u_h - u_exact), with u_h reconstructed per cell through the
+    transformed basis and integrated at degree 2*embedded_degree + 2.  A u_h
+    whose length is not the space's DoF count is a ValueError."""
+    data = cell_blocks(mesh, element, scale)
+    dofmap = data.dofmap
+    if len(u_h) != dofmap.total_dofs:
+        raise ValueError(f"u_h has {len(u_h)} entries for "
+                         f"{dofmap.total_dofs} DoFs")
+    rule = triangle_rule(2 * element.degree + 2)
+    tab0 = tabulate_coeffs(element.poly, element.coeffs, rule.points, 0)[(0, 0)]
+
+    # per-cell integrals, summed in cell order by a sequential cumsum
+    terms = []
+    for cells, geom, M in data.blocks:
+        local = u_h[dofmap.cell_dofs[cells]]
+        vals = (local[:, None, :] @ (tab0 if M is None else M @ tab0))[:, 0]
+        X = geom.ref_to_phys(rule.points)
+        diff = vals - u_exact.f(X[..., 0], X[..., 1])
+        terms.append(geom.detJinv_abs * np.vecdot(rule.weights, diff * diff))
+    return float(np.sqrt(np.cumsum(np.concatenate(terms))[-1]))

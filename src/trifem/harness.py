@@ -144,11 +144,16 @@ class ConvergenceRow:
 
 def _check_out(path) -> None:
     """Raise, before any mesh is built, the OSError that writing path would
-    raise: path is a directory, or its directory is missing or read-only."""
-    folder = os.path.dirname(path or "") or "."
-    if path and os.path.isdir(path):
+    raise: path is empty or a directory, or its directory is missing or
+    read-only.  None means no CSV is written."""
+    if path is None:
+        return
+    if not path:
+        raise OSError("cannot write '': the path is empty")
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    if path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise OSError(f"cannot write {path}: no writable directory {folder}")
 
 
@@ -184,7 +189,7 @@ def run_convergence_study(spec: StudySpec):
         except (ValueError, RuntimeError) as exc:
             failure = exc
             break
-        err = solver.l2_error(msh, element, rep.x, u, scale=spec.scaling)
+        err = assembly.l2_error(msh, element, rep.x, u, scale=spec.scaling)
         # order of convergence per halving of h: ladders need not double
         rate = None if not rows else float(np.log2(rows[-1].error / err)
                                            / np.log2(n / rows[-1].n))
@@ -193,7 +198,7 @@ def run_convergence_study(spec: StudySpec):
                                    residual=rep.residual, method=rep.method,
                                    preconditioner=rep.preconditioner))
         del msh, A, b, rep
-    if spec.out:
+    if spec.out is not None:
         write_study_csv(rows, spec.out)
     if failure is not None:
         raise SolverFailure(f"solver failed on rung N={n}: {failure}")
@@ -229,7 +234,7 @@ def run_stats_report(problem: str, element_name: str, n: int = 8,
     row = {"element": element.describe(), "dofs": stats["total_dofs"],
            "nnz_per_row": stats["nnz_per_row"],
            "condition": stats["condition_estimate"]}
-    if out:
+    if out is not None:
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["element", "dofs", "nnz_per_row", "condition"])

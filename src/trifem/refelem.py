@@ -250,12 +250,12 @@ def _edge_quartic_moment_rows(poly: PolyBasis) -> np.ndarray:
 class ReferenceElement:
     """A nodal finite element on the reference triangle.
 
-    coeffs has one row per nodal basis function, expressing it in the
-    orthonormal PolyBasis.  For Bell, constraint_coeffs carries the three
-    extra quintic basis functions dual to the quartic edge-mode constraints;
-    together they span the full quintic space used when mapping Bell cells,
-    and bell_tables holds that space's geometry-independent tabulations
-    (see _bell_tables).  Instances are shared read-only.
+    coeffs has one row per basis function that the passes pull back, in
+    the orthonormal PolyBasis: the nodal ones, then for Bell the three duals
+    of the quartic edge-mode constraints, so that its 21 rows span the full
+    quintic space used when mapping Bell cells.  bell_tables holds that
+    space's geometry-independent tabulations (see _bell_tables).  Instances
+    are shared read-only, their arrays included.
     """
 
     family: str
@@ -263,18 +263,16 @@ class ReferenceElement:
     functionals: tuple
     coeffs: np.ndarray
     poly: PolyBasis
-    constraint_coeffs: np.ndarray = None
     bell_tables: tuple = None
+
+    def __post_init__(self):
+        vertex_tab, edge_grads = self.bell_tables or ({}, [])
+        for a in (self.coeffs, *vertex_tab.values(), *sum(edge_grads, ())):
+            a.flags.writeable = False
 
     @property
     def n_dofs(self) -> int:
         return len(self.functionals)
-
-    def tabulation_coeffs(self) -> np.ndarray:
-        """Coefficient rows of the basis pulled back in assembly (enriched for Bell)."""
-        if self.constraint_coeffs is not None:
-            return np.vstack([self.coeffs, self.constraint_coeffs])
-        return self.coeffs
 
     def entity_dofs(self):
         """dict dim -> {entity index -> list of local DoF indices}."""
@@ -355,22 +353,16 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
 
     poly = build_poly_basis(k)
     B = _vandermonde(fns, poly)
-    constraint_coeffs = None
     if family == "bell":
         B = np.vstack([B, _edge_quartic_moment_rows(poly)])
     if np.linalg.cond(B) > 1e12:
         raise ValueError(f"singular nodal system for {family}: "
                          "inconsistent functional set")
     C = np.linalg.inv(B.T)
-    bell_tables = None
-    if family == "bell":
-        constraint_coeffs = C[18:]
-        C = C[:18]
-        bell_tables = _bell_tables(poly, np.vstack([C, constraint_coeffs]))
     return ReferenceElement(family=family, degree=k, functionals=tuple(fns),
                             coeffs=C, poly=poly,
-                            constraint_coeffs=constraint_coeffs,
-                            bell_tables=bell_tables)
+                            bell_tables=_bell_tables(poly, C)
+                            if family == "bell" else None)
 
 
 def _bell_tables(poly, coeffs):
@@ -406,4 +398,4 @@ def tabulate(element: ReferenceElement, points, max_order: int = 0) -> dict:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if (pts.min() < -1e-12 or (pts[:, 0] + pts[:, 1]).max() > 1.0 + 1e-12):
         raise ValueError("tabulation points must lie in the closed reference triangle")
-    return tabulate_coeffs(element.poly, element.coeffs, pts, max_order)
+    return tabulate_coeffs(element.poly, element.coeffs[:element.n_dofs], pts, max_order)

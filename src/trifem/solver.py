@@ -1,5 +1,4 @@
-"""Linear solvers, condition numbers and L2 error evaluation against
-manufactured solutions.
+"""Linear solvers and condition numbers.
 
 Every direct solve factors through _factor, the one place that chooses
 between dense LU with partial pivoting (up to DENSE_CUTOVER) and sparse
@@ -45,14 +44,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import cell_blocks
-from .quadrature import triangle_rule
-from .refelem import ReferenceElement, tabulate_coeffs
-
-# One-cell entry points kept importable from here, as from assembly; the
-# error pass uses the batched pipeline (assembly.cell_blocks).
-from .mesh import cell_geometry, vertex_size_field  # noqa: E402,F401
-from .transform import cell_transform  # noqa: E402,F401
+# Re-exported for the frozen studybench/child.py, which calls and wraps
+# them here; nothing in this module uses them.
+from .assembly import l2_error  # noqa: F401
+from .mesh import cell_geometry, vertex_size_field  # noqa: F401
+from .transform import cell_transform  # noqa: F401
 
 # numpy and scipy each load their own OpenBLAS, each with a thread pool
 # as wide as the machine.  A blocked LU then depends on the pool width in
@@ -429,28 +425,3 @@ def cg_solve(A, b, rtol: float = 1e-10) -> SolveReport:
                        iterations=iterations, converged=info == 0,
                        method="cg", preconditioner=kind)
 
-
-def l2_error(mesh, element: ReferenceElement, u_h: np.ndarray, u_exact,
-             scale: bool = True) -> float:
-    """L2 norm of (u_h - u_exact), with u_h reconstructed per cell through the
-    transformed basis and integrated at degree 2*embedded_degree + 2.  A u_h
-    whose length is not the space's DoF count is a ValueError."""
-    data = cell_blocks(mesh, element, scale)
-    dofmap = data.dofmap
-    if len(u_h) != dofmap.total_dofs:
-        raise ValueError(f"u_h has {len(u_h)} entries for "
-                         f"{dofmap.total_dofs} DoFs")
-    rule = triangle_rule(2 * element.degree + 2)
-    tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
-                           rule.points, 0)[(0, 0)]
-    ue = u_exact.f if hasattr(u_exact, "f") else u_exact
-
-    # per-cell integrals, summed in cell order by a sequential cumsum
-    terms = []
-    for cells, geom, M in data.blocks:
-        local = u_h[dofmap.cell_dofs[cells]]
-        vals = (local[:, None, :] @ (tab0 if M is None else M @ tab0))[:, 0]
-        X = geom.ref_to_phys(rule.points)
-        diff = vals - ue(X[..., 0], X[..., 1])
-        terms.append(geom.detJinv_abs * np.vecdot(rule.weights, diff * diff))
-    return float(np.sqrt(np.cumsum(np.concatenate(terms))[-1]))

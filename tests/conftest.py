@@ -72,7 +72,7 @@ def poly_field(expr) -> ScalarField:
 def physical_functional_matrix(element, geom):
     """Independent duality oracle: each physical nodal functional applied to
     every pulled-back basis function, via chain-rule tabulation."""
-    coeffs = element.tabulation_coeffs()
+    coeffs = element.coeffs
     J = geom.J
     T = transform.hessian_pushforward(J)
     comp_index = {"xx": 0, "xy": 1, "yy": 2}
@@ -122,12 +122,12 @@ def l2_projection(msh, element, u_exact: ScalarField, scale=True):
     the mass matrix of every family) through the same DoF map, geometry
     and transforms as the solver (assembly.cell_blocks), so up to
     quadrature error no function in that space has a smaller
-    solver.l2_error.
+    assembly.l2_error.
     """
     data = cell_blocks(msh, element, scale)
     dofmap = data.dofmap
     rule = triangle_rule(12)
-    tab0 = tabulate_coeffs(element.poly, element.tabulation_coeffs(),
+    tab0 = tabulate_coeffs(element.poly, element.coeffs,
                            rule.points, 0)[(0, 0)]
     n_loc = element.n_dofs
     rows, cols, vals, loads = [], [], [], []

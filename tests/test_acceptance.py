@@ -15,11 +15,12 @@ from conftest import (interpolate_on_cell, l2_projection, make_rng,
 import sympy
 from conftest import X, Y
 from trifem import assembly
+from trifem.assembly import l2_error
 from trifem.harness import (StudySpec, poisson_problem,
                             run_convergence_study, run_stats_report)
 from trifem.mesh import build_unit_square_mesh
 from trifem.refelem import build_reference_element, tabulate_coeffs
-from trifem.solver import DENSE_CUTOVER, l2_error
+from trifem.solver import DENSE_CUTOVER
 from trifem.transform import cell_transform, morley_M, morley_three_step
 
 H2_FAMILIES = ("hermite", "morley", "argyris", "bell")
@@ -79,7 +80,7 @@ def test_criterion_3_polynomial_reproduction_through_map():
     for family, (degree, expr) in REPRO_POLY.items():
         el = ELEMENTS[family]
         field = poly_field(sympy.expand(expr))
-        tab0 = tabulate_coeffs(el.poly, el.tabulation_coeffs(), pts, 0)[(0, 0)]
+        tab0 = tabulate_coeffs(el.poly, el.coeffs, pts, 0)[(0, 0)]
         err = 0.0
         for _ in range(20):
             geom = triangle_geometry(random_triangle(rng))

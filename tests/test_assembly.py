@@ -127,7 +127,7 @@ def _traces(m, el, data, u, c, x, normal):
     geom = data.geom[c]
     coef = u[data.dofmap.cell_dofs[c]] @ _cell_M(data, c)
     xhat = (x - geom.vertices[0]) @ geom.J.T
-    tab = tabulate_coeffs(el.poly, el.tabulation_coeffs(), xhat, 1)
+    tab = tabulate_coeffs(el.poly, el.coeffs, xhat, 1)
     grad_ref = np.array([coef @ tab[(1, 0)], coef @ tab[(0, 1)]])
     return coef @ tab[(0, 0)], (geom.J @ normal) @ grad_ref
 
@@ -505,7 +505,8 @@ def test_load_energy_pairing():
     for c in range(m.n_cells):
         geom = cell_geometry(m, c)
         pts = geom.ref_to_phys(rule.points)
-        vals = f(pts) * u(pts)
+        x, y = pts.T
+        vals = f.f(x, y) * u.f(x, y)
         exact += geom.detJinv_abs * np.dot(rule.weights, vals)
     assert abs(np.dot(b, uI) - exact) < 0.05 * abs(exact)
 
@@ -694,7 +695,7 @@ def test_p1_prolongation_interpolates_linears(k):
     g = ScalarField(f=lambda x, y: 0.3 - 1.7 * x + 2.9 * y)
     P = A.coarse
     assert P.shape == (A.n, m.n_vertices)
-    assert np.abs(P @ g(m.vertices) - interpolate(m, el, g)).max() < 1e-13
+    assert np.abs(P @ g.f(*m.vertices.T) - interpolate(m, el, g)).max() < 1e-13
 
 
 def test_no_coarse_space_outside_lagrange_poisson():

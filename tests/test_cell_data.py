@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from trifem import assembly, harness, solver, transform
+from trifem import assembly, harness, transform
 from trifem.assembly import _Kernels, _physical_hessian
 from trifem.mesh import batch_geometry, build_mesh, build_unit_square_mesh
 from trifem.refelem import build_reference_element
@@ -37,7 +37,7 @@ def _rung(msh, element, scale, problem="biharmonic"):
     A = assembly.assemble_operator(msh, element, form, scale)
     b = assembly.assemble_load(msh, element, f, form, scale)
     uI = assembly.interpolate(msh, element, u, scale)
-    err = solver.l2_error(msh, element, uI, u, scale)
+    err = assembly.l2_error(msh, element, uI, u, scale)
     return A, b, uI, err
 
 

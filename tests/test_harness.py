@@ -194,15 +194,16 @@ def test_non_solver_error_propagates(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["study", "stats"])
-@pytest.mark.parametrize("where", ["missing", "file", "read-only", "directory"])
+@pytest.mark.parametrize("where", ["missing", "file", "read-only", "directory",
+                                   "empty"])
 def test_cli_bad_out_fails_before_any_mesh(tmp_path, monkeypatch, capsys,
                                            command, where):
     # an output directory that is missing, a file or not writable, or an
-    # output that is itself a directory, exits 1 before the first mesh is
-    # built, so no rung's work is lost
+    # output that is itself a directory or an empty path, exits 1 before
+    # the first mesh is built, so no rung's work is lost
     import os
     folder = tmp_path / where
-    out = folder / "x.csv"
+    out = "" if where == "empty" else folder / "x.csv"
     if where == "file":
         folder.write_text("")
     elif where == "read-only":

@@ -301,6 +301,21 @@ def test_third_derivatives_match_finite_differences():
         assert np.abs(tab3[alpha] - (fp - fm) / (2 * h)).max() < 1e-4
 
 
+@pytest.mark.parametrize("family, degree", [("lagrange", 2), ("bell", None)])
+def test_element_arrays_are_read_only(family, degree):
+    # one element is shared by every pass and rung, so a write into its
+    # coefficients or Bell's tables must fail rather than corrupt them
+    el = build_reference_element(family, degree)
+    arrays = [el.coeffs]
+    if el.bell_tables is not None:
+        vertex_tab, edge_grads = el.bell_tables
+        arrays += [*vertex_tab.values(), *(g for pair in edge_grads for g in pair)]
+    assert len(arrays) == (1 if family == "lagrange" else 13)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
 def test_reference_element_is_frozen():
     bell = build_reference_element("bell")
     with pytest.raises(FrozenInstanceError):

@@ -10,12 +10,12 @@ from scipy.sparse.linalg import splu
 
 from conftest import l2_projection, poly_field, roundoff_envelope, X, Y
 from trifem import assembly, solver
-from trifem.assembly import interpolate
+from trifem.assembly import interpolate, l2_error
 from trifem.harness import (biharmonic_problem, parse_element, poisson_problem,
                             study_form)
 from trifem.mesh import build_mesh, build_unit_square_mesh
 from trifem.refelem import build_reference_element
-from trifem.solver import SolveReport, cg_solve, l2_error, solve
+from trifem.solver import SolveReport, cg_solve, solve
 
 HERMITE = build_reference_element("hermite")
 
@@ -575,3 +575,18 @@ def test_two_level_cg_iterations_stay_flat_for_p5():
         assert rep.method == "cg" and rep.preconditioner == "two_level"
         iters.append(rep.iterations)
     assert abs(iters[1] - iters[0]) <= 0.2 * iters[0]
+
+
+def test_names_the_frozen_benchmark_reads():
+    # studybench/child.py calls and wraps these one-cell helpers and the
+    # error pass on assembly and solver; each is its home module's object
+    from trifem import mesh, transform
+    for module in (assembly, solver):
+        assert module.cell_geometry is mesh.cell_geometry
+        assert module.cell_transform is transform.cell_transform
+        assert module.vertex_size_field is mesh.vertex_size_field
+    assert solver.l2_error is assembly.l2_error
+    m = build_unit_square_mesh(2, 0.2)
+    geom = mesh.cell_geometry(m, 0, mesh.vertex_size_field(m))
+    M = transform.cell_transform(HERMITE, geom, scale=True).matrix
+    assert M.shape == (HERMITE.n_dofs, HERMITE.n_dofs)
