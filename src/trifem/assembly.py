@@ -301,8 +301,8 @@ class FormSpec:
             raise ValueError("Poisson ratio must lie in [0, 1/2]")
         for name in ("alpha", "beta1", "beta2"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive")
+            if val is not None and not 0 < val < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def poisson_nitsche(**kw) -> FormSpec:

@@ -84,11 +84,23 @@ def build_mesh(vertices, cells) -> TriangleMesh:
     """Assemble connectivity for given vertices and positively-oriented cells.
 
     Edges are numbered in order of first appearance, cell by cell and local
-    edge by local edge.  Raises ValueError for a degenerate or negatively
+    edge by local edge.  Raises ValueError unless vertices are finite (V, 2)
+    and cells are (C, 3) integers in [0, V), for a degenerate or negatively
     oriented cell and for an edge shared by more than two cells.
     """
     vertices = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells, dtype=int)
+    cells = np.asarray(cells)
+    if vertices.ndim != 2 or vertices.shape[1] != 2 \
+            or not np.isfinite(vertices).all():
+        raise ValueError("vertices must be a finite (V, 2) array")
+    if cells.ndim != 2 or cells.shape[1] != 3 \
+            or not np.issubdtype(cells.dtype, np.integer):
+        raise ValueError("cells must be a (C, 3) integer array")
+    bad = np.flatnonzero(((cells < 0) | (cells >= len(vertices))).any(axis=1))
+    if len(bad):
+        raise ValueError(f"cell {bad[0]} has a vertex index outside "
+                         f"[0, {len(vertices)})")
+    cells = cells.astype(int, copy=False)
     bad = np.flatnonzero(_degenerate(signed_area(vertices, cells),
                                      vertices[cells]))
     if len(bad):

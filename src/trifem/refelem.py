@@ -254,8 +254,8 @@ class ReferenceElement:
     the orthonormal PolyBasis: the nodal ones, then for Bell the three duals
     of the quartic edge-mode constraints, so that its 21 rows span the full
     quintic space used when mapping Bell cells.  bell_tables holds that
-    space's geometry-independent tabulations (see _bell_tables).  Instances
-    are shared read-only, their arrays included.
+    space's geometry-independent arrays (see _bell_tables).  Instances are
+    shared read-only, their arrays included.
     """
 
     family: str
@@ -266,8 +266,7 @@ class ReferenceElement:
     bell_tables: tuple = None
 
     def __post_init__(self):
-        vertex_tab, edge_grads = self.bell_tables or ({}, [])
-        for a in (self.coeffs, *vertex_tab.values(), *sum(edge_grads, ())):
+        for a in (self.coeffs, *(self.bell_tables or ())):
             a.flags.writeable = False
 
     @property
@@ -367,16 +366,18 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
 
 def _bell_tables(poly, coeffs):
     """What the Bell map reads of the enriched quintic basis coeffs: its
-    tabulation up to order 2 at the vertices, and per edge the weighted
-    quartic-Legendre moments of its x and y reference derivatives."""
+    vertex jets (3, 6, 21), in the order of Bell's vertex functionals, and
+    per edge the weighted quartic-Legendre moments of its x and y reference
+    derivatives (3, 2, 21)."""
     vertex_tab = tabulate_coeffs(poly, coeffs, REF_VERTICES, 2)
+    jets = np.stack([t.T for t in vertex_tab.values()], axis=1)
     rule = interval_rule(2 * poly.degree)
     leg = rule.weights * legendre4(rule.points)
-    edge_grads = []
+    moments = np.zeros((3, 2, len(coeffs)))
     for e in range(3):
         etab = tabulate_coeffs(poly, coeffs, ref_edge_points(e, rule.points), 1)
-        edge_grads.append((etab[(1, 0)] @ leg, etab[(0, 1)] @ leg))
-    return vertex_tab, edge_grads
+        moments[e] = etab[(1, 0)] @ leg, etab[(0, 1)] @ leg
+    return jets, moments
 
 
 def tabulate_coeffs(poly: PolyBasis, coeffs: np.ndarray, points,

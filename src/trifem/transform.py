@@ -4,9 +4,9 @@ For each element family this module builds the matrix M with
 psi_i = sum_j M_ij (psihat_j o F), where F maps the physical cell to the
 reference cell and J = d xhat / d x is its Jacobian (as provided by
 mesh.CellGeometry).  Affine-equivalent families (Lagrange) get the
-identity; Hermite gets per-vertex Jacobian blocks; Morley and Argyris use
-the three-step extended-node construction with edge blocks
-B^i = Ghat_i J^{-T} G_i^T; Bell restricts a mapped enriched quintic.
+identity; Hermite gets per-vertex Jacobian blocks; Morley and Argyris fill
+V = M^T in place from the edge blocks B^i = Ghat_i J^{-T} G_i^T; Bell
+restricts a mapped enriched quintic.
 
 Every builder takes the geometry of one cell or of a batch of cells
 (mesh.batch_geometry) and returns M as an array with the same leading
@@ -32,15 +32,6 @@ class TransformMatrix:
     """Transformation: matrix has shape (..., n_dofs, n_tab_basis)."""
 
     matrix: np.ndarray
-
-
-@dataclass
-class ThreeStepFactors:
-    """Factors of V = E @ VC @ D."""
-
-    D: np.ndarray
-    VC: np.ndarray
-    E: np.ndarray
 
 
 def _eye(n, batch):
@@ -93,8 +84,9 @@ def morley_M(geom: CellGeometry) -> np.ndarray:
     return np.swapaxes(V, -1, -2)
 
 
-def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
-    """Morley V = E VC D via the extended node set (tangential midpoint derivatives).
+def morley_three_step(geom: CellGeometry):
+    """Factors (E, VC, D) of Morley's V = E VC D via the extended node set
+    (tangential midpoint derivatives), the cross-check of morley_M.
 
     D computes the tangential derivative of a quadratic at each edge midpoint
     by differencing the endpoint values; VC is block diagonal with B^i on the
@@ -114,7 +106,7 @@ def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
         D[..., 4 + 2 * e, b] = 1.0 / ell
         VC[..., 3 + 2 * e:5 + 2 * e, 3 + 2 * e:5 + 2 * e] = B[..., e, :, :]
         E[3 + e, 3 + 2 * e] = 1.0
-    return ThreeStepFactors(D=D, VC=VC, E=E)
+    return E, VC, D
 
 
 # midpoint first derivative of a 1D quintic from endpoint jets on [0, l]:
@@ -122,80 +114,63 @@ def morley_three_step(geom: CellGeometry) -> ThreeStepFactors:
 _Q5_VALUE, _Q5_SLOPE, _Q5_CURV = 15.0 / 8.0, 7.0 / 16.0, 1.0 / 32.0
 
 
-def argyris_three_step(geom: CellGeometry) -> ThreeStepFactors:
-    """Argyris factors: vertex jets plus (normal, tangential) midpoint pairs."""
-    batch = geom.J.shape[:-2]
+def argyris_M(geom: CellGeometry) -> np.ndarray:
+    """Argyris: V = E VC D filled in place, M = V^T.  Edge row 18 + e takes
+    B^e_00 on its normal DoF and B^e_01 times the quintic midpoint rule for
+    the tangential derivative on the endpoint jets."""
+    V = _eye(21, geom.J.shape[:-2])
     B = edge_blocks(geom)
     JinvT = np.swapaxes(geom.Jinv, -1, -2)
     Theta = np.linalg.inv(hessian_pushforward(geom.J))
-
-    VC = _eye(24, batch)
     for v in range(3):
-        VC[..., 6 * v + 1:6 * v + 3, 6 * v + 1:6 * v + 3] = JinvT
-        VC[..., 6 * v + 3:6 * v + 6, 6 * v + 3:6 * v + 6] = Theta
-    for e in range(3):
-        VC[..., 18 + 2 * e:20 + 2 * e, 18 + 2 * e:20 + 2 * e] = B[..., e, :, :]
-
-    D = np.zeros(batch + (24, 21))
-    D[..., :18, :18] = np.eye(18)
+        V[..., 6 * v + 1:6 * v + 3, 6 * v + 1:6 * v + 3] = JinvT
+        V[..., 6 * v + 3:6 * v + 6, 6 * v + 3:6 * v + 6] = Theta
     for e, (a, b) in enumerate(EDGE_VERTICES):
         ell = geom.edge_lengths[..., e, None]
         t = geom.tangents[..., e, :]
         tt = np.stack([t[..., 0] ** 2, 2.0 * t[..., 0] * t[..., 1],
                        t[..., 1] ** 2], axis=-1)
-        D[..., 18 + 2 * e, 18 + e] = 1.0
-        row = D[..., 19 + 2 * e, :]
-        row[..., 6 * a] = -_Q5_VALUE / ell[..., 0]
-        row[..., 6 * b] = _Q5_VALUE / ell[..., 0]
-        row[..., 6 * a + 1:6 * a + 3] = -_Q5_SLOPE * t
-        row[..., 6 * b + 1:6 * b + 3] = -_Q5_SLOPE * t
-        row[..., 6 * a + 3:6 * a + 6] = -_Q5_CURV * ell * tt
-        row[..., 6 * b + 3:6 * b + 6] = _Q5_CURV * ell * tt
-
-    E = np.zeros((21, 24))
-    E[:18, :18] = np.eye(18)
-    for e in range(3):
-        E[18 + e, 18 + 2 * e] = 1.0
-    return ThreeStepFactors(D=D, VC=VC, E=E)
-
-
-def argyris_M(geom: CellGeometry) -> np.ndarray:
-    f = argyris_three_step(geom)
-    return np.swapaxes(f.E @ f.VC @ f.D, -1, -2)
+        w = B[..., e, 0, 1, None]
+        row = V[..., 18 + e, :]
+        row[..., 18 + e] = B[..., e, 0, 0]
+        row[..., 6 * a] = w[..., 0] * (-_Q5_VALUE / ell[..., 0])
+        row[..., 6 * b] = w[..., 0] * (_Q5_VALUE / ell[..., 0])
+        row[..., 6 * a + 1:6 * a + 3] = row[..., 6 * b + 1:6 * b + 3] = \
+            w * (-_Q5_SLOPE * t)
+        row[..., 6 * a + 3:6 * a + 6] = w * (-_Q5_CURV * ell * tt)
+        row[..., 6 * b + 3:6 * b + 6] = w * (_Q5_CURV * ell * tt)
+    # the selector products stored every zero as +0; the -0 that inv leaves
+    # in Theta and that w * -0 makes would print as "-0" in dump-m
+    V += 0.0
+    # a transposed view of a C-ordered V, as the products returned: the
+    # congruence matmul's summation order depends on the layout of M
+    return np.swapaxes(V, -1, -2)
 
 
-def _bell_pushforward_matrix(element: ReferenceElement,
-                             geom: CellGeometry) -> np.ndarray:
-    """Physical Bell vertex jets and quartic edge modes applied to the
-    pulled-back enriched quintic basis (..., 21, 21)."""
-    vertex_tab, edge_grads = element.bell_tables
+def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
+    """Bell: map the enriched quintic, keep the 18 combinations that match the
+    vertex functionals and have vanishing quartic edge modes (18 x 21).
+
+    Row k of W is physical functional k (vertex jets, then quartic edge
+    modes) applied to the pulled-back enriched quintic basis."""
+    if element.family != "bell":
+        raise ValueError("bell_M needs a bell reference element")
+    jets, moments = element.bell_tables
     J = geom.J
     T = hessian_pushforward(J)
     JT = np.swapaxes(J, -1, -2)
 
     W = np.zeros(J.shape[:-2] + (21, 21))
-    tab = vertex_tab
     for v in range(3):
-        W[..., 6 * v, :] = tab[(0, 0)][:, v]
-        ghat = np.array([tab[(1, 0)][:, v], tab[(0, 1)][:, v]])
-        W[..., 6 * v + 1:6 * v + 3, :] = JT @ ghat
-        hhat = np.array([tab[(2, 0)][:, v], tab[(1, 1)][:, v], tab[(0, 2)][:, v]])
-        W[..., 6 * v + 3:6 * v + 6, :] = T @ hhat
+        W[..., 6 * v, :] = jets[v, 0]
+        W[..., 6 * v + 1:6 * v + 3, :] = JT @ jets[v, 1:3]
+        W[..., 6 * v + 3:6 * v + 6, :] = T @ jets[v, 3:6]
 
     for e in range(3):
         # n . grad_phys = (J n) . grad_ref
         dvec = (J @ geom.normals[..., e, :, None])[..., 0]
-        W[..., 18 + e, :] = (dvec[..., 0, None] * edge_grads[e][0]
-                             + dvec[..., 1, None] * edge_grads[e][1])
-    return W
-
-
-def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
-    """Bell: map the enriched quintic, keep the 18 combinations that match the
-    vertex functionals and have vanishing quartic edge modes (18 x 21)."""
-    if element.family != "bell":
-        raise ValueError("bell_M needs a bell reference element")
-    W = _bell_pushforward_matrix(element, geom)
+        W[..., 18 + e, :] = (dvec[..., 0, None] * moments[e, 0]
+                             + dvec[..., 1, None] * moments[e, 1])
     return np.linalg.inv(np.swapaxes(W, -1, -2))[..., :18, :]
 
 

@@ -101,8 +101,8 @@ def test_criterion_4_morley_three_step_cross_check():
     worst = 0.0
     for _ in range(100):
         geom = triangle_geometry(random_triangle(rng))
-        fac = morley_three_step(geom)
-        V = fac.E @ fac.VC @ fac.D
+        E, VC, D = morley_three_step(geom)
+        V = E @ VC @ D
         worst = max(worst, np.abs(V - morley_M(geom).T).max())
     _report(4, worst < 1e-10, f"E VC D vs closed-form V, worst {worst:.2e}")
     assert worst < 1e-10

@@ -632,6 +632,13 @@ def test_incompatible_forms_rejected():
         assembly.plate(nu=0.7)
     with pytest.raises(ValueError):
         assembly.poisson_nitsche(alpha=-1.0)
+    # NaN and inf penalties passed "val <= 0" and assembled NaN operators
+    for kw in ({"alpha": np.nan}, {"alpha": np.inf}, {"beta1": np.nan},
+               {"beta2": np.inf}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            assembly.plate(clamped_boundary=True, **kw)
+    with pytest.raises(ValueError, match="positive and finite"):
+        assembly.poisson_nitsche(alpha=np.nan)
 
 
 def test_form_factories_resolve_like_plain_specs():

@@ -169,6 +169,25 @@ def test_degenerate_cell_rejected():
         build_mesh(verts, np.array([[0, 1, 2]]))
 
 
+_SQUARE = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
+
+
+@pytest.mark.parametrize("verts, cells, match", [
+    (_SQUARE, [[0, 1, -2]], r"cell 0 has a vertex index outside \[0, 4\)"),
+    (_SQUARE, [[0, 1, 4]], r"cell 0 has a vertex index outside \[0, 4\)"),
+    (_SQUARE, [[0, 1, 2.7]], "integer"),
+    (_SQUARE, [0, 1, 2], "integer"),
+    (np.where(_SQUARE == 1.0, np.nan, _SQUARE), [[0, 1, 2]], "finite"),
+    (np.where(_SQUARE == 1.0, np.inf, _SQUARE), [[0, 1, 2]], "finite"),
+    (np.column_stack([_SQUARE, np.zeros(4)]), [[0, 1, 2]], r"\(V, 2\)"),
+], ids=["negative", "past-end", "fractional", "flat", "nan", "inf", "3d"])
+def test_build_mesh_rejects_what_it_cannot_mesh(verts, cells, match):
+    # each of these was stored (wrapped, truncated, NaN) or failed later
+    # with an error the CLI does not report as a bad argument
+    with pytest.raises(ValueError, match=match):
+        build_mesh(verts, cells)
+
+
 def test_degeneracy_is_relative_to_cell_size():
     one = np.array([[0, 1, 2]])
     tiny = np.array([[0., 0.], [1e-7, 0.], [0., 1e-7]])

@@ -308,9 +308,12 @@ def test_element_arrays_are_read_only(family, degree):
     el = build_reference_element(family, degree)
     arrays = [el.coeffs]
     if el.bell_tables is not None:
-        vertex_tab, edge_grads = el.bell_tables
-        arrays += [*vertex_tab.values(), *(g for pair in edge_grads for g in pair)]
-    assert len(arrays) == (1 if family == "lagrange" else 13)
+        jets, moments = el.bell_tables
+        assert jets.shape == (3, 6, 21) and moments.shape == (3, 2, 21)
+        arrays += [jets, moments]
+        with pytest.raises(TypeError):
+            el.bell_tables[0] = np.zeros_like(jets)
+    assert len(arrays) == (1 if family == "lagrange" else 3)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0

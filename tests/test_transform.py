@@ -171,20 +171,34 @@ def test_morley_three_step_matches_closed_form():
     rng = make_rng(11)
     for _ in range(100):
         geom = triangle_geometry(random_triangle(rng))
-        fac = morley_three_step(geom)
-        V = fac.E @ fac.VC @ fac.D
+        E, VC, D = morley_three_step(geom)
+        V = E @ VC @ D
         assert np.abs(V - morley_M(geom).T).max() < 1e-10
 
 
 def test_three_step_selector_structure():
     geom = triangle_geometry(random_triangle(make_rng(2)))
-    fac = morley_three_step(geom)
-    assert fac.D.shape == (9, 6)
-    assert fac.VC.shape == (9, 9)
-    assert fac.E.shape == (6, 9)
+    E, VC, D = morley_three_step(geom)
+    assert D.shape == (9, 6)
+    assert VC.shape == (9, 9)
+    assert E.shape == (6, 9)
     # E has exactly one unit entry per row
-    assert np.all((fac.E == 1.0).sum(axis=1) == 1)
-    assert np.all((fac.E != 0.0).sum(axis=1) == 1)
+    assert np.all((E == 1.0).sum(axis=1) == 1)
+    assert np.all((E != 0.0).sum(axis=1) == 1)
+
+
+@pytest.mark.parametrize("scale", [False, True])
+@pytest.mark.parametrize("n, perturb", [(2, 0.0), (8, 0.2)])
+def test_argyris_M_stores_no_negative_zero(n, perturb, scale):
+    # the E VC D products stored every zero as +0; the direct fill must too,
+    # or dump-m prints "-0" (5 times for cell 0 of the default mesh)
+    msh = mesh.build_unit_square_mesh(n, perturb)
+    geom = mesh.batch_geometry(msh, mesh.vertex_size_field(msh))
+    M = cell_transform(ELEMENTS["argyris"], geom, scale=scale).matrix
+    assert not np.signbit(M[M == 0.0]).any()
+    # a transposed view of a C-ordered array, the layout the operator's
+    # congruence matmul was pinned with
+    assert np.swapaxes(M, -1, -2).flags.c_contiguous
 
 
 def test_hessian_pushforward_matches_direct():
