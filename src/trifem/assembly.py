@@ -9,9 +9,9 @@ of cell_blocks carries that orientation, while transform.cell_transform
 and trifem dump-m give the local M, along each cell's outward normals.
 
 Supported forms: Poisson with Nitsche boundary terms, the plate-bending
-form (optionally with weakly-enforced clamped boundary conditions), the
-C0 interior-penalty biharmonic form, and the clamped-plate Nitsche form
-as printed in its source (assembly and symmetry checks only).
+form and the C0 interior-penalty biharmonic form, both with weakly-enforced
+clamped boundary conditions, and the clamped-plate Nitsche form as printed
+in its source (assembly and symmetry checks only); penalties are fixed.
 
 The operator, load, interpolation and L2-error passes share one
 cell-batched pipeline, cell_blocks.  It builds the DoF map, the
@@ -29,7 +29,7 @@ facets and COO entries come in a fixed order, so results are
 deterministic.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -273,36 +273,32 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
 
 FORM_KINDS = ("poisson_nitsche", "plate", "plate_ip", "plate_clamped_nitsche")
 
+# alpha of the interior-penalty facet terms, the value the studies run
+IP_PENALTY = 20.0
+
 
 @dataclass(frozen=True)
 class FormSpec:
-    """Which bilinear form to assemble, with its parameters.
+    """Which bilinear form to assemble: its kind and Poisson ratio nu, which
+    only the plate forms read.
 
-    clamped_boundary adds consistent symmetric Nitsche terms for the
-    clamped conditions u = du/dn = order0 on the boundary to the plate and
-    interior-penalty forms (penalty scalings beta1/h^3 and beta2/h); it is
-    what the biharmonic convergence studies run.  plate_clamped_nitsche
-    reproduces its source form verbatim instead and is only meant for
-    assembly and symmetry checks.  Cell and facet integrals use rules of
-    degree 2p for an element of degree p.
+    The plate and interior-penalty forms always carry consistent symmetric
+    Nitsche terms for the clamped conditions u = du/dn = 0 on the boundary,
+    with penalties beta/h^3 and beta/h; this is what the biharmonic
+    convergence studies run.  plate_clamped_nitsche reproduces its source
+    form verbatim instead and is only meant for assembly and symmetry
+    checks.  The penalties are constants of the kind and the element degree
+    p, set by _Kernels.  Cell and facet integrals use rules of degree 2p.
     """
 
     kind: str
-    alpha: float = None
     nu: float = 0.0
-    beta1: float = None
-    beta2: float = None
-    clamped_boundary: bool = False
 
     def __post_init__(self):
         if self.kind not in FORM_KINDS:
             raise ValueError(f"unknown form kind {self.kind}")
         if not 0.0 <= self.nu <= 0.5:
             raise ValueError("Poisson ratio must lie in [0, 1/2]")
-        for name in ("alpha", "beta1", "beta2"):
-            val = getattr(self, name)
-            if val is not None and not 0 < val < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
 
 
 def poisson_nitsche(**kw) -> FormSpec:
@@ -331,23 +327,6 @@ def _check_compatible(element: ReferenceElement, form: FormSpec):
         return
     if fam not in ("morley", "argyris", "bell"):
         raise ValueError(f"{form.kind} needs an H2-type element, got {fam}")
-
-
-def _resolve_form(element: ReferenceElement, form: FormSpec) -> FormSpec:
-    _check_compatible(element, form)
-    p = element.degree
-    updates = {}
-    # every form parameter's default lives here; the factories above set none
-    if form.alpha is None:  # read by the Poisson and interior-penalty forms
-        updates["alpha"] = 10.0 * p ** 2 if form.kind == "poisson_nitsche" else 100.0
-    # clamped-boundary penalties: calibrated so the weak forms stay positive
-    # definite on perturbed meshes while reaching their asymptotic rates
-    clamped_beta = 10.0 * p ** 4 if p > 2 else 20.0
-    if form.beta1 is None:
-        updates["beta1"] = 100.0 if form.kind == "plate_clamped_nitsche" else clamped_beta
-    if form.beta2 is None:
-        updates["beta2"] = 100.0 if form.kind == "plate_clamped_nitsche" else clamped_beta
-    return replace(form, **updates) if updates else form
 
 
 def _per(x):
@@ -419,26 +398,32 @@ class _Kernels:
     Kernels work pointwise: rows (B, n, q) of physical derivatives at the
     quadrature points, weighted and contracted by batched matmul.  A batch
     is one block of cells (or facets), which bounds these arrays.  The form
-    is read once, here: boundary is its boundary kernel or None, ip_facets
-    says whether interior-penalty facet blocks follow, and c is the plate
-    forms' (1 - nu) weight, None where no twist or tangential row is read.
+    is read once, here: boundary is its boundary kernel, alpha and beta its
+    penalties, ip_facets says whether interior-penalty facet blocks follow,
+    and c is the plate forms' (1 - nu) weight, None where no twist or
+    tangential row is read.
     """
 
     def __init__(self, element, form):
-        self.form = form = _resolve_form(element, form)
-        coeffs, poly = element.coeffs, element.poly
+        _check_compatible(element, form)
+        self.form = form
+        coeffs, poly, p = element.coeffs, element.poly, element.degree
         poisson = form.kind == "poisson_nitsche"
+        verbatim = form.kind == "plate_clamped_nitsche"
         self.ip_facets = form.kind == "plate_ip"
         self.c = None if poisson or self.ip_facets else 1.0 - form.nu
+        # constants of the kind and degree p; the clamped beta is calibrated
+        # so the weak forms stay positive definite on perturbed meshes while
+        # reaching their asymptotic rates
+        self.alpha = 10.0 * p ** 2 if poisson else IP_PENALTY
+        self.beta = 100.0 if verbatim else 10.0 * p ** 4 if p > 2 else 20.0
         self.boundary = (self.poisson_boundary_matrices if poisson else
-                         self.clamped_nitsche_verbatim_matrices
-                         if form.kind == "plate_clamped_nitsche" else
-                         self.clamped_boundary_matrices
-                         if form.clamped_boundary else None)
-        self.cell_rule = triangle_rule(2 * element.degree)
+                         self.clamped_nitsche_verbatim_matrices if verbatim
+                         else self.clamped_matrices)
+        self.cell_rule = triangle_rule(2 * p)
         self.cell_tab = tabulate_coeffs(poly, coeffs, self.cell_rule.points,
                                         1 if poisson else 2)
-        self.facet_rule = interval_rule(2 * element.degree)
+        self.facet_rule = interval_rule(2 * p)
         tabs = [tabulate_coeffs(poly, coeffs,
                                 ref_edge_points(e, self.facet_rule.points),
                                 1 if poisson else 3)
@@ -507,23 +492,23 @@ class _Kernels:
         r = self._facet_rows(geom, e_loc, order=1)
         v, vn = r["v"], r["vn"]
         return (-(vn * w) @ _T(v) - (v * w) @ _T(vn)
-                + (self.form.alpha / ell) * (v * w) @ _T(v))
+                + (self.alpha / ell) * (v * w) @ _T(v))
 
-    def clamped_boundary_matrices(self, geom, e_loc, ell, w):
+    def clamped_matrices(self, geom, e_loc, ell, w):
         """Consistent symmetric Nitsche terms for u = du/dn = 0 on the boundary."""
-        form, r = self.form, self._facet_rows(geom, e_loc, order=3)
+        r = self._facet_rows(geom, e_loc, order=3)
         gn, gl, v, vn = r["gn"], r["gl"], r["v"], r["vn"]
         return ((gn * w) @ _T(v) + (v * w) @ _T(gn)
                 - (gl * w) @ _T(vn) - (vn * w) @ _T(gl)
-                + (form.beta1 / ell ** 3) * (v * w) @ _T(v)
-                + (form.beta2 / ell) * (vn * w) @ _T(vn))
+                + (self.beta / ell ** 3) * (v * w) @ _T(v)
+                + (self.beta / ell) * (vn * w) @ _T(vn))
 
     def clamped_nitsche_verbatim_matrices(self, geom, e_loc, ell, w):
         """The six boundary terms of the clamped-plate form as printed."""
-        form, r = self.form, self._facet_rows(geom, e_loc, order=3)
+        r = self._facet_rows(geom, e_loc, order=3)
         gn, gl, v, vn, lap = r["gn"], r["gl"], r["v"], r["vn"], r["lap"]
-        return ((form.beta1 / ell ** 2) * (v * w) @ _T(v)
-                + (form.beta2 / ell) * (lap * w) @ _T(lap)
+        return ((self.beta / ell ** 2) * (v * w) @ _T(v)
+                + (self.beta / ell) * (lap * w) @ _T(lap)
                 + (gn * w) @ _T(v) + (v * w) @ _T(gn)
                 + (gl * w) @ _T(vn) + (vn * w) @ _T(gl))
 
@@ -554,7 +539,7 @@ class _Kernels:
             avg *= 0.5
             ell = _per(geom.edge_lengths[cA[blk], eA[blk]])
             w = self.facet_rule.weights * ell
-            local = ((self.form.alpha / ell) * (jump * w) @ _T(jump)
+            local = ((self.alpha / ell) * (jump * w) @ _T(jump)
                      - (avg * w) @ _T(jump) - (jump * w) @ _T(avg))
             dofs = np.concatenate([dofmap.cell_dofs[c] for c, _ in sides], axis=1)
             yield dofs[:, :, None], dofs[:, None, :], local
@@ -571,11 +556,10 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
     def blocks():
         for cells, geom, M in data.blocks:
             A = kern.cell_matrices(geom)
-            if kern.boundary is not None:
-                # (cell, local edge) pairs in cell order, so each cell's
-                # facet terms are added in local edge order
-                fc, fe = np.nonzero(on_boundary[cells])
-                np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
+            # (cell, local edge) pairs in cell order, so each cell's facet
+            # terms are added in local edge order
+            fc, fe = np.nonzero(on_boundary[cells])
+            np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
             dofs = dofmap.cell_dofs[cells]  # COO rows and cols, row by row
             yield dofs[:, :, None], dofs[:, None, :], _congruence(M, A)
         if kern.ip_facets:

@@ -8,6 +8,7 @@ shared derivative DoFs downstream.
 """
 
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -74,8 +75,8 @@ DEGENERACY_RTOL = 1e-10
 
 
 def _degenerate(area, verts):
-    """Which cells of vertices (..., 3, 2) with (signed) areas `area` are
-    degenerate or, for a signed area, negatively oriented."""
+    """Which cells of vertices (..., 3, 2) with signed areas `area` are
+    degenerate or negatively oriented."""
     d = _edge_vectors(verts)
     return area <= DEGENERACY_RTOL * (d * d).sum(axis=-1).max(axis=-1)
 
@@ -85,8 +86,9 @@ def build_mesh(vertices, cells) -> TriangleMesh:
 
     Edges are numbered in order of first appearance, cell by cell and local
     edge by local edge.  Raises ValueError unless vertices are finite (V, 2)
-    and cells are (C, 3) integers in [0, V), for a degenerate or negatively
-    oriented cell and for an edge shared by more than two cells.
+    and cells are (C, 3) integers in [0, V), for no cells, for a vertex in
+    no cell, for a degenerate or negatively oriented cell and for an edge
+    shared by more than two cells.
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells)
@@ -100,7 +102,12 @@ def build_mesh(vertices, cells) -> TriangleMesh:
     if len(bad):
         raise ValueError(f"cell {bad[0]} has a vertex index outside "
                          f"[0, {len(vertices)})")
+    if not len(cells):
+        raise ValueError("a mesh needs at least one cell")
     cells = cells.astype(int, copy=False)
+    unused = np.setdiff1d(np.arange(len(vertices)), cells)
+    if len(unused):
+        raise ValueError(f"vertex {unused[0]} is in no cell")
     bad = np.flatnonzero(_degenerate(signed_area(vertices, cells),
                                      vertices[cells]))
     if len(bad):
@@ -144,10 +151,11 @@ def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
 
     Interior vertices are displaced by the deterministic field
     dx = (eps/N) sin(2 pi y) sin(pi x), dy = (eps/N) sin(2 pi x) sin(pi y);
-    boundary vertices stay put.  Raises if the perturbation inverts a cell.
+    boundary vertices stay put.  Raises ValueError unless n is an integer
+    >= 1, and if the perturbation inverts a cell.
     """
-    if n < 1:
-        raise ValueError("mesh resolution must be >= 1")
+    if not isinstance(n, Integral) or n < 1:
+        raise ValueError("mesh resolution must be an integer >= 1")
     if not 0.0 <= perturb < 0.5:
         raise ValueError("perturbation amplitude must lie in [0, 0.5)")
 
@@ -213,15 +221,17 @@ def batch_geometry(mesh: TriangleMesh, size_field: np.ndarray = None,
     """Geometry of the given cells (all by default), batched along axis 0.
 
     size_field (vertex_size_field) gives each cell its vertex sizes vertex_h.
+    Raises ValueError for a degenerate or clockwise cell (vertices replaced).
     """
     index = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
     verts = mesh.vertices[mesh.cells[index]]
     B = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
                  axis=-1)  # d x / d xhat
     det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    bad = np.flatnonzero(_degenerate(0.5 * np.abs(det), verts))
+    bad = np.flatnonzero(_degenerate(0.5 * det, verts))
     if len(bad):
-        raise ValueError(f"cell {index[bad[0]]} is degenerate")
+        raise ValueError(f"cell {index[bad[0]]} is degenerate or negatively "
+                         "oriented")
     J = np.stack([np.stack([B[:, 1, 1], -B[:, 0, 1]], axis=-1),
                   np.stack([-B[:, 1, 0], B[:, 0, 0]], axis=-1)],
                  axis=1) / det[:, None, None]
@@ -229,12 +239,10 @@ def batch_geometry(mesh: TriangleMesh, size_field: np.ndarray = None,
     d = _edge_vectors(verts)
     lengths = np.hypot(d[..., 0], d[..., 1])
     tangents = d / lengths[..., None]
+    # tangents rotated clockwise: outward where the tangent runs with the
+    # counter-clockwise traversal, as on edges 0 and 2 but not on edge 1
     normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
-    # edge e is opposite vertex e: flip normals that point at it
-    mids = 0.5 * (verts[:, [a for a, _ in EDGE_VERTICES]]
-                  + verts[:, [b for _, b in EDGE_VERTICES]])
-    inward = np.einsum("cek,cek->ce", normals, mids - verts) < 0
-    normals[inward] *= -1.0
+    normals[:, 1] *= -1.0
 
     vertex_h = size_field[mesh.cells[index]] if size_field is not None else None
     return CellGeometry(vertices=verts, J=J, Jinv=B, detJinv_abs=np.abs(det),

@@ -433,10 +433,9 @@ FORM_CASES = [
     (lambda: HERMITE, assembly.poisson_nitsche()),
     (lambda: ARGYRIS, assembly.poisson_nitsche()),
     (lambda: MORLEY, assembly.plate(nu=0.5)),
-    (lambda: MORLEY, assembly.plate(nu=0.5, clamped_boundary=True,
-                                    beta1=20.0, beta2=20.0)),
-    (lambda: BELL, assembly.plate(nu=0.0, clamped_boundary=True)),
-    (lambda: lagrange(2), assembly.plate_ip(clamped_boundary=True)),
+    (lambda: ARGYRIS, assembly.plate(nu=0.3)),
+    (lambda: BELL, assembly.plate()),
+    (lambda: lagrange(2), assembly.plate_ip()),
     (lambda: MORLEY, assembly.plate_clamped_nitsche()),
     (lambda: ARGYRIS, assembly.plate_clamped_nitsche(nu=0.3)),
 ]
@@ -452,30 +451,42 @@ def test_operator_symmetry(make_el, form):
 
 def test_poisson_p1_single_cell_spd():
     m = build_unit_square_mesh(1)
-    A = assemble_operator(m, lagrange(1), assembly.poisson_nitsche(alpha=10.0))
+    A = assemble_operator(m, lagrange(1), assembly.poisson_nitsche())
     D = A.toarray()
     assert np.abs(D - D.T).max() < 1e-12
     assert np.linalg.eigvalsh(D).min() > 0
 
 
-def test_free_plate_kernel_contains_linears():
+def test_clamped_plate_kernel_contains_linears_away_from_boundary():
+    # the cell form annihilates linears, so A u vanishes in every row whose
+    # DoF lies only on cells without a boundary edge; the clamped terms
+    # penalize u and du/dn, so the rows they reach do not vanish
     m = build_unit_square_mesh(4, 0.2)
-    A = assemble_operator(m, MORLEY, assembly.plate(nu=0.0))
+    A = assemble_operator(m, MORLEY, assembly.plate())
+    cell_dofs = build_dof_map(m, MORLEY).cell_dofs
+    near = np.isin(m.cell_edges, m.boundary_edges).any(axis=1)
+    reached = np.zeros(A.n, dtype=bool)
+    reached[cell_dofs[near]] = True
+    assert 0 < (~reached).sum() < A.n
+    tol = 1e-9 * np.abs(A.data).max()
     for expr in (X * 0 + 1, X, Y):
-        u = interpolate(m, MORLEY, poly_field(expr))
-        assert np.abs(A.matvec(u)).max() < 1e-9 * max(np.abs(A.data).max(), 1.0)
+        r = A.matvec(interpolate(m, MORLEY, poly_field(expr)))
+        assert np.abs(r[~reached]).max() < tol
+        assert np.abs(r[reached]).max() > 1e3 * tol
 
 
-def test_plate_ip_facet_terms_vanish_on_c1_data():
+def test_plate_ip_facet_terms_vanish_on_c1_data(monkeypatch):
     # x^2 - y^2 has continuous gradient and zero Laplacian, so jump and
     # average facet terms contribute nothing: the operator action matches
     # the cellwise form for any penalty strength
     m = build_unit_square_mesh(2, 0.1)
     el = lagrange(2)
     u = interpolate(m, el, poly_field(X ** 2 - Y ** 2))
-    act1 = assemble_operator(m, el, assembly.plate_ip(alpha=20.0)).matvec(u)
-    act2 = assemble_operator(m, el, assembly.plate_ip(alpha=2000.0)).matvec(u)
-    assert np.abs(act1 - act2).max() < 1e-9
+    act = []
+    for penalty in (20.0, 2000.0):
+        monkeypatch.setattr(assembly, "IP_PENALTY", penalty)
+        act.append(assemble_operator(m, el, assembly.plate_ip()).matvec(u))
+    assert np.abs(act[0] - act[1]).max() < 1e-9
 
 
 def test_load_zero_source():
@@ -628,32 +639,31 @@ def test_incompatible_forms_rejected():
         assemble_operator(m, lagrange(3), assembly.plate_clamped_nitsche())
     with pytest.raises(ValueError):
         assembly.FormSpec(kind="nonsense")
-    with pytest.raises(ValueError):
-        assembly.plate(nu=0.7)
-    with pytest.raises(ValueError):
-        assembly.poisson_nitsche(alpha=-1.0)
-    # NaN and inf penalties passed "val <= 0" and assembled NaN operators
-    for kw in ({"alpha": np.nan}, {"alpha": np.inf}, {"beta1": np.nan},
-               {"beta2": np.inf}):
-        with pytest.raises(ValueError, match="positive and finite"):
-            assembly.plate(clamped_boundary=True, **kw)
-    with pytest.raises(ValueError, match="positive and finite"):
-        assembly.poisson_nitsche(alpha=np.nan)
+    for nu in (0.7, -0.1, np.nan):
+        with pytest.raises(ValueError, match="Poisson ratio"):
+            assembly.plate(nu=nu)
 
 
-def test_form_factories_resolve_like_plain_specs():
-    # every default lives in _resolve_form: a factory and a bare FormSpec
-    # of the same kind resolve to the same parameters
-    cases = [(lagrange(2), "poisson_nitsche"), (lagrange(3), "plate_ip"),
-             (ARGYRIS, "plate"), (MORLEY, "plate_clamped_nitsche")]
-    for el, kind in cases:
-        made = assembly._resolve_form(el, getattr(assembly, kind)())
-        assert made == assembly._resolve_form(el, assembly.FormSpec(kind=kind))
-    ip = assembly._resolve_form(lagrange(3), assembly.plate_ip())
-    assert ip.alpha == 100.0
-    verbatim = assembly._resolve_form(MORLEY, assembly.plate_clamped_nitsche())
-    assert (verbatim.beta1, verbatim.beta2) == (100.0, 100.0)
-    assert assembly._resolve_form(lagrange(2), assembly.poisson_nitsche()).alpha == 40.0
+def test_form_penalties_are_constants_of_kind_and_degree():
+    # a form is its kind and nu: the factory and a bare FormSpec agree, and
+    # the penalties the kernels read are fixed by the kind and the degree
+    cases = [(lagrange(1), "poisson_nitsche", 10.0, None),
+             (lagrange(2), "poisson_nitsche", 40.0, None),
+             (lagrange(2), "plate_ip", 20.0, 20.0),
+             (lagrange(3), "plate_ip", 20.0, 810.0),
+             (MORLEY, "plate", None, 20.0),
+             (ARGYRIS, "plate", None, 6250.0),
+             (BELL, "plate", None, 6250.0),
+             (MORLEY, "plate_clamped_nitsche", None, 100.0),
+             (ARGYRIS, "plate_clamped_nitsche", None, 100.0)]
+    for el, kind, alpha, beta in cases:
+        form = getattr(assembly, kind)()
+        assert form == assembly.FormSpec(kind=kind)
+        kern = assembly._Kernels(el, form)
+        if alpha is not None:
+            assert kern.alpha == alpha
+        if beta is not None:
+            assert kern.beta == beta
 
 
 def test_text_writers_keep_their_bytes(tmp_path):
@@ -710,5 +720,5 @@ def test_no_coarse_space_outside_lagrange_poisson():
     poisson = assembly.poisson_nitsche()
     for el in (lagrange(1), HERMITE, ARGYRIS, BELL):
         assert assemble_operator(m, el, poisson).coarse is None
-    ip = assemble_operator(m, lagrange(3), assembly.plate_ip(clamped_boundary=True))
+    ip = assemble_operator(m, lagrange(3), assembly.plate_ip())
     assert ip.coarse is None

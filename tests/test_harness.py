@@ -9,6 +9,7 @@ from trifem.harness import (ConvergenceRow, SolverFailure, StudySpec,
                             biharmonic_problem, biharmonic_source,
                             parse_element, run_convergence_study,
                             run_stats_report, write_study_csv)
+from trifem.mesh import build_unit_square_mesh
 
 
 def test_parse_element():
@@ -18,6 +19,17 @@ def test_parse_element():
         parse_element("lagrange")
     with pytest.raises(ValueError):
         parse_element("serendipity")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_unit_square_mesh(8.0),
+    lambda: run_stats_report("poisson", "lagrange:1", n=4.0),
+    lambda: StudySpec(problem="poisson", element="hermite", levels=(8, 16.0)),
+], ids=["mesh", "stats", "study"])
+def test_non_integer_mesh_size_is_a_value_error(make):
+    # these raised TypeError, which the CLI does not report as a bad argument
+    with pytest.raises(ValueError, match="integer"):
+        make()
 
 
 def test_study_spec_validation():

@@ -180,10 +180,14 @@ _SQUARE = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
     (np.where(_SQUARE == 1.0, np.nan, _SQUARE), [[0, 1, 2]], "finite"),
     (np.where(_SQUARE == 1.0, np.inf, _SQUARE), [[0, 1, 2]], "finite"),
     (np.column_stack([_SQUARE, np.zeros(4)]), [[0, 1, 2]], r"\(V, 2\)"),
-], ids=["negative", "past-end", "fractional", "flat", "nan", "inf", "3d"])
+    (_SQUARE, [[0, 1, 2]], "vertex 3 is in no cell"),
+    (_SQUARE, np.zeros((0, 3), dtype=int), "at least one cell"),
+], ids=["negative", "past-end", "fractional", "flat", "nan", "inf", "3d",
+        "unused-vertex", "no-cells"])
 def test_build_mesh_rejects_what_it_cannot_mesh(verts, cells, match):
     # each of these was stored (wrapped, truncated, NaN) or failed later
-    # with an error the CLI does not report as a bad argument
+    # with an error the CLI does not report as a bad argument; a vertex in
+    # no cell got a zero size (0 / 0) and a zero P1 operator row
     with pytest.raises(ValueError, match=match):
         build_mesh(verts, cells)
 
@@ -203,6 +207,20 @@ def test_degeneracy_is_relative_to_cell_size():
         batch_geometry(moved)
 
 
+def test_clockwise_cell_rejected_by_geometry():
+    # mirrored vertices make every cell clockwise, which the outward
+    # normals (edge 1's tangent rotation flipped) and the edge signs of the
+    # mesh assume it is not: batch_geometry refuses such a cell
+    m = build_unit_square_mesh(2)
+    mirrored = replace(m, vertices=m.vertices * [-1.0, 1.0])
+    with pytest.raises(ValueError,
+                       match="cell 0 is degenerate or negatively oriented"):
+        batch_geometry(mirrored)
+    with pytest.raises(ValueError,
+                       match="cell 3 is degenerate or negatively oriented"):
+        batch_geometry(mirrored, cells=[3])
+
+
 def test_edge_shared_by_three_cells_rejected():
     # three positively oriented triangles on the edge (0, 1)
     verts = np.array([[0., 0.], [1., 0.], [0.5, 1.], [0.5, -1.], [0.3, 0.5]])
@@ -210,7 +228,7 @@ def test_edge_shared_by_three_cells_rejected():
     assert all(signed_area(verts, c) > 0 for c in cells)
     with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by 3 cells"):
         build_mesh(verts, cells)
-    build_mesh(verts, cells[:2])
+    build_mesh(verts[:4], cells[:2])
 
 
 def test_vertex_size_field_small():
