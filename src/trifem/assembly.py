@@ -17,16 +17,18 @@ The operator, load, interpolation and L2-error passes share one
 cell-batched pipeline, cell_blocks.  It builds the DoF map, the
 geometry of all cells and M for each fixed-size block of cells once per
 (mesh, element, scale), with array operations, and the mesh holds the
-result for the passes that follow; so M stays in memory for the whole
-rung, n_cells * n_dofs * n_tab doubles.  The cell and facet kernels run
-on whole blocks as batched matmuls, with every derivative row of a block
-live at once, so BLOCK bounds their memory.  They read the form once, when
-built, and make only the derivative rows it reads; one facet-trace builder
-serves boundary facets and both sides of interior-penalty facets.  Each
-kernel performs, per cell, the same floating-point operations as a
-cell-by-cell evaluation would, so batching changes no result bit; blocks,
-facets and COO entries come in a fixed order, so results are
-deterministic.
+result for the passes that follow.  M stays in memory for the whole rung
+by its entries: each block keeps those that are not +0 in one of its
+cells (Argyris's 121 of 441, with the -0 of its edge-normal rows), and
+the passes get one block's M back whole at a time.  The cell and facet
+kernels run on whole blocks as batched matmuls, with every derivative row
+of a block live at once, so BLOCK bounds their memory.  They read the form
+once, when built, and make only the derivative rows it reads; one
+facet-trace builder serves boundary facets and both sides of
+interior-penalty facets.  Each kernel performs, per cell, the same
+floating-point operations as a cell-by-cell evaluation would, so batching
+changes no result bit; blocks, facets and COO entries come in a fixed
+order, so results are deterministic.
 """
 
 from dataclasses import dataclass
@@ -224,18 +226,43 @@ class CellData:
     """The per-cell data every pass of one (mesh, element, scale) reads.
 
     geom is the batched geometry of all cells, with vertex sizes when
-    scaled.  blocks holds (cells, geometry, M) for consecutive blocks of
-    at most BLOCK cells: a slice of cell indices, their geometry and their
-    (scaled) transformation matrices, shape (cells, n_dofs, n_tab); M is
-    None for Lagrange, whose M is the identity.  All arrays are read-only.
-    element is kept so that its id, in the mesh's cache key, cannot be
-    reused while the mesh lives.
+    scaled.  blocks holds (cells, geometry, values, positions) for
+    consecutive blocks of at most BLOCK cells: a slice of cell indices,
+    their geometry and their (scaled) transformation matrices M by the
+    entries that are not +0 in some cell of the block.  positions (2, k)
+    holds those entries' (row, col) and values (cells, k) their values,
+    signed zeros included; both are None for Lagrange, whose M is the
+    identity.  M(i) gives block i's M back whole.  transposed says
+    whether the family's builder returns M as a transposed view, the
+    layout M(i) keeps.  All arrays are read-only.  element is kept so that
+    its id, in the mesh's cache key, cannot be reused while the mesh lives.
     """
 
     element: ReferenceElement
     dofmap: DofMap
     geom: CellGeometry
     blocks: tuple
+    transposed: bool = False
+
+    def M(self, i):
+        """Block i's M, shape (cells, n_dofs, n_tab), read-only, with the
+        bytes and the row and column strides of the M that cell_blocks
+        compacted; None for Lagrange."""
+        _, _, values, positions = self.blocks[i]
+        if values is None:
+            return None
+        n, m = self.element.n_dofs, len(self.element.coeffs)
+        M = (_T(np.zeros((len(values), m, n))) if self.transposed
+             else np.zeros((len(values), n, m)))
+        M[:, positions[0], positions[1]] = values
+        M.flags.writeable = False
+        return M
+
+    def each_block(self):
+        """(cells, geometry, M) for each block in turn, M as M(i) gives it,
+        so that one block's M is whole at a time."""
+        for i, (cells, geom, _, _) in enumerate(self.blocks):
+            yield cells, geom, self.M(i)
 
 
 def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
@@ -245,7 +272,9 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
     the operator, load, interpolation and error passes of a rung build
     each of them once.  Each edge-normal row of M is negated where the
     cell's outward normal opposes the global edge normal; only families
-    with such rows are folded, and their builders return a fresh M."""
+    with such rows are folded, and their builders return a fresh M.  Each
+    block keeps the entries of M that are not +0 in one of its cells; the
+    fold's -0 entries are among them, so M(i) gives M back bit for bit."""
     key = (id(element), bool(scale))
     data = mesh._cell_data.get(key)
     if data is None:
@@ -256,18 +285,23 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
         fns = element.functionals
         rows = [i for i, f in enumerate(fns) if f.kind == "edge_normal_deriv"]
         edges = [fns[i].edge for i in rows]
-        blocks = []
+        blocks, transposed = [], False
         for lo in range(0, mesh.n_cells, BLOCK):
             cells = slice(lo, lo + BLOCK)
-            g, M = geom[cells], None
+            g, values, positions = geom[cells], None, None
             if element.family != "lagrange":
                 M = transform.cell_transform(element, g, scale).matrix
                 if rows:
                     M[:, rows] *= -mesh.cell_edge_signs[cells][:, edges, None]
-                M.flags.writeable = False
-            blocks.append((cells, g, M))
+                transposed = M.strides[-1] > M.strides[-2]
+                positions = np.array(np.nonzero(
+                    np.any((M != 0) | np.signbit(M), axis=0)))
+                values = M[:, positions[0], positions[1]]
+                positions.flags.writeable = values.flags.writeable = False
+            blocks.append((cells, g, values, positions))
         data = mesh._cell_data[key] = CellData(
-            element, build_dof_map(mesh, element), geom, tuple(blocks))
+            element, build_dof_map(mesh, element), geom, tuple(blocks),
+            transposed)
     return data
 
 
@@ -554,7 +588,7 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
     on_boundary = np.isin(mesh.cell_edges, mesh.boundary_edges)
 
     def blocks():
-        for cells, geom, M in data.blocks:
+        for cells, geom, M in data.each_block():
             A = kern.cell_matrices(geom)
             # (cell, local edge) pairs in cell order, so each cell's facet
             # terms are added in local edge order
@@ -615,7 +649,7 @@ def assemble_load(mesh: TriangleMesh, element: ReferenceElement,
     data = cell_blocks(mesh, element, scale)
     dofmap = data.dofmap
     b = np.zeros(dofmap.total_dofs)
-    for cells, geom, M in data.blocks:
+    for cells, geom, M in data.each_block():
         w = rule.weights * geom.detJinv_abs[:, None]
         X = geom.ref_to_phys(rule.points)
         local = tab0 @ (w * f.f(X[..., 0], X[..., 1]))[:, :, None]
@@ -674,7 +708,7 @@ def l2_error(mesh: TriangleMesh, element: ReferenceElement, u_h: np.ndarray,
 
     # per-cell integrals, summed in cell order by a sequential cumsum
     terms = []
-    for cells, geom, M in data.blocks:
+    for cells, geom, M in data.each_block():
         local = u_h[dofmap.cell_dofs[cells]]
         vals = (local[:, None, :] @ (tab0 if M is None else M @ tab0))[:, 0]
         X = geom.ref_to_phys(rule.points)

@@ -3,10 +3,12 @@
 Triangle rules are collapsed (Duffy) tensor-product Gauss rules on the
 reference triangle with vertices (0,0), (1,0), (0,1); interval rules are
 Gauss-Legendre on [0,1].  All weights are positive and each rule is exact
-for polynomials up to the requested total degree.
+for polynomials up to the requested total degree.  Each rule is built
+once per degree and shared read-only.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -19,11 +21,15 @@ class QuadRule:
     """Quadrature points and weights.
 
     ``points`` has shape (n, 2) for triangle rules and (n,) for interval
-    rules.  Instances are immutable and safe to share.
+    rules.  Instances are immutable and safe to share: both arrays are
+    read-only.
     """
 
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        self.points.flags.writeable = self.weights.flags.writeable = False
 
 
 def _gauss01(npts):
@@ -32,6 +38,7 @@ def _gauss01(npts):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@cache
 def interval_rule(exact_degree: int) -> QuadRule:
     """Gauss-Legendre rule on [0, 1] exact for polynomials of the given degree."""
     if not 0 <= exact_degree <= MAX_INTERVAL_DEGREE:
@@ -42,6 +49,7 @@ def interval_rule(exact_degree: int) -> QuadRule:
     return QuadRule(points=x, weights=w)
 
 
+@cache
 def triangle_rule(exact_degree: int) -> QuadRule:
     """Collapsed tensor Gauss rule on the reference triangle.
 

@@ -27,11 +27,10 @@ held at once.  The check reads the pivots where SuperLU stores them, in
 the supernodes of L, through ctypes views (_diagonal_pivots), so a
 factored rung holds SuperLU's factor and nothing more: scipy's lu.U and
 lu.L would convert the whole factor into CSC copies of L and U and keep
-them as long as the factor lives.  Before the sparse factor of an
-operator with at least as many nonzeros as any factored before it in the
-process, _factor hands the heap that the operator pass freed back to the
-OS (glibc's malloc_trim; nothing is released off glibc), so that freed
-but resident memory does not add to the process's peak.  All solvers are
+them as long as the factor lives.  Before every sparse factor, _factor
+hands the heap that the operator pass freed back to the OS (glibc's
+malloc_trim; nothing is released off glibc), so that freed but resident
+memory does not add to the process's peak.  All solvers are
 deterministic.
 """
 
@@ -108,8 +107,6 @@ def _resolve_malloc_trim():
 
 
 _malloc_trim = _resolve_malloc_trim()
-# nonzeros of the largest operator that _factor has trimmed the heap for
-_trimmed_nnz = 0
 
 
 class _SuperMatrix(ctypes.Structure):
@@ -293,19 +290,16 @@ def _factor(A):
     are freed; SuperLU's factor would be allocated above them.  This takes
     about 12 MB off the N=32 biharmonic rungs' peak and about 5 MB at N=64,
     where the arrays past glibc's 32 MB threshold cap were mapped, and
-    unmapped, on their own.  The trim runs only when A has at least as
-    many nonzeros as every operator factored sparsely before it in the
-    process: the process peaks at its largest factor, and a smaller one
-    that follows runs in the heap the larger rung freed, which a trim
-    would only hand back for the next operator pass to fault in again.
-    The dense path and _two_level's small coarse factor do not trim.
+    unmapped, on their own.  Every sparse factor trims, a smaller one
+    after a larger too: Bell's N=32 factor after Argyris's would otherwise
+    land on the heap its own operator pass freed, and rise above the
+    larger factor's peak.  The dense path and _two_level's small coarse
+    factor do not trim.
     """
-    global _trimmed_nnz
     if A.shape[0] <= DENSE_CUTOVER:
         dense, lu_piv, growth = _dense_lu(A)
         return (lambda b: scipy.linalg.lu_solve(lu_piv, b)), "lu", growth, dense
-    if _malloc_trim is not None and A.nnz >= _trimmed_nnz:
-        _trimmed_nnz = A.nnz
+    if _malloc_trim is not None:
         _malloc_trim(0)
     lu, method = _sparse_lu(A)
     return lu.solve, method, None, A

@@ -131,7 +131,7 @@ def l2_projection(msh, element, u_exact: ScalarField, scale=True):
                            rule.points, 0)[(0, 0)]
     n_loc = element.n_dofs
     rows, cols, vals, loads = [], [], [], []
-    for cells, geom, M in data.blocks:
+    for cells, geom, M in data.each_block():
         dofs = dofmap.cell_dofs[cells]
         phi = tab0[None] if M is None else M @ tab0
         w = geom.detJinv_abs[:, None] * rule.weights

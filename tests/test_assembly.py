@@ -71,8 +71,8 @@ def test_interior_facet_normals_opposite(perturb):
 
 def _cell_M(data, c):
     """The M that cell_blocks holds for cell c, the identity for Lagrange."""
-    cells, _, M = data.blocks[c // assembly.BLOCK]
-    return np.eye(data.element.n_dofs) if M is None else M[c - cells.start]
+    M = data.M(c // assembly.BLOCK)
+    return np.eye(data.element.n_dofs) if M is None else M[c % assembly.BLOCK]
 
 
 def test_edge_normal_dof_signs_opposite():
@@ -107,9 +107,9 @@ def test_cell_blocks_M_orients_edge_normal_rows(monkeypatch, name, scale):
     normal = [(i, f.edge) for i, f in enumerate(el.functionals)
               if f.kind == "edge_normal_deriv"]
     assert bool(normal) == (el.family in ("morley", "argyris"))
-    blocks = assembly.cell_blocks(m, el, scale).blocks
-    assert len(blocks) == 5
-    for cells, geom, M in blocks:
+    data = assembly.cell_blocks(m, el, scale)
+    assert len(data.blocks) == 5
+    for cells, geom, M in data.each_block():
         if el.family == "lagrange":
             assert M is None
             continue

@@ -117,7 +117,39 @@ def test_mesh_dofmap_and_cell_data_are_read_only():
     with pytest.raises(ValueError):
         data.geom.J[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        data.blocks[0][2][0, 0, 0] = 1.0
+        data.M(0)[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name, nonzero, stored", [
+    ("hermite", 16, 16), ("morley", 12, 22), ("argyris", 81, 121),
+    ("bell", 378, 378)])
+def test_cell_data_holds_M_by_its_entries_not_plus_zero(name, nonzero, stored):
+    # a block keeps M at the entries that are not +0 in one of its cells:
+    # the nonzeros (Hermite's 16 of 100, Morley's 12 of 36, Argyris's 81 of
+    # 441, all of Bell's 18 x 21), and the -0 that the edge-sign fold leaves
+    # in Morley's and Argyris's edge-normal rows.  The parts are read-only;
+    # M(i) is a fresh array, in the layout of the family's builder
+    element = harness.parse_element(name)
+    data = assembly.cell_blocks(build_unit_square_mesh(N, 0.2), element, True)
+    for i, (cells, geom, values, positions) in enumerate(data.blocks):
+        assert values.shape == (len(geom.J), stored)
+        assert positions.shape == (2, stored)
+        M = data.M(i)
+        assert np.any(M != 0, axis=0).sum() == nonzero
+        for a in (values, positions):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+        built = transform.cell_transform(element, geom, True).matrix
+        assert M.strides[1:] == built.strides[1:]
+        assert data.M(i) is not M
+
+
+def test_argyris_cell_data_at_n32_holds_under_2_mib():
+    # 2048 cells of 121 entries: 1.9 MiB, against 6.9 MiB for M whole
+    data = assembly.cell_blocks(build_unit_square_mesh(32, 0.2), ARGYRIS, True)
+    size = sum(values.nbytes + positions.nbytes
+               for _, _, values, positions in data.blocks)
+    assert size <= 2 * 2 ** 20, size
 
 
 def _three_term_hessian(tab, J):

@@ -69,3 +69,14 @@ def test_degree_out_of_range():
         triangle_rule(-1)
     with pytest.raises(ValueError):
         interval_rule(-2)
+
+
+@pytest.mark.parametrize("rule_of, degree", [(triangle_rule, 6),
+                                             (interval_rule, 6)])
+def test_rules_built_once_and_read_only(rule_of, degree):
+    rule = rule_of(degree)
+    assert rule_of(degree) is rule
+    assert rule_of(degree + 2) is not rule
+    for a in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
