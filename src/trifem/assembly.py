@@ -5,8 +5,8 @@ transformed afterwards with the cell's (scaled) transformation matrix,
 A = M Atilde M^T; facet terms are treated the same way.  A shared
 edge-normal derivative DoF is the derivative along the global edge normal
 (the stored-edge direction rotated 90 degrees counter-clockwise); the M
-of cell_blocks carries that orientation, while transform.cell_transform
-and trifem dump-m give the local M, along each cell's outward normals.
+of cell_blocks and the interpolant follow it, while cell_transform and
+trifem dump-m default to each cell's outward normals.
 
 Supported forms: Poisson with Nitsche boundary terms, the plate-bending
 form and the C0 interior-penalty biharmonic form, both with weakly-enforced
@@ -19,16 +19,15 @@ geometry of all cells and M for each fixed-size block of cells once per
 (mesh, element, scale), with array operations, and the mesh holds the
 result for the passes that follow.  M stays in memory for the whole rung
 by its entries: each block keeps those that are not +0 in one of its
-cells (Argyris's 121 of 441, with the -0 of its edge-normal rows), and
-the passes get one block's M back whole at a time.  The cell and facet
-kernels run on whole blocks as batched matmuls, with every derivative row
-of a block live at once, so BLOCK bounds their memory.  They read the form
-once, when built, and make only the derivative rows it reads; one
-facet-trace builder serves boundary facets and both sides of
-interior-penalty facets.  Each kernel performs, per cell, the same
-floating-point operations as a cell-by-cell evaluation would, so batching
-changes no result bit; blocks, facets and COO entries come in a fixed
-order, so results are deterministic.
+cells (Argyris's 81 of 441, its nonzeros), and the passes get one block's
+M back whole at a time.  The cell and facet kernels run on whole blocks
+as batched matmuls, with every derivative row of a block live at once, so
+BLOCK bounds their memory.  They read the form once, when built, and make
+only the derivative rows it reads; one facet-trace builder serves
+boundary facets and both sides of interior-penalty facets.  Each kernel
+performs, per cell, the same floating-point operations as a cell-by-cell
+evaluation would, so batching changes no result bit; blocks, facets and
+COO entries come in a fixed order, so results are deterministic.
 """
 
 from dataclasses import dataclass
@@ -229,13 +228,14 @@ class CellData:
     scaled.  blocks holds (cells, geometry, values, positions) for
     consecutive blocks of at most BLOCK cells: a slice of cell indices,
     their geometry and their (scaled) transformation matrices M by the
-    entries that are not +0 in some cell of the block.  positions (2, k)
-    holds those entries' (row, col) and values (cells, k) their values,
-    signed zeros included; both are None for Lagrange, whose M is the
-    identity.  M(i) gives block i's M back whole.  transposed says
-    whether the family's builder returns M as a transposed view, the
-    layout M(i) keeps.  All arrays are read-only.  element is kept so that
-    its id, in the mesh's cache key, cannot be reused while the mesh lives.
+    entries that are not +0 in some cell of the block, M's nonzeros as it
+    stores no -0 (the sign test keeps the round trip exact regardless).
+    positions (2, k) holds their (row, col) and values (cells, k) their
+    values; both are None for Lagrange, whose M is the identity.  M(i)
+    gives block i's M back whole, in the layout of cell_transform's M
+    (transposed says whether that is a transposed view).  All arrays are
+    read-only.  element is kept so that its id, in the mesh's cache key,
+    cannot be reused while the mesh lives.
     """
 
     element: ReferenceElement
@@ -265,16 +265,21 @@ class CellData:
             yield cells, geom, self.M(i)
 
 
+def _global_normals(mesh: TriangleMesh, geom: CellGeometry) -> np.ndarray:
+    """The global normals the edge-normal DoFs of all cells follow: outward
+    ones, negated where the cell runs the edge in stored order."""
+    return -mesh.cell_edge_signs[..., None] * geom.normals
+
+
 def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
                 scale: bool) -> CellData:
     """The per-cell pipeline every pass shares: the DoF map, geometry and
     M of element on mesh, built on first use and then held by the mesh, so
     the operator, load, interpolation and error passes of a rung build
-    each of them once.  Each edge-normal row of M is negated where the
-    cell's outward normal opposes the global edge normal; only families
-    with such rows are folded, and their builders return a fresh M.  Each
-    block keeps the entries of M that are not +0 in one of its cells; the
-    fold's -0 entries are among them, so M(i) gives M back bit for bit."""
+    each of them once.  M's edge-normal DoFs follow the global edge
+    normals (_global_normals), so a DoF that two cells share is the same
+    derivative in both.  Each block keeps the entries of M that are not +0
+    in one of its cells, so M(i) gives M back bit for bit."""
     key = (id(element), bool(scale))
     data = mesh._cell_data.get(key)
     if data is None:
@@ -282,17 +287,14 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
         for a in vars(geom).values():
             if a is not None:
                 a.flags.writeable = False
-        fns = element.functionals
-        rows = [i for i, f in enumerate(fns) if f.kind == "edge_normal_deriv"]
-        edges = [fns[i].edge for i in rows]
         blocks, transposed = [], False
+        normals = _global_normals(mesh, geom)
         for lo in range(0, mesh.n_cells, BLOCK):
             cells = slice(lo, lo + BLOCK)
             g, values, positions = geom[cells], None, None
             if element.family != "lagrange":
-                M = transform.cell_transform(element, g, scale).matrix
-                if rows:
-                    M[:, rows] *= -mesh.cell_edge_signs[cells][:, edges, None]
+                M = transform.cell_transform(element, g, scale,
+                                             normals[cells]).matrix
                 transposed = M.strides[-1] > M.strides[-2]
                 positions = np.array(np.nonzero(
                     np.any((M != 0) | np.signbit(M), axis=0)))
@@ -681,8 +683,7 @@ def interpolate(mesh: TriangleMesh, element: ReferenceElement, f: ScalarField,
     if order >= 2:
         hess = np.asarray(f.hess(x, y), dtype=float)
         tab[(2, 0)], tab[(1, 1)], tab[(0, 2)] = hess[0, 0], hess[0, 1], hess[1, 1]
-    local = apply_functionals(fns, tab,
-                              -mesh.cell_edge_signs[..., None] * geom.normals)
+    local = apply_functionals(fns, tab, _global_normals(mesh, geom))
     if scale:
         local = local / scaling_diagonal(element, geom)
 

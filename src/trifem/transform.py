@@ -4,16 +4,17 @@ For each element family this module builds the matrix M with
 psi_i = sum_j M_ij (psihat_j o F), where F maps the physical cell to the
 reference cell and J = d xhat / d x is its Jacobian (as provided by
 mesh.CellGeometry).  Affine-equivalent families (Lagrange) get the
-identity; Hermite gets per-vertex Jacobian blocks; Morley and Argyris fill
-V = M^T in place from the edge blocks B^i = Ghat_i J^{-T} G_i^T; Bell
-restricts a mapped enriched quintic.
+identity; Hermite, Morley and Argyris share pushforward_M, which reads
+V = M^T off how each functional pushes forward, edge-normal derivatives
+through B^i = Ghat_i J^{-T} G_i^T along the normals the caller passes;
+Bell restricts a mapped enriched quintic.
 
 Every builder takes the geometry of one cell or of a batch of cells
 (mesh.batch_geometry) and returns M as an array with the same leading
 axes, so a single cell is the batch of one and there is one code path.
-cell_transform is the one entry point: it picks the family's builder,
-scales the rows by the diagonal S that scaling_diagonal reads off the
-element's functionals, and returns M in a TransformMatrix.
+cell_transform is the one entry point: it picks the builder, scales the
+rows by the diagonal S that scaling_diagonal reads off the element's
+functionals, and returns M in a TransformMatrix.
 
 All constructions are pinned by nodal duality: applying the physical
 functionals to the transformed basis must give the identity.
@@ -38,11 +39,12 @@ def _eye(n, batch):
     return np.broadcast_to(np.eye(n), batch + (n, n)).copy()
 
 
-def edge_blocks(geom: CellGeometry) -> np.ndarray:
+def edge_blocks(geom: CellGeometry, normals=None) -> np.ndarray:
     """B^i = Ghat_i J^{-T} G_i^T coupling (normal, tangent) derivative pairs,
-    shape (..., 3, 2, 2)."""
+    shape (..., 3, 2, 2), along normals (outward by default)."""
     Ghat = np.stack([REF_NORMALS, REF_TANGENTS], axis=1)
-    G = np.stack([geom.normals, geom.tangents], axis=-2)
+    n = geom.normals if normals is None else normals
+    G = np.stack([n, geom.tangents], axis=-2)
     JinvT = np.swapaxes(geom.Jinv, -1, -2)[..., None, :, :]
     return Ghat @ JinvT @ np.swapaxes(G, -1, -2)
 
@@ -59,34 +61,9 @@ def hessian_pushforward(J: np.ndarray) -> np.ndarray:
     return np.stack([P[..., 0, 0], P[..., 0, 1], P[..., 1, 1]], axis=-2)
 
 
-def hermite_M(geom: CellGeometry) -> np.ndarray:
-    """Cubic Hermite: value rows untouched, per-vertex gradient pairs mapped.
-
-    The gradient block is the Jacobian of the reference-to-physical map
-    (J^{-1}), which is what nodal duality requires: a unit physical slope
-    needs a 1/slope-of-pullback coefficient.
-    """
-    M = _eye(10, geom.J.shape[:-2])
-    for v in range(3):
-        M[..., 3 * v + 1:3 * v + 3, 3 * v + 1:3 * v + 3] = geom.Jinv
-    return M
-
-
-def morley_M(geom: CellGeometry) -> np.ndarray:
-    """Morley: closed-form V with entries -+B^i_01/l_i and B^i_00; M = V^T."""
-    V = _eye(6, geom.J.shape[:-2])
-    B = edge_blocks(geom)
-    for e, (a, b) in enumerate(EDGE_VERTICES):
-        ell = geom.edge_lengths[..., e]
-        V[..., 3 + e, 3 + e] = B[..., e, 0, 0]
-        V[..., 3 + e, a] = -B[..., e, 0, 1] / ell
-        V[..., 3 + e, b] = B[..., e, 0, 1] / ell
-    return np.swapaxes(V, -1, -2)
-
-
 def morley_three_step(geom: CellGeometry):
     """Factors (E, VC, D) of Morley's V = E VC D via the extended node set
-    (tangential midpoint derivatives), the cross-check of morley_M.
+    (tangential midpoint derivatives), the cross-check of Morley's M.
 
     D computes the tangential derivative of a quadratic at each edge midpoint
     by differencing the endpoint values; VC is block diagonal with B^i on the
@@ -109,42 +86,58 @@ def morley_three_step(geom: CellGeometry):
     return E, VC, D
 
 
-# midpoint first derivative of a 1D quintic from endpoint jets on [0, l]:
-# p'(l/2) = 15/8 (p(b)-p(a))/l - 7/16 (p'(a)+p'(b)) - l/32 (p''(a)-p''(b))
-_Q5_VALUE, _Q5_SLOPE, _Q5_CURV = 15.0 / 8.0, 7.0 / 16.0, 1.0 / 32.0
+# p'(l/2) on an edge of length l from the endpoint jets of order k of a 1D
+# polynomial: sum_j c_j l^(j-1) ((-1)^j p^(j)(b) - p^(j)(a)), c the rule of
+# order k, exact through degree 2k + 2: the secant and Argyris's quintic rule
+MIDPOINT_RULES = {0: (1.0,), 2: (15.0 / 8.0, 7.0 / 16.0, 1.0 / 32.0)}
 
 
-def argyris_M(geom: CellGeometry) -> np.ndarray:
-    """Argyris: V = E VC D filled in place, M = V^T.  Edge row 18 + e takes
-    B^e_00 on its normal DoF and B^e_01 times the quintic midpoint rule for
-    the tangential derivative on the endpoint jets."""
-    V = _eye(21, geom.J.shape[:-2])
-    B = edge_blocks(geom)
-    JinvT = np.swapaxes(geom.Jinv, -1, -2)
-    Theta = np.linalg.inv(hessian_pushforward(geom.J))
-    for v in range(3):
-        V[..., 6 * v + 1:6 * v + 3, 6 * v + 1:6 * v + 3] = JinvT
-        V[..., 6 * v + 3:6 * v + 6, 6 * v + 3:6 * v + 6] = Theta
-    for e, (a, b) in enumerate(EDGE_VERTICES):
-        ell = geom.edge_lengths[..., e, None]
-        t = geom.tangents[..., e, :]
-        tt = np.stack([t[..., 0] ** 2, 2.0 * t[..., 0] * t[..., 1],
-                       t[..., 1] ** 2], axis=-1)
-        w = B[..., e, 0, 1, None]
-        row = V[..., 18 + e, :]
-        row[..., 18 + e] = B[..., e, 0, 0]
-        row[..., 6 * a] = w[..., 0] * (-_Q5_VALUE / ell[..., 0])
-        row[..., 6 * b] = w[..., 0] * (_Q5_VALUE / ell[..., 0])
-        row[..., 6 * a + 1:6 * a + 3] = row[..., 6 * b + 1:6 * b + 3] = \
-            w * (-_Q5_SLOPE * t)
-        row[..., 6 * a + 3:6 * a + 6] = w * (-_Q5_CURV * ell * tt)
-        row[..., 6 * b + 3:6 * b + 6] = w * (_Q5_CURV * ell * tt)
-    # the selector products stored every zero as +0; the -0 that inv leaves
-    # in Theta and that w * -0 makes would print as "-0" in dump-m
-    V += 0.0
-    # a transposed view of a C-ordered V, as the products returned: the
-    # congruence matmul's summation order depends on the layout of M
-    return np.swapaxes(V, -1, -2)
+def _fill_midpoint_rule(row, ja, jb, k, w, geom, e):
+    """row's entries on the jets ja and jb (DoF indices, value first) of
+    edge e's ends: w times the rule of order k for the derivative along e."""
+    ell, t = geom.edge_lengths[..., e], geom.tangents[..., e, :]
+    if k == 0:  # w / l, the order of Morley's closed form, not w * (1 / l)
+        row[..., ja[0]], row[..., jb[0]] = -w / ell, w / ell
+        return
+    w, ell, t0, t1 = w[..., None], ell[..., None], t[..., 0], t[..., 1]
+    tj = (1.0, t, np.stack([t0 ** 2, 2.0 * t0 * t1, t1 ** 2], axis=-1))
+    for j, c in enumerate(MIDPOINT_RULES[k]):
+        lead = (c / ell if j == 0 else c * ell ** (j - 1)) * tj[j]
+        dofs = slice(j * (j + 1) // 2, (j + 1) * (j + 2) // 2)  # order j
+        row[..., ja[dofs]] = w * -lead
+        row[..., jb[dofs]] = w * (-1) ** j * lead
+
+
+def pushforward_M(element: ReferenceElement, geom: CellGeometry,
+                  normals=None) -> np.ndarray:
+    """M = V^T of an element of point values, vertex gradient pairs and
+    Hessian triples and edge-normal derivatives, V filled in place as each
+    functional pushes forward: 1, J^{-T}, T(J)^{-1}, and B^e_00 on an
+    edge-normal derivative plus B^e_01 times the midpoint rule of its
+    endpoint jets.  Edge-normal DoFs follow normals (..., 3, 2), each
+    cell's outward normals by default.  M's layout fixes the summation
+    order of M Atilde M^T, so the study digits: Hermite's M stays C-ordered
+    (transposed, its N=32 digits move), the others a transposed view of V."""
+    fns, jets = element.functionals, element.entity_dofs()[0]
+    kinds = {f.kind for f in fns}
+    V = _eye(element.n_dofs, geom.J.shape[:-2])
+    Theta = (np.linalg.inv(hessian_pushforward(geom.J))
+             if "point_second_deriv" in kinds else None)
+    B = edge_blocks(geom, normals) if "edge_normal_deriv" in kinds else None
+    for i, f in enumerate(fns):
+        if f.kind == "point_deriv" and f.direction == (1.0, 0.0):
+            V[..., i:i + 2, i:i + 2] = np.swapaxes(geom.Jinv, -1, -2)
+        elif f.kind == "point_second_deriv" and f.component == "xx":
+            V[..., i:i + 3, i:i + 3] = Theta
+        elif f.kind == "edge_normal_deriv":
+            e = f.edge
+            ja, jb = (jets[v] for v in EDGE_VERTICES[e])
+            V[..., i, i] = B[..., e, 0, 0]
+            _fill_midpoint_rule(V[..., i, :], ja, jb,
+                                fns[ja[-1]].derivative_order, B[..., e, 0, 1],
+                                geom, e)
+    M = np.swapaxes(V, -1, -2)
+    return np.ascontiguousarray(M) if element.family == "hermite" else M
 
 
 def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
@@ -198,18 +191,17 @@ def scaling_diagonal(element: ReferenceElement, geom: CellGeometry) -> np.ndarra
 
 
 def cell_transform(element: ReferenceElement, geom: CellGeometry,
-                   scale: bool) -> TransformMatrix:
+                   scale: bool, normals=None) -> TransformMatrix:
     """M of one cell, or of every cell of a batched geometry, with its rows
-    scaled by scaling_diagonal when scale is set.  Unscaled Lagrange gets
-    one identity that stands for every cell of a batch."""
+    scaled by scaling_diagonal when scale is set, edge-normal DoFs along
+    normals.  Unscaled Lagrange gets one identity for every cell."""
     fam = element.family
     if fam == "lagrange":
         M = np.eye(element.n_dofs)
-    elif fam == "bell":
-        M = bell_M(geom, element)
     else:
-        M = {"hermite": hermite_M, "morley": morley_M,
-             "argyris": argyris_M}[fam](geom)
+        M = (bell_M(geom, element) if fam == "bell"
+             else pushforward_M(element, geom, normals))
+        M += 0.0  # the -0 of inv and w * -0, which dump-m would print
     if scale:
         M = scaling_diagonal(element, geom)[..., :, None] * M
     return TransformMatrix(matrix=M)

@@ -21,7 +21,7 @@ from trifem.harness import (StudySpec, poisson_problem,
 from trifem.mesh import build_unit_square_mesh
 from trifem.refelem import build_reference_element, tabulate_coeffs
 from trifem.solver import DENSE_CUTOVER
-from trifem.transform import cell_transform, morley_M, morley_three_step
+from trifem.transform import cell_transform, morley_three_step
 
 H2_FAMILIES = ("hermite", "morley", "argyris", "bell")
 ELEMENTS = {f: build_reference_element(f) for f in H2_FAMILIES}
@@ -103,7 +103,8 @@ def test_criterion_4_morley_three_step_cross_check():
         geom = triangle_geometry(random_triangle(rng))
         E, VC, D = morley_three_step(geom)
         V = E @ VC @ D
-        worst = max(worst, np.abs(V - morley_M(geom).T).max())
+        M = cell_transform(ELEMENTS["morley"], geom, scale=False).matrix
+        worst = max(worst, np.abs(V - M.T).max())
     _report(4, worst < 1e-10, f"E VC D vs closed-form V, worst {worst:.2e}")
     assert worst < 1e-10
 

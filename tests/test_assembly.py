@@ -96,10 +96,12 @@ def test_edge_normal_dof_signs_opposite():
 @pytest.mark.parametrize("name", ["lagrange:3", "hermite", "morley", "argyris",
                                   "bell"])
 def test_cell_blocks_M_orients_edge_normal_rows(monkeypatch, name, scale):
-    # each block's M is cell_transform's bit for bit, with each edge-normal
-    # row negated on the cells that run that edge in stored order (their
-    # outward normal opposes the global one); Lagrange keeps M None.  Blocks
-    # of 7 cells check that each block reads its own cells' orientation
+    # each block's M is cell_transform's bit for bit, along each cell's
+    # outward normals, with each edge-normal DoF's diagonal entry, the only
+    # nonzero of its row, negated on the cells that run that edge in stored
+    # order (their outward normal opposes the global one); Lagrange keeps M
+    # None.  Blocks of 7 cells check that each block reads its own cells'
+    # orientation
     from trifem.harness import parse_element
     monkeypatch.setattr(assembly, "BLOCK", 7)
     m = build_unit_square_mesh(4, 0.2)
@@ -116,7 +118,7 @@ def test_cell_blocks_M_orients_edge_normal_rows(monkeypatch, name, scale):
         expect = transform.cell_transform(el, geom, scale).matrix.copy()
         for i, e in normal:
             flip = m.cell_edge_signs[cells, e] == 1
-            expect[flip, i] = -expect[flip, i]
+            expect[flip, i, i] = -expect[flip, i, i]
         assert M.shape == expect.shape and M.tobytes() == expect.tobytes()
 
 
@@ -178,6 +180,43 @@ def test_global_space_continuity_across_interior_edges(name):
                 jumps.append(vA - vB)
                 sizes.append(vA)
         assert np.abs(jumps).max() <= 1e-10 * np.abs(sizes).max()
+
+
+def _relabelled(m, how, rng):
+    """m rebuilt with its vertices renumbered at random, each cell's local
+    vertex order rotated at random (counter-clockwise still), or its cells
+    shuffled."""
+    vertices, cells = m.vertices, m.cells
+    if how == "vertices":
+        new = rng.permutation(m.n_vertices)  # new index of each vertex
+        vertices = np.empty_like(vertices)
+        vertices[new] = m.vertices
+        cells = new[cells]
+    elif how == "rotated":
+        shift = rng.integers(3, size=m.n_cells)[:, None]
+        cells = np.take_along_axis(cells, (np.arange(3) + shift) % 3, axis=1)
+    else:
+        cells = cells[rng.permutation(m.n_cells)]
+    return build_mesh(vertices, cells)
+
+
+@pytest.mark.parametrize("how", ["vertices", "rotated", "shuffled"])
+@pytest.mark.parametrize("scale", [False, True])
+@pytest.mark.parametrize("problem, name", [
+    ("poisson", "hermite"), ("biharmonic", "morley"),
+    ("biharmonic", "argyris")])
+def test_operator_spectrum_survives_relabelled_mesh(problem, name, scale, how):
+    # relabelling permutes the DoFs and flips the edge-normal DoFs whose
+    # global normal turns, a signed permutation of the operator, so its
+    # spectrum stays: a DoF that the two cells of an edge read along
+    # different normals would change it
+    m = build_unit_square_mesh(4, 0.2)
+    el = parse_element(name)
+    form = study_form(problem, el)
+    relabelled = _relabelled(m, how, np.random.default_rng(23))
+    lam, mu = (np.linalg.eigvalsh(assemble_operator(x, el, form, scale).toarray())
+               for x in (m, relabelled))
+    assert np.abs(lam - mu).max() <= 1e-12 * np.abs(lam).max()
 
 
 def csr_step(n, rows, cols, vals):

@@ -1,5 +1,8 @@
 """Transformation matrices: duality, reproduction, three-step factors, scaling."""
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 import sympy
@@ -11,9 +14,9 @@ from trifem import mesh, transform
 from trifem.mesh import reference_cell_geometry
 from trifem.quadrature import interval_rule
 from trifem.refelem import build_reference_element, legendre4, tabulate_coeffs
-from trifem.transform import (bell_M, cell_transform, edge_blocks, hermite_M,
-                              hessian_pushforward, morley_M, morley_three_step,
-                              scaling_diagonal)
+from trifem.transform import (MIDPOINT_RULES, bell_M, cell_transform,
+                              edge_blocks, hessian_pushforward,
+                              morley_three_step, scaling_diagonal)
 
 ELEMENTS = {}
 for fam in ("hermite", "morley", "argyris", "bell"):
@@ -93,9 +96,13 @@ def test_batched_transform_matches_cell_by_cell(scale):
             assert np.array_equal(Ms[c], cell_transform(el, g, scale).matrix), fam
 
 
+def _unscaled_M(family, geom):
+    return cell_transform(ELEMENTS[family], geom, scale=False).matrix
+
+
 def test_hermite_translation_is_identity():
     geom = triangle_geometry(np.array([[0., 0.], [1., 0.], [0., 1.]]) + [3.7, -1.2])
-    assert np.array_equal(hermite_M(geom), np.eye(10))
+    assert np.array_equal(_unscaled_M("hermite", geom), np.eye(10))
 
 
 def test_hermite_scaling_blocks():
@@ -103,7 +110,7 @@ def test_hermite_scaling_blocks():
     # so the gradient blocks carry the reference-to-physical Jacobian
     s = 2.0
     geom = triangle_geometry(s * np.array([[0., 0.], [1., 0.], [0., 1.]]))
-    M = hermite_M(geom)
+    M = _unscaled_M("hermite", geom)
     for v in range(3):
         blk = M[3 * v + 1:3 * v + 3, 3 * v + 1:3 * v + 3]
         assert np.abs(blk - s * np.eye(2)).max() < 1e-14
@@ -112,7 +119,7 @@ def test_hermite_scaling_blocks():
 
 def test_hermite_fig5b_duality():
     geom = triangle_geometry([[0.0, 0.0], [1.5, 0.5], [0.8, 1.2]])
-    M = hermite_M(geom)
+    M = _unscaled_M("hermite", geom)
     N = physical_functional_matrix(ELEMENTS["hermite"], geom) @ M.T
     assert np.abs(N - np.eye(10)).max() < 1e-10
 
@@ -122,7 +129,7 @@ def test_morley_identity_blocks():
     B = edge_blocks(geom)
     for e in range(3):
         assert np.abs(B[e] - np.eye(2)).max() < 1e-14
-    assert np.abs(morley_M(geom) - np.eye(6)).max() < 1e-14
+    assert np.abs(_unscaled_M("morley", geom) - np.eye(6)).max() < 1e-14
 
 
 def test_morley_uniform_scaling_blocks():
@@ -133,7 +140,7 @@ def test_morley_uniform_scaling_blocks():
     B = edge_blocks(geom)
     for e in range(3):
         assert np.abs(B[e] - s * np.eye(2)).max() < 1e-13
-    V = morley_M(geom).T
+    V = _unscaled_M("morley", geom).T
     assert np.abs(V - np.diag([1, 1, 1, s, s, s])).max() < 1e-13
 
 
@@ -173,7 +180,7 @@ def test_morley_three_step_matches_closed_form():
         geom = triangle_geometry(random_triangle(rng))
         E, VC, D = morley_three_step(geom)
         V = E @ VC @ D
-        assert np.abs(V - morley_M(geom).T).max() < 1e-10
+        assert np.abs(V - _unscaled_M("morley", geom).T).max() < 1e-10
 
 
 def test_three_step_selector_structure():
@@ -189,16 +196,40 @@ def test_three_step_selector_structure():
 
 @pytest.mark.parametrize("scale", [False, True])
 @pytest.mark.parametrize("n, perturb", [(2, 0.0), (8, 0.2)])
-def test_argyris_M_stores_no_negative_zero(n, perturb, scale):
-    # the E VC D products stored every zero as +0; the direct fill must too,
-    # or dump-m prints "-0" (5 times for cell 0 of the default mesh)
+@pytest.mark.parametrize("family", ["hermite", "morley", "argyris", "bell"])
+def test_M_stores_no_negative_zero(family, n, perturb, scale):
+    # every zero of M is +0, or dump-m prints "-0": Argyris's fill leaves 5
+    # in cell 0 of the default mesh, Bell's inv one in cell 65 of N=8
     msh = mesh.build_unit_square_mesh(n, perturb)
     geom = mesh.batch_geometry(msh, mesh.vertex_size_field(msh))
-    M = cell_transform(ELEMENTS["argyris"], geom, scale=scale).matrix
+    M = cell_transform(ELEMENTS[family], geom, scale=scale).matrix
     assert not np.signbit(M[M == 0.0]).any()
-    # a transposed view of a C-ordered array, the layout the operator's
-    # congruence matmul was pinned with
-    assert np.swapaxes(M, -1, -2).flags.c_contiguous
+    # the layouts the operator's congruence matmul was pinned with: a
+    # transposed view of a C-ordered array, or C-ordered rows
+    if family in ("morley", "argyris"):
+        assert np.swapaxes(M, -1, -2).flags.c_contiguous
+    else:
+        assert M.strides[-2:] == (M.shape[-1] * M.itemsize, M.itemsize)
+
+
+@pytest.mark.parametrize("k", sorted(MIDPOINT_RULES))
+def test_midpoint_rules_exact_through_degree_2k_plus_2(k):
+    # sum_j c_j l^(j-1) ((-1)^j p^(j)(l) - p^(j)(0)) is p'(l/2) for every
+    # monomial p = x^d up to degree 2k + 2, so for every such polynomial,
+    # and not for degree 2k + 3; the coefficients are dyadic, so exact
+    ell = Fraction(3, 7)
+    rule = [Fraction(c) for c in MIDPOINT_RULES[k]]
+    assert len(rule) == k + 1
+
+    def deriv(d, j, x):  # the j-th derivative of x^d at x
+        return Fraction(factorial(d), factorial(d - j)) * x ** (d - j) \
+            if j <= d else 0
+
+    for d in range(2 * k + 4):
+        got = sum(c * ell ** (j - 1) * ((-1) ** j * deriv(d, j, ell)
+                                        - deriv(d, j, Fraction(0)))
+                  for j, c in enumerate(rule))
+        assert (got == deriv(d, 1, ell / 2)) == (d <= 2 * k + 2), d
 
 
 def test_hessian_pushforward_matches_direct():
@@ -277,7 +308,7 @@ def test_scaling_diagonal_matches_family_layouts():
 
 def test_dump_M_csv(tmp_path):
     geom = triangle_geometry(random_triangle(make_rng(51)))
-    M = morley_M(geom)
+    M = _unscaled_M("morley", geom)
     path = tmp_path / "m.csv"
     transform.dump_M_csv(M, path)
     data = np.array([[float(c) for c in line.split(",")]
