@@ -4,9 +4,9 @@ Element matrices are integrated in the pulled-back reference basis and
 transformed afterwards with the cell's (scaled) transformation matrix,
 A = M Atilde M^T; facet terms are treated the same way.  A shared
 edge-normal derivative DoF is the derivative along the global edge normal
-(the stored-edge direction rotated 90 degrees counter-clockwise); the M
-of cell_blocks and the interpolant follow it, while cell_transform and
-trifem dump-m default to each cell's outward normals.
+(the stored-edge direction, by mesh.cell_edge_forward, rotated 90 degrees
+counter-clockwise); the M of cell_blocks and the interpolant follow it,
+while cell_transform and trifem dump-m default to outward normals.
 
 Supported forms: Poisson with Nitsche boundary terms, the plate-bending
 form and the C0 interior-penalty biharmonic form, both with weakly-enforced
@@ -39,8 +39,8 @@ from . import transform
 from .mesh import (CellGeometry, TriangleMesh, batch_geometry,
                    vertex_size_field)
 from .quadrature import interval_rule, triangle_rule
-from .refelem import (EDGE_VERTICES, ReferenceElement, apply_functionals,
-                      ref_edge_points, tabulate_coeffs)
+from .refelem import (ReferenceElement, apply_functionals, ref_edge_points,
+                      tabulate_coeffs)
 from .transform import hessian_pushforward, scaling_diagonal
 
 # The one-cell entry points stay importable from here for per-cell callers
@@ -203,14 +203,12 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
     total = cell_offset + C * n_c
 
     cell_dofs = np.zeros((C, element.n_dofs), dtype=np.int64)
-    for v_loc in range(3):
-        cell_dofs[:, ent[0][v_loc]] = mesh.cells[:, v_loc, None] * n_v + np.arange(n_v)
-    k = np.arange(n_e)
-    for e_loc, (a, b) in enumerate(EDGE_VERTICES):
-        # by position along the edge; an edge-normal DoF is alone on its edge
-        base = edge_offset + mesh.cell_edges[:, e_loc, None] * n_e
-        forward = (mesh.cells[:, a] < mesh.cells[:, b])[:, None]
-        cell_dofs[:, ent[1][e_loc]] = base + np.where(forward, k, n_e - 1 - k)
+    k = np.arange(n_e)  # edge DoFs by position along the stored direction
+    along = np.where(mesh.cell_edge_forward[..., None], k, k[::-1])
+    for i in range(3):
+        cell_dofs[:, ent[0][i]] = mesh.cells[:, i, None] * n_v + np.arange(n_v)
+        cell_dofs[:, ent[1][i]] = (edge_offset + mesh.cell_edges[:, i, None] * n_e
+                                   + along[:, i])
     cell_dofs[:, ent[2][0]] = cell_offset + np.arange(C)[:, None] * n_c + np.arange(n_c)
     return DofMap(cell_dofs=cell_dofs, total_dofs=total)
 
@@ -266,9 +264,10 @@ class CellData:
 
 
 def _global_normals(mesh: TriangleMesh, geom: CellGeometry) -> np.ndarray:
-    """The global normals the edge-normal DoFs of all cells follow: outward
-    ones, negated where the cell runs the edge in stored order."""
-    return -mesh.cell_edge_signs[..., None] * geom.normals
+    """Global normals of the edge-normal DoFs: the local tangent, signed by
+    mesh.cell_edge_forward to the stored direction, rotated 90 deg CCW."""
+    t = np.where(mesh.cell_edge_forward, 1, -1)[..., None] * geom.tangents
+    return np.stack([-t[..., 1], t[..., 0]], axis=-1)
 
 
 def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
@@ -423,8 +422,7 @@ def _congruence(M, A):
 def _interior_facets(mesh: TriangleMesh):
     """Both sides of every interior edge, in edge order, as ((cA, eA), (cB, eB))
     cell and local-edge arrays; side A is the lower cell index."""
-    sides = mesh.edge_cells[mesh.edge_cells[:, 1, 0] >= 0]
-    return (sides[:, 0, 0], sides[:, 0, 1]), (sides[:, 1, 0], sides[:, 1, 1])
+    return mesh.edge_cells[mesh.edge_cells[:, 1, 0] >= 0].transpose(1, 2, 0)
 
 
 class _Kernels:
@@ -556,19 +554,18 @@ class _Kernels:
         Each side differentiates along its own outward normal, minus the
         other's, so [vn_A, vn_B] is the jump along side A's normal.  The
         facet quadrature runs along the stored edge direction, so a side
-        whose local parametrization is reversed gets its point axis flipped
-        (the Gauss rule is symmetric).  Only Lagrange elements take this
-        form, so M = I and there is no congruence.
+        whose local edge does not (mesh.cell_edge_forward false) gets its
+        point axis flipped (the Gauss rule is symmetric).  Only Lagrange
+        elements take this form, so M = I and there is no congruence.
         """
         (cA, eA), (cB, eB) = _interior_facets(mesh)
-        a, b = np.array(EDGE_VERTICES).T
         for lo in range(0, len(cA), BLOCK):
             blk = slice(lo, lo + BLOCK)
             sides = ((cA[blk], eA[blk]), (cB[blk], eB[blk]))
             traces = []
             for c, e in sides:
                 r = self._facet_rows(geom[c], e, order=2)
-                forward = _per(mesh.cells[c, a[e]] < mesh.cells[c, b[e]])
+                forward = _per(mesh.cell_edge_forward[c, e])
                 traces.append([np.where(forward, x, x[..., ::-1])
                                for x in (r["vn"], r["lap"])])
             jump, avg = (np.concatenate(x, axis=1) for x in zip(*traces))

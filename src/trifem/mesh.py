@@ -2,9 +2,9 @@
 
 Meshes are regular N x N grids split along the (i,j)-(i+1,j+1) diagonal,
 optionally with interior vertices displaced by a deterministic sinusoidal
-perturbation.  Edge endpoints are stored with the lower vertex index first;
-that single convention drives tangent signs and the sign consistency of
-shared derivative DoFs downstream.
+perturbation.  Edge endpoints are stored with the lower vertex index first.
+Orientation is computed once, here: TriangleMesh.cell_edge_forward, the one
+flag the DoF map, the global edge normals and the IP facets all read.
 """
 
 from dataclasses import dataclass, field, fields
@@ -19,10 +19,10 @@ from .refelem import EDGE_VERTICES, REF_VERTICES
 class TriangleMesh:
     """Triangulation with full edge connectivity.
 
-    cells are vertex-index triples in counter-clockwise order.  For each
-    cell, cell_edges[c, i] is the global index of the edge opposite local
-    vertex i and cell_edge_signs[c, i] is +1 iff the cell's boundary
-    traversal runs the edge in stored (low-to-high) order.  edge_cells[e, s]
+    cells are vertex-index triples in counter-clockwise order.
+    cell_edges[c, i] is the global index of the edge opposite local vertex
+    i of cell c; cell_edge_forward[c, i] is true iff it runs lower vertex
+    first (its stored direction) in EDGE_VERTICES order.  edge_cells[e, s]
     is the (cell, local edge) pair of side s of edge e, side 0 having the
     lower cell index; the missing side 1 of a boundary edge is (-1, -1).
 
@@ -35,7 +35,7 @@ class TriangleMesh:
     cells: np.ndarray
     edges: np.ndarray
     cell_edges: np.ndarray
-    cell_edge_signs: np.ndarray
+    cell_edge_forward: np.ndarray
     edge_cells: np.ndarray
     boundary_edges: np.ndarray
     _cell_data: dict = field(default_factory=dict, init=False, repr=False,
@@ -88,7 +88,7 @@ def build_mesh(vertices, cells) -> TriangleMesh:
     edge by local edge.  Raises ValueError unless vertices are finite (V, 2)
     and cells are (C, 3) integers in [0, V), for no cells, for a vertex in
     no cell, for a degenerate or negatively oriented cell and for an edge
-    shared by more than two cells.
+    in more than two cells or run the same way by two (overlapping cells).
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells)
@@ -113,18 +113,13 @@ def build_mesh(vertices, cells) -> TriangleMesh:
     if len(bad):
         raise ValueError(f"cell {bad[0]} is degenerate or negatively oriented")
 
-    ends = np.array(EDGE_VERTICES)
-    va, vb = cells[:, ends[:, 0]], cells[:, ends[:, 1]]
+    va, vb = (cells[:, list(end)] for end in zip(*EDGE_VERTICES))
     lo, hi = np.minimum(va, vb), np.maximum(va, vb)
     _, first, inverse = np.unique((lo * len(vertices) + hi).ravel(),
                                   return_index=True, return_inverse=True)
     appearance = np.argsort(first)
     cell_edges = np.argsort(appearance)[inverse].reshape(cells.shape)
     edges = np.column_stack([lo.ravel(), hi.ravel()])[first[appearance]]
-    # CCW traversal of edge i runs v1->v2, v2->v0, v0->v1: forward for
-    # edges 0 and 2, backward for edge 1
-    ccw_forward = np.where([True, False, True], va < vb, vb < va)
-    cell_edge_signs = np.where(ccw_forward, 1, -1)
 
     counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
     crowded = np.flatnonzero(counts > 2)
@@ -140,9 +135,16 @@ def build_mesh(vertices, cells) -> TriangleMesh:
     edge_cells = np.full((len(edges), 2, 2), -1)
     edge_cells[:, 0] = sides[start]
     edge_cells[shared, 1] = sides[start[shared] + 1]
+    # counter-clockwise neighbours start their edge at different vertices
+    c, e = np.moveaxis(edge_cells[shared], -1, 0)
+    folded = np.flatnonzero(np.equal(*cells[c, (e + 1) % 3].T))
+    if len(folded):
+        (c0, c1), (a, b) = c[folded[0]], edges[shared][folded[0]]
+        raise ValueError(f"edge ({a}, {b}) runs the same way in cells {c0} "
+                         f"and {c1}, which overlap")
     boundary_edges = np.flatnonzero(counts == 1)
     return TriangleMesh(vertices=vertices, cells=cells, edges=edges,
-                        cell_edges=cell_edges, cell_edge_signs=cell_edge_signs,
+                        cell_edges=cell_edges, cell_edge_forward=va < vb,
                         edge_cells=edge_cells, boundary_edges=boundary_edges)
 
 

@@ -8,7 +8,8 @@ from conftest import poly_field
 from trifem import assembly, solver, transform
 from trifem.assembly import (ScalarField, assemble_load, assemble_operator,
                              build_dof_map, interpolate)
-from trifem.harness import parse_element, poisson_problem, study_form
+from trifem.harness import (biharmonic_problem, parse_element,
+                            poisson_problem, study_form)
 from trifem.mesh import batch_geometry, build_mesh, build_unit_square_mesh
 from trifem.quadrature import triangle_rule
 from trifem.refelem import REF_VERTICES, build_reference_element
@@ -98,10 +99,9 @@ def test_edge_normal_dof_signs_opposite():
 def test_cell_blocks_M_orients_edge_normal_rows(monkeypatch, name, scale):
     # each block's M is cell_transform's bit for bit, along each cell's
     # outward normals, with each edge-normal DoF's diagonal entry, the only
-    # nonzero of its row, negated on the cells that run that edge in stored
-    # order (their outward normal opposes the global one); Lagrange keeps M
-    # None.  Blocks of 7 cells check that each block reads its own cells'
-    # orientation
+    # nonzero of its row, negated on the cells whose outward normal opposes
+    # the edge's global one; Lagrange keeps M None.  Blocks of 7 cells check
+    # that each block reads its own cells' orientation
     from trifem.harness import parse_element
     monkeypatch.setattr(assembly, "BLOCK", 7)
     m = build_unit_square_mesh(4, 0.2)
@@ -117,7 +117,8 @@ def test_cell_blocks_M_orients_edge_normal_rows(monkeypatch, name, scale):
             continue
         expect = transform.cell_transform(el, geom, scale).matrix.copy()
         for i, e in normal:
-            flip = m.cell_edge_signs[cells, e] == 1
+            glob = np.array([global_normal(m, k) for k in m.cell_edges[cells, e]])
+            flip = np.sum(geom.normals[:, e] * glob, axis=-1) < 0
             expect[flip, i, i] = -expect[flip, i, i]
         assert M.shape == expect.shape and M.tobytes() == expect.tobytes()
 
@@ -184,39 +185,55 @@ def test_global_space_continuity_across_interior_edges(name):
 
 def _relabelled(m, how, rng):
     """m rebuilt with its vertices renumbered at random, each cell's local
-    vertex order rotated at random (counter-clockwise still), or its cells
-    shuffled."""
+    vertex order rotated at random (counter-clockwise still), its cells
+    shuffled, or all three in turn."""
     vertices, cells = m.vertices, m.cells
-    if how == "vertices":
+    if how in ("vertices", "all"):
         new = rng.permutation(m.n_vertices)  # new index of each vertex
         vertices = np.empty_like(vertices)
         vertices[new] = m.vertices
         cells = new[cells]
-    elif how == "rotated":
+    if how in ("rotated", "all"):
         shift = rng.integers(3, size=m.n_cells)[:, None]
         cells = np.take_along_axis(cells, (np.arange(3) + shift) % 3, axis=1)
-    else:
+    if how in ("shuffled", "all"):
         cells = cells[rng.permutation(m.n_cells)]
     return build_mesh(vertices, cells)
 
 
-@pytest.mark.parametrize("how", ["vertices", "rotated", "shuffled"])
+STUDY_FORMS = ([("poisson", f"lagrange:{k}") for k in range(1, 6)]
+               + [("poisson", e) for e in ("hermite", "argyris", "bell")]
+               + [("biharmonic", f"lagrange:{k}") for k in range(2, 6)]
+               + [("biharmonic", e) for e in ("morley", "argyris", "bell")])
+
+
+@pytest.mark.parametrize("how", ["vertices", "rotated", "shuffled", "all"])
 @pytest.mark.parametrize("scale", [False, True])
-@pytest.mark.parametrize("problem, name", [
-    ("poisson", "hermite"), ("biharmonic", "morley"),
-    ("biharmonic", "argyris")])
+@pytest.mark.parametrize("problem, name", STUDY_FORMS)
 def test_operator_spectrum_survives_relabelled_mesh(problem, name, scale, how):
     # relabelling permutes the DoFs and flips the edge-normal DoFs whose
     # global normal turns, a signed permutation of the operator, so its
     # spectrum stays: a DoF that the two cells of an edge read along
-    # different normals would change it
+    # different normals would change it.  The energy u_I^T A u_I of the
+    # exact solution's interpolant stays too: it would not if the
+    # interpolant and the operator read the DoF map differently.  The
+    # energy is bounded on the scale of its terms, |u_I|^T |A| |u_I|: for
+    # IP-P5 it cancels about 5e5-fold, so a change of summation order moves
+    # it by 2e-12 of itself (measured at most 1.6e-16 of that scale)
     m = build_unit_square_mesh(4, 0.2)
     el = parse_element(name)
     form = study_form(problem, el)
+    u, _ = poisson_problem() if problem == "poisson" else biharmonic_problem()
     relabelled = _relabelled(m, how, np.random.default_rng(23))
-    lam, mu = (np.linalg.eigvalsh(assemble_operator(x, el, form, scale).toarray())
-               for x in (m, relabelled))
+    spectra, energies = [], []
+    for x in (m, relabelled):
+        A = assemble_operator(x, el, form, scale)
+        u_I = interpolate(x, el, u, scale)
+        spectra.append(np.linalg.eigvalsh(A.toarray()))
+        energies.append((u_I @ (A @ u_I), abs(u_I) @ (abs(A) @ abs(u_I))))
+    (lam, mu), ((E, size), (F, _)) = spectra, energies
     assert np.abs(lam - mu).max() <= 1e-12 * np.abs(lam).max()
+    assert abs(E - F) <= 1e-13 * size
 
 
 def csr_step(n, rows, cols, vals):

@@ -148,10 +148,10 @@ def test_interior_normals_antiparallel():
 
 
 def test_tangent_sign_agreement():
-    # each cell's traversal direction times its orientation sign recovers the
-    # stored edge direction, so sign_A t_A^ccw = sign_B t_B^ccw on shared edges
+    # each cell's local tangent, reversed where cell_edge_forward is false,
+    # is the stored edge direction, so both cells of an edge agree on it
     m = build_unit_square_mesh(6, 0.2)
-    rho = np.array([1, -1, 1])  # local low-to-high vs CCW traversal, per edge
+    sign = np.where(m.cell_edge_forward, 1, -1)
     for c in range(m.n_cells):
         g = cell_geometry(m, c)
         for e_loc in range(3):
@@ -159,14 +159,23 @@ def test_tangent_sign_agreement():
             a, b = m.edges[e]
             stored = m.vertices[b] - m.vertices[a]
             stored = stored / np.hypot(*stored)
-            traversal = rho[e_loc] * g.tangents[e_loc]
-            assert np.abs(m.cell_edge_signs[c, e_loc] * traversal - stored).max() < 1e-12
+            assert np.abs(sign[c, e_loc] * g.tangents[e_loc] - stored).max() < 1e-12
 
 
 def test_degenerate_cell_rejected():
     verts = np.array([[0., 0.], [1., 0.], [0.5, 0.]])
     with pytest.raises(ValueError):
         build_mesh(verts, np.array([[0, 1, 2]]))
+    # two positively oriented cells that run a shared edge the same way: a
+    # fold (both on one side of the edge) and a duplicate (every edge twice,
+    # so no boundary at all)
+    verts = np.array([[0., 0.], [1., 0.], [0., 1.], [0.5, 1.]])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) runs the same way "
+                                         "in cells 0 and 1"):
+        build_mesh(verts, np.array([[0, 1, 2], [0, 1, 3]]))
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) runs the same way "
+                                         "in cells 0 and 1"):
+        build_mesh(verts[:3], np.array([[0, 1, 2], [1, 2, 0]]))
 
 
 _SQUARE = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
@@ -209,8 +218,8 @@ def test_degeneracy_is_relative_to_cell_size():
 
 def test_clockwise_cell_rejected_by_geometry():
     # mirrored vertices make every cell clockwise, which the outward
-    # normals (edge 1's tangent rotation flipped) and the edge signs of the
-    # mesh assume it is not: batch_geometry refuses such a cell
+    # normals (edge 1's tangent rotation flipped) assume it is not:
+    # batch_geometry refuses such a cell
     m = build_unit_square_mesh(2)
     mirrored = replace(m, vertices=m.vertices * [-1.0, 1.0])
     with pytest.raises(ValueError,
@@ -252,11 +261,14 @@ def test_vertex_size_field_homogeneous():
 
 
 def test_global_edge_normal_is_ccw_rotation():
-    # the global normal of a shared edge-normal DoF, -cell_edge_signs times
-    # each cell's outward normal (as cell_blocks' M and interpolate orient
-    # it), is the stored edge direction rotated 90 degrees counter-clockwise
+    # the global normal of a shared edge-normal DoF (as cell_blocks' M and
+    # interpolate orient it) is the stored edge direction rotated 90 degrees
+    # counter-clockwise, and each cell's outward normal or its negative
+    from trifem.assembly import _global_normals
     m = build_unit_square_mesh(4, 0.2)
-    normals = -m.cell_edge_signs[..., None] * batch_geometry(m).normals
+    geom = batch_geometry(m)
+    normals = _global_normals(m, geom)
+    assert np.array_equal(np.abs(normals), np.abs(geom.normals))
     for c in range(m.n_cells):
         for e_loc, e in enumerate(m.cell_edges[c]):
             a, b = m.edges[e]
