@@ -78,7 +78,10 @@ def _cmd_dump_m(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     handlers = {"study": _cmd_study, "stats": _cmd_stats, "dump-m": _cmd_dump_m}
     try:
         return handlers[args.command](args)

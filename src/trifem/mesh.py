@@ -1,10 +1,13 @@
 """Triangulations of the unit square and per-cell affine geometry.
 
-Meshes are regular N x N grids split along the (i,j)-(i+1,j+1) diagonal,
-optionally with interior vertices displaced by a deterministic sinusoidal
-perturbation.  Edge endpoints are stored with the lower vertex index first.
-Orientation is computed once, here: TriangleMesh.cell_edge_forward, the one
-flag the DoF map, the global edge normals and the IP facets all read.
+A mesh is its vertices and cells: TriangleMesh checks them and derives its
+connectivity whenever one is made, dataclasses.replace included.  Meshes of
+the unit square are regular N x N grids split along the (i,j)-(i+1,j+1)
+diagonal, optionally with interior vertices displaced by a deterministic
+sinusoidal perturbation.  Edge endpoints are stored with the lower vertex
+index first.  Orientation is computed once, here:
+TriangleMesh.cell_edge_forward, the one flag the DoF map, the global edge
+normals and the IP facets all read.
 """
 
 from dataclasses import dataclass, field, fields
@@ -17,36 +20,102 @@ from .refelem import EDGE_VERTICES, REF_VERTICES
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Triangulation with full edge connectivity.
+    """Triangulation with full edge connectivity: TriangleMesh(vertices, cells).
 
-    cells are vertex-index triples in counter-clockwise order.
-    cell_edges[c, i] is the global index of the edge opposite local vertex
-    i of cell c; cell_edge_forward[c, i] is true iff it runs lower vertex
-    first (its stored direction) in EDGE_VERTICES order.  edge_cells[e, s]
-    is the (cell, local edge) pair of side s of edge e, side 0 having the
-    lower cell index; the missing side 1 of a boundary edge is (-1, -1).
+    cells are vertex-index triples in counter-clockwise order; every other
+    array is derived from the two.  Edges are numbered in order of first
+    appearance, cell by cell and local edge by local edge.  cell_edges[c, i]
+    is the global index of the edge opposite local vertex i of cell c;
+    cell_edge_forward[c, i] is true iff it runs lower vertex first (its
+    stored direction) in EDGE_VERTICES order.  edge_cells[e, s] is the
+    (cell, local edge) pair of side s of edge e, side 0 having the lower
+    cell index; the missing side 1 of a boundary edge is (-1, -1).
 
-    A mesh is immutable: its arrays are read-only copies of those it was
-    built from, so the cell data that assembly.cell_blocks keeps in
-    _cell_data always describes the mesh's own vertices and cells.
+    Raises ValueError unless vertices are finite (V, 2) and cells are
+    (C, 3) integers in [0, V), for no cells, for a vertex in no cell, for a
+    degenerate or negatively oriented cell and for an edge in more than two
+    cells or run the same way by two (overlapping cells).
+
+    A mesh is immutable: its arrays are read-only, the vertices and cells
+    copies of those it was made from, so the cell data that
+    assembly.cell_blocks keeps in _cell_data always describes the mesh's
+    own vertices and cells.
     """
 
     vertices: np.ndarray
     cells: np.ndarray
-    edges: np.ndarray
-    cell_edges: np.ndarray
-    cell_edge_forward: np.ndarray
-    edge_cells: np.ndarray
-    boundary_edges: np.ndarray
+    edges: np.ndarray = field(init=False)
+    cell_edges: np.ndarray = field(init=False)
+    cell_edge_forward: np.ndarray = field(init=False)
+    edge_cells: np.ndarray = field(init=False)
+    boundary_edges: np.ndarray = field(init=False)
     _cell_data: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.init:
-                a = np.array(getattr(self, f.name))
-                a.flags.writeable = False
-                object.__setattr__(self, f.name, a)
+        vertices = np.array(self.vertices, dtype=float)
+        cells = np.array(self.cells)
+        if vertices.ndim != 2 or vertices.shape[1] != 2 \
+                or not np.isfinite(vertices).all():
+            raise ValueError("vertices must be a finite (V, 2) array")
+        if cells.ndim != 2 or cells.shape[1] != 3 \
+                or not np.issubdtype(cells.dtype, np.integer):
+            raise ValueError("cells must be a (C, 3) integer array")
+        bad = np.flatnonzero(((cells < 0) | (cells >= len(vertices))).any(axis=1))
+        if len(bad):
+            raise ValueError(f"cell {bad[0]} has a vertex index outside "
+                             f"[0, {len(vertices)})")
+        if not len(cells):
+            raise ValueError("a mesh needs at least one cell")
+        cells = cells.astype(int, copy=False)
+        unused = np.setdiff1d(np.arange(len(vertices)), cells)
+        if len(unused):
+            raise ValueError(f"vertex {unused[0]} is in no cell")
+        d = _edge_vectors(vertices[cells])
+        bad = np.flatnonzero(signed_area(vertices, cells) <= DEGENERACY_RTOL
+                             * (d * d).sum(axis=-1).max(axis=-1))
+        if len(bad):
+            raise ValueError(f"cell {bad[0]} is degenerate or negatively "
+                             "oriented")
+
+        va, vb = (cells[:, list(end)] for end in zip(*EDGE_VERTICES))
+        lo, hi = np.minimum(va, vb), np.maximum(va, vb)
+        _, first, inverse = np.unique((lo * len(vertices) + hi).ravel(),
+                                      return_index=True, return_inverse=True)
+        appearance = np.argsort(first)
+        cell_edges = np.argsort(appearance)[inverse].reshape(cells.shape)
+        edges = np.column_stack([lo.ravel(), hi.ravel()])[first[appearance]]
+
+        counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
+        crowded = np.flatnonzero(counts > 2)
+        if len(crowded):
+            a, b = edges[crowded[0]]
+            raise ValueError(f"edge ({a}, {b}) is shared by "
+                             f"{counts[crowded[0]]} cells; at most two are "
+                             "allowed")
+        # (cell, local edge) pairs grouped by edge, in cell order within an edge
+        sides = np.stack(np.divmod(np.argsort(cell_edges.ravel(), kind="stable"),
+                                   3), axis=-1)
+        start = np.cumsum(counts) - counts
+        shared = counts == 2
+        edge_cells = np.full((len(edges), 2, 2), -1)
+        edge_cells[:, 0] = sides[start]
+        edge_cells[shared, 1] = sides[start[shared] + 1]
+        # counter-clockwise neighbours start their edge at different vertices
+        c, e = np.moveaxis(edge_cells[shared], -1, 0)
+        folded = np.flatnonzero(np.equal(*cells[c, (e + 1) % 3].T))
+        if len(folded):
+            (c0, c1), (a, b) = c[folded[0]], edges[shared][folded[0]]
+            raise ValueError(f"edge ({a}, {b}) runs the same way in cells "
+                             f"{c0} and {c1}, which overlap")
+
+        for name, a in (("vertices", vertices), ("cells", cells),
+                        ("edges", edges), ("cell_edges", cell_edges),
+                        ("cell_edge_forward", va < vb),
+                        ("edge_cells", edge_cells),
+                        ("boundary_edges", np.flatnonzero(counts == 1))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_vertices(self):
@@ -72,80 +141,6 @@ def signed_area(vertices, cell):
 # longest edge (a right isosceles cell has 1/4): the condition number of
 # its Jacobian is then of order 1e10 or more, whatever the cell's size.
 DEGENERACY_RTOL = 1e-10
-
-
-def _degenerate(area, verts):
-    """Which cells of vertices (..., 3, 2) with signed areas `area` are
-    degenerate or negatively oriented."""
-    d = _edge_vectors(verts)
-    return area <= DEGENERACY_RTOL * (d * d).sum(axis=-1).max(axis=-1)
-
-
-def build_mesh(vertices, cells) -> TriangleMesh:
-    """Assemble connectivity for given vertices and positively-oriented cells.
-
-    Edges are numbered in order of first appearance, cell by cell and local
-    edge by local edge.  Raises ValueError unless vertices are finite (V, 2)
-    and cells are (C, 3) integers in [0, V), for no cells, for a vertex in
-    no cell, for a degenerate or negatively oriented cell and for an edge
-    in more than two cells or run the same way by two (overlapping cells).
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells)
-    if vertices.ndim != 2 or vertices.shape[1] != 2 \
-            or not np.isfinite(vertices).all():
-        raise ValueError("vertices must be a finite (V, 2) array")
-    if cells.ndim != 2 or cells.shape[1] != 3 \
-            or not np.issubdtype(cells.dtype, np.integer):
-        raise ValueError("cells must be a (C, 3) integer array")
-    bad = np.flatnonzero(((cells < 0) | (cells >= len(vertices))).any(axis=1))
-    if len(bad):
-        raise ValueError(f"cell {bad[0]} has a vertex index outside "
-                         f"[0, {len(vertices)})")
-    if not len(cells):
-        raise ValueError("a mesh needs at least one cell")
-    cells = cells.astype(int, copy=False)
-    unused = np.setdiff1d(np.arange(len(vertices)), cells)
-    if len(unused):
-        raise ValueError(f"vertex {unused[0]} is in no cell")
-    bad = np.flatnonzero(_degenerate(signed_area(vertices, cells),
-                                     vertices[cells]))
-    if len(bad):
-        raise ValueError(f"cell {bad[0]} is degenerate or negatively oriented")
-
-    va, vb = (cells[:, list(end)] for end in zip(*EDGE_VERTICES))
-    lo, hi = np.minimum(va, vb), np.maximum(va, vb)
-    _, first, inverse = np.unique((lo * len(vertices) + hi).ravel(),
-                                  return_index=True, return_inverse=True)
-    appearance = np.argsort(first)
-    cell_edges = np.argsort(appearance)[inverse].reshape(cells.shape)
-    edges = np.column_stack([lo.ravel(), hi.ravel()])[first[appearance]]
-
-    counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
-    crowded = np.flatnonzero(counts > 2)
-    if len(crowded):
-        a, b = edges[crowded[0]]
-        raise ValueError(f"edge ({a}, {b}) is shared by {counts[crowded[0]]} "
-                         "cells; at most two are allowed")
-    # (cell, local edge) pairs grouped by edge, in cell order within an edge
-    sides = np.stack(np.divmod(np.argsort(cell_edges.ravel(), kind="stable"), 3),
-                     axis=-1)
-    start = np.cumsum(counts) - counts
-    shared = counts == 2
-    edge_cells = np.full((len(edges), 2, 2), -1)
-    edge_cells[:, 0] = sides[start]
-    edge_cells[shared, 1] = sides[start[shared] + 1]
-    # counter-clockwise neighbours start their edge at different vertices
-    c, e = np.moveaxis(edge_cells[shared], -1, 0)
-    folded = np.flatnonzero(np.equal(*cells[c, (e + 1) % 3].T))
-    if len(folded):
-        (c0, c1), (a, b) = c[folded[0]], edges[shared][folded[0]]
-        raise ValueError(f"edge ({a}, {b}) runs the same way in cells {c0} "
-                         f"and {c1}, which overlap")
-    boundary_edges = np.flatnonzero(counts == 1)
-    return TriangleMesh(vertices=vertices, cells=cells, edges=edges,
-                        cell_edges=cell_edges, cell_edge_forward=va < vb,
-                        edge_cells=edge_cells, boundary_edges=boundary_edges)
 
 
 def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
@@ -177,7 +172,7 @@ def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
     v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
-    return build_mesh(vertices, cells)
+    return TriangleMesh(vertices, cells)
 
 
 @dataclass
@@ -223,17 +218,12 @@ def batch_geometry(mesh: TriangleMesh, size_field: np.ndarray = None,
     """Geometry of the given cells (all by default), batched along axis 0.
 
     size_field (vertex_size_field) gives each cell its vertex sizes vertex_h.
-    Raises ValueError for a degenerate or clockwise cell (vertices replaced).
     """
     index = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
     verts = mesh.vertices[mesh.cells[index]]
     B = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
                  axis=-1)  # d x / d xhat
     det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    bad = np.flatnonzero(_degenerate(0.5 * det, verts))
-    if len(bad):
-        raise ValueError(f"cell {index[bad[0]]} is degenerate or negatively "
-                         "oriented")
     J = np.stack([np.stack([B[:, 1, 1], -B[:, 0, 1]], axis=-1),
                   np.stack([-B[:, 1, 0], B[:, 0, 0]], axis=-1)],
                  axis=1) / det[:, None, None]
@@ -260,7 +250,7 @@ def cell_geometry(mesh: TriangleMesh, cell_index: int,
 
 def reference_cell_geometry() -> CellGeometry:
     """Geometry of the reference triangle itself (identity map)."""
-    mesh = build_mesh(REF_VERTICES, np.array([[0, 1, 2]]))
+    mesh = TriangleMesh(REF_VERTICES, np.array([[0, 1, 2]]))
     return cell_geometry(mesh, 0, vertex_size_field(mesh))
 
 

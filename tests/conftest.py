@@ -36,7 +36,7 @@ def random_triangle(rng, min_quality=0.05):
 
 
 def triangle_geometry(verts, with_sizes=True):
-    msh = mesh.build_mesh(np.asarray(verts, dtype=float), np.array([[0, 1, 2]]))
+    msh = mesh.TriangleMesh(np.asarray(verts, dtype=float), np.array([[0, 1, 2]]))
     field = mesh.vertex_size_field(msh) if with_sizes else None
     return mesh.cell_geometry(msh, 0, field)
 

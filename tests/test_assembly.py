@@ -10,7 +10,7 @@ from trifem.assembly import (ScalarField, assemble_load, assemble_operator,
                              build_dof_map, interpolate)
 from trifem.harness import (biharmonic_problem, parse_element,
                             poisson_problem, study_form)
-from trifem.mesh import batch_geometry, build_mesh, build_unit_square_mesh
+from trifem.mesh import TriangleMesh, batch_geometry, build_unit_square_mesh
 from trifem.quadrature import triangle_rule
 from trifem.refelem import REF_VERTICES, build_reference_element
 from trifem.solver import matrix_stats
@@ -198,7 +198,7 @@ def _relabelled(m, how, rng):
         cells = np.take_along_axis(cells, (np.arange(3) + shift) % 3, axis=1)
     if how in ("shuffled", "all"):
         cells = cells[rng.permutation(m.n_cells)]
-    return build_mesh(vertices, cells)
+    return TriangleMesh(vertices, cells)
 
 
 STUDY_FORMS = ([("poisson", f"lagrange:{k}") for k in range(1, 6)]
@@ -553,7 +553,7 @@ def test_load_zero_source():
 
 
 def test_load_constant_on_reference_cell():
-    m = build_mesh(REF_VERTICES, np.array([[0, 1, 2]]))
+    m = TriangleMesh(REF_VERTICES, np.array([[0, 1, 2]]))
     f = ScalarField(f=lambda x, y: np.ones_like(x))
     b = assemble_load(m, lagrange(1), f, assembly.poisson_nitsche())
     assert np.allclose(b, 1.0 / 6.0, atol=1e-14)

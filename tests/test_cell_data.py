@@ -8,7 +8,7 @@ import pytest
 
 from trifem import assembly, harness, transform
 from trifem.assembly import _Kernels, _physical_hessian
-from trifem.mesh import batch_geometry, build_mesh, build_unit_square_mesh
+from trifem.mesh import TriangleMesh, batch_geometry, build_unit_square_mesh
 from trifem.refelem import build_reference_element
 from trifem.transform import hessian_pushforward
 
@@ -102,7 +102,7 @@ def test_cell_data_held_by_its_mesh():
 
 def test_mesh_dofmap_and_cell_data_are_read_only():
     verts = np.array([[0., 0.], [1., 0.], [0., 1.]])
-    m = build_mesh(verts, np.array([[0, 1, 2]]))
+    m = TriangleMesh(verts, np.array([[0, 1, 2]]))
     verts[0, 0] = 5.0  # the mesh holds its own copy of its input
     assert m.vertices[0, 0] == 0.0
     with pytest.raises(ValueError):

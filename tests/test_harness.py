@@ -325,6 +325,18 @@ def test_cli_study_and_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "y.csv")])
     assert code == 1
 
+    # usage errors that argparse rejects: an invalid choice, a non-integer
+    # cell index and no subcommand; --help is not an error
+    for argv in (["study", "--problem", "foo", "--element", "lagrange:1",
+                  "--out", str(tmp_path / "z.csv")],
+                 ["dump-m", "--element", "hermite", "--cell", "3.5",
+                  "--out", str(tmp_path / "m.csv")],
+                 []):
+        assert cli.main(argv) == 1
+        assert "usage: trifem" in capsys.readouterr().err
+    assert cli.main(["study", "--help"]) == 0
+    assert "usage: trifem study" in capsys.readouterr().out
+
 
 def test_cli_study_csv_independent_of_blas_threads(tmp_path):
     # the dense LU of Bell N=8 (486 DoFs) changes in its last bits with the

@@ -1,14 +1,15 @@
 """Mesh construction, connectivity and per-cell geometry."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from trifem.mesh import (batch_geometry, build_mesh, build_unit_square_mesh,
+from trifem import assembly
+from trifem.mesh import (TriangleMesh, batch_geometry, build_unit_square_mesh,
                          cell_geometry, reference_cell_geometry, signed_area,
                          vertex_size_field)
-from trifem.refelem import EDGE_VERTICES
+from trifem.refelem import EDGE_VERTICES, build_reference_element
 
 
 def test_unit_square_counts_n1():
@@ -66,7 +67,7 @@ def test_mesh_argument_validation():
     with pytest.raises(ValueError):
         build_unit_square_mesh(4, 0.5)
     with pytest.raises(ValueError):
-        build_mesh(np.array([[0., 0.], [1., 0.], [2., 0.]]), np.array([[0, 1, 2]]))
+        TriangleMesh(np.array([[0., 0.], [1., 0.], [2., 0.]]), np.array([[0, 1, 2]]))
 
 
 def test_edge_table_matches_brute_force_pairing():
@@ -103,16 +104,16 @@ def test_reference_cell_geometry():
 
 def test_geometry_uniform_scaling():
     s = 3.0
-    g = cell_geometry(build_mesh(s * np.array([[0., 0.], [1., 0.], [0., 1.]]),
-                                 np.array([[0, 1, 2]])), 0)
+    g = cell_geometry(TriangleMesh(s * np.array([[0., 0.], [1., 0.], [0., 1.]]),
+                                   np.array([[0, 1, 2]])), 0)
     assert np.abs(g.J - np.eye(2) / s).max() < 1e-14
     assert abs(g.detJinv_abs - s * s) < 1e-12
     assert np.allclose(g.edge_lengths, s * np.array([np.sqrt(2), 1, 1]))
 
 
 def test_geometry_chain_rule_oracle():
-    g = cell_geometry(build_mesh(np.array([[0., 0.], [2., 0.], [0., 1.]]),
-                                 np.array([[0, 1, 2]])), 0)
+    g = cell_geometry(TriangleMesh(np.array([[0., 0.], [2., 0.], [0., 1.]]),
+                                   np.array([[0, 1, 2]])), 0)
     assert np.abs(g.J - np.diag([0.5, 1.0])).max() < 1e-14
     assert np.abs(g.J @ g.Jinv - np.eye(2)).max() < 1e-12
     # p(x, y) = x^2 y pulls back to 4 xh^2 yh; grad p = J^T refgrad at (1, 1/2)
@@ -165,17 +166,17 @@ def test_tangent_sign_agreement():
 def test_degenerate_cell_rejected():
     verts = np.array([[0., 0.], [1., 0.], [0.5, 0.]])
     with pytest.raises(ValueError):
-        build_mesh(verts, np.array([[0, 1, 2]]))
+        TriangleMesh(verts, np.array([[0, 1, 2]]))
     # two positively oriented cells that run a shared edge the same way: a
     # fold (both on one side of the edge) and a duplicate (every edge twice,
     # so no boundary at all)
     verts = np.array([[0., 0.], [1., 0.], [0., 1.], [0.5, 1.]])
     with pytest.raises(ValueError, match=r"edge \(0, 1\) runs the same way "
                                          "in cells 0 and 1"):
-        build_mesh(verts, np.array([[0, 1, 2], [0, 1, 3]]))
+        TriangleMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]))
     with pytest.raises(ValueError, match=r"edge \(1, 2\) runs the same way "
                                          "in cells 0 and 1"):
-        build_mesh(verts[:3], np.array([[0, 1, 2], [1, 2, 0]]))
+        TriangleMesh(verts[:3], np.array([[0, 1, 2], [1, 2, 0]]))
 
 
 _SQUARE = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
@@ -198,36 +199,62 @@ def test_build_mesh_rejects_what_it_cannot_mesh(verts, cells, match):
     # with an error the CLI does not report as a bad argument; a vertex in
     # no cell got a zero size (0 / 0) and a zero P1 operator row
     with pytest.raises(ValueError, match=match):
-        build_mesh(verts, cells)
+        TriangleMesh(verts, cells)
 
 
 def test_degeneracy_is_relative_to_cell_size():
     one = np.array([[0, 1, 2]])
     tiny = np.array([[0., 0.], [1e-7, 0.], [0., 1e-7]])
-    g = cell_geometry(build_mesh(tiny, one), 0)
+    g = cell_geometry(TriangleMesh(tiny, one), 0)
     assert np.isclose(g.detJinv_abs, 1e-14, rtol=1e-9, atol=0.0)
     sliver = np.array([[0., 0.], [1., 0.], [0.5, 2e-13]])
     assert np.isclose(signed_area(sliver, one[0]), 1e-13, rtol=1e-3, atol=0.0)
     with pytest.raises(ValueError, match="cell 0 is degenerate"):
-        build_mesh(sliver, one)
-    # batch_geometry applies the same test to a mesh whose vertices moved
-    moved = replace(build_mesh(tiny, one), vertices=sliver)
+        TriangleMesh(sliver, one)
+    # the same test holds for a mesh whose vertices moved by replace
     with pytest.raises(ValueError, match="cell 0 is degenerate"):
-        batch_geometry(moved)
+        replace(TriangleMesh(tiny, one), vertices=sliver)
 
 
 def test_clockwise_cell_rejected_by_geometry():
     # mirrored vertices make every cell clockwise, which the outward
-    # normals (edge 1's tangent rotation flipped) assume it is not:
-    # batch_geometry refuses such a cell
+    # normals (edge 1's tangent rotation flipped) assume it is not: the
+    # mesh refuses such a cell before batch_geometry can see it
     m = build_unit_square_mesh(2)
-    mirrored = replace(m, vertices=m.vertices * [-1.0, 1.0])
     with pytest.raises(ValueError,
                        match="cell 0 is degenerate or negatively oriented"):
-        batch_geometry(mirrored)
-    with pytest.raises(ValueError,
-                       match="cell 3 is degenerate or negatively oriented"):
-        batch_geometry(mirrored, cells=[3])
+        replace(m, vertices=m.vertices * [-1.0, 1.0])
+
+
+def test_replaced_cells_rederive_the_connectivity():
+    # rotating every cell's vertices renumbers its local edges: replace
+    # derives cell_edges and the rest anew, so the Argyris plate operator
+    # is the one a fresh mesh of the same cells gives, byte for byte
+    m = build_unit_square_mesh(4, 0.2)
+    rotated = m.cells[:, [1, 2, 0]]
+    replaced, fresh = replace(m, cells=rotated), TriangleMesh(m.vertices, rotated)
+    for f in fields(TriangleMesh):
+        if f.compare:
+            assert np.array_equal(getattr(replaced, f.name),
+                                  getattr(fresh, f.name)), f.name
+    assert not np.array_equal(replaced.cell_edges, m.cell_edges)
+    argyris = build_reference_element("argyris")
+    A, B = (assembly.assemble_operator(mesh, argyris, assembly.plate())
+            for mesh in (replaced, fresh))
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).tobytes() == getattr(B, name).tobytes()
+
+
+def test_mesh_is_made_from_vertices_and_cells_only():
+    # the connectivity is derived, never given, not even when it is right
+    m = build_unit_square_mesh(1)
+    assert [f.name for f in fields(TriangleMesh) if f.init] == ["vertices",
+                                                               "cells"]
+    with pytest.raises(TypeError):
+        TriangleMesh(vertices=m.vertices, cells=m.cells, edges=m.edges)
+    with pytest.raises(TypeError):
+        TriangleMesh(**{f.name: getattr(m, f.name)
+                        for f in fields(TriangleMesh) if f.compare})
 
 
 def test_edge_shared_by_three_cells_rejected():
@@ -236,8 +263,8 @@ def test_edge_shared_by_three_cells_rejected():
     cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
     assert all(signed_area(verts, c) > 0 for c in cells)
     with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by 3 cells"):
-        build_mesh(verts, cells)
-    build_mesh(verts[:4], cells[:2])
+        TriangleMesh(verts, cells)
+    TriangleMesh(verts[:4], cells[:2])
 
 
 def test_vertex_size_field_small():
@@ -256,7 +283,7 @@ def test_vertex_size_field_uniform_interior():
 
 def test_vertex_size_field_homogeneous():
     m = build_unit_square_mesh(3, 0.2)
-    scaled = build_mesh(2.0 * m.vertices, m.cells)
+    scaled = TriangleMesh(2.0 * m.vertices, m.cells)
     assert np.allclose(vertex_size_field(scaled), 2.0 * vertex_size_field(m))
 
 

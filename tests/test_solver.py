@@ -13,7 +13,7 @@ from trifem import assembly, solver
 from trifem.assembly import interpolate, l2_error
 from trifem.harness import (biharmonic_problem, parse_element, poisson_problem,
                             study_form)
-from trifem.mesh import build_mesh, build_unit_square_mesh
+from trifem.mesh import TriangleMesh, build_unit_square_mesh
 from trifem.refelem import build_reference_element
 from trifem.solver import SolveReport, cg_solve, solve
 
@@ -212,7 +212,7 @@ def test_l2_error_invariant_under_cell_permutation():
     u, _ = poisson_problem()
     m = build_unit_square_mesh(4, 0.2)
     perm = np.random.default_rng(0).permutation(m.n_cells)
-    m2 = build_mesh(m.vertices, m.cells[perm])
+    m2 = TriangleMesh(m.vertices, m.cells[perm])
     e1 = l2_error(m, HERMITE, interpolate(m, HERMITE, u), u)
     e2 = l2_error(m2, HERMITE, interpolate(m2, HERMITE, u), u)
     assert abs(e1 - e2) < 1e-12 * e1
