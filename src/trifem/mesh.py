@@ -18,7 +18,7 @@ import numpy as np
 from .refelem import EDGE_VERTICES, REF_VERTICES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Triangulation with full edge connectivity: TriangleMesh(vertices, cells).
 
@@ -39,7 +39,7 @@ class TriangleMesh:
     A mesh is immutable: its arrays are read-only, the vertices and cells
     copies of those it was made from, so the cell data that
     assembly.cell_blocks keeps in _cell_data always describes the mesh's
-    own vertices and cells.
+    own vertices and cells.  Meshes compare and hash by identity.
     """
 
     vertices: np.ndarray
@@ -175,7 +175,7 @@ def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
     return TriangleMesh(vertices, cells)
 
 
-@dataclass
+@dataclass(eq=False)
 class CellGeometry:
     """Affine geometry of one cell, or of a batch of cells along a leading axis.
 
@@ -184,6 +184,7 @@ class CellGeometry:
     grad = J^T refgrad.  normals are outward unit normals per local edge;
     tangents run from the lower- to the higher-numbered local endpoint.
     Indexing a batch (geom[i], geom[slice], geom[index_array]) selects cells.
+    Geometries compare and hash by identity, as meshes do.
     """
 
     vertices: np.ndarray

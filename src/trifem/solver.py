@@ -30,8 +30,8 @@ lu.L would convert the whole factor into CSC copies of L and U and keep
 them as long as the factor lives.  Before every sparse factor, _factor
 hands the heap that the operator pass freed back to the OS (glibc's
 malloc_trim; nothing is released off glibc), so that freed but resident
-memory does not add to the process's peak.  All solvers are
-deterministic.
+memory does not add to the process's peak, and hands SuperLU a study
+operator as a CSC view on its own arrays.  All solvers are deterministic.
 """
 
 import ctypes
@@ -201,6 +201,8 @@ DENSE_BUDGET = 1 << 30
 CG_MAX_ITER = 10_000
 # rows per block of _two_level's l1 row sums
 _ROW_BLOCK = 4096
+# entries per block of _swap_transposes: its temporaries stay under 1 MB
+_SWAP_BLOCK = 1 << 15
 # splu's symmetric mode: MMD on A + A^T, pivots kept on the diagonal
 _SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
@@ -261,9 +263,9 @@ def _sparse_lu(A):
     positive, that is when A is numerically SPD.  Otherwise A is
     refactored with COLAMD and partial pivoting, as "sparse_lu".  The
     pivots are read in place (_diagonal_pivots), so no copy of the factor
-    is made; the CSC copy of A that splu reads is made for each call and
-    held by nothing after it, and the rejected symmetric factor is freed
-    before the fallback builds its own.
+    is made, and the rejected symmetric factor is freed before the
+    fallback builds its own.  A CSC A is read as it is (_factor's view),
+    any other A through a CSC copy that nothing holds after each call.
     """
     from scipy.sparse.linalg import splu  # kept out of `import trifem`
     # with a zero diagonal SuperLU still pivots off it, so this raises only
@@ -273,6 +275,37 @@ def _sparse_lu(A):
         return lu, "sparse_lu_sym"
     del lu
     return splu(A.tocsc()), "sparse_lu"
+
+
+def _column_order(A):
+    """Swap A's off-diagonal values with their transposes' in place, and
+    return the rank of each entry's transpose within its row, by which
+    _swap_transposes swaps them back; None, and A as it was, unless A is
+    canonical CSR with writable data and a symmetric pattern."""
+    if not (A.format == "csr" and A.has_canonical_format
+            and A.data.flags.writeable):
+        return None
+    T = scipy.sparse.csr_array((np.arange(A.nnz, dtype=A.indptr.dtype),
+                                A.indices, A.indptr), shape=A.shape).tocsc()
+    if not (np.array_equal(T.indptr, A.indptr)
+            and np.array_equal(T.indices, A.indices)):
+        return None
+    rank = (T.data - np.take(A.indptr, A.indices)).astype(
+        np.min_scalar_type(np.diff(A.indptr).max()))
+    A.data[:] = np.take(A.data, T.data)  # last, so that A is swapped or not
+    return rank
+
+
+def _swap_transposes(A, rank):
+    """Swap each off-diagonal value of A.data with its transpose's, in
+    place and a block at a time (rank: _column_order's)."""
+    for lo in range(0, A.nnz, _SWAP_BLOCK):
+        hi = lo + _SWAP_BLOCK
+        t = np.take(A.indptr, A.indices[lo:hi]) + rank[lo:hi]
+        p = np.arange(lo, lo + len(t))
+        first = t > p
+        p, t = p[first], t[first]
+        A.data[p], A.data[t] = A.data[t], A.data[p]
 
 
 def _factor(A):
@@ -295,13 +328,23 @@ def _factor(A):
     land on the heap its own operator pass freed, and rise above the
     larger factor's peak.  The dense path and _two_level's small coarse
     factor do not trim.
+
+    A study operator's pattern is symmetric: with its values swapped with
+    their transposes' in place, A holds A^T, and A.T, a CSC view on its
+    arrays, is A, so splu reads the bytes of A.tocsc() without that copy.
+    The swap is undone when splu returns or raises; any other A is copied.
     """
     if A.shape[0] <= DENSE_CUTOVER:
         dense, lu_piv, growth = _dense_lu(A)
         return (lambda b: scipy.linalg.lu_solve(lu_piv, b)), "lu", growth, dense
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-    lu, method = _sparse_lu(A)
+    rank = _column_order(A)  # its temporaries go with the trim
+    try:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+        lu, method = _sparse_lu(A if rank is None else A.T)
+    finally:
+        if rank is not None:
+            _swap_transposes(A, rank)
     return lu.solve, method, None, A
 
 

@@ -257,6 +257,18 @@ def test_mesh_is_made_from_vertices_and_cells_only():
                         for f in fields(TriangleMesh) if f.compare})
 
 
+def test_meshes_and_geometries_compare_by_identity():
+    # two meshes built alike are two meshes, each with its own cell data:
+    # comparing them neither raises on their arrays nor equates them, and
+    # a mesh or a geometry works as a dict key
+    a, b = build_unit_square_mesh(2), build_unit_square_mesh(2)
+    assert a == a and a != b and not a == b
+    assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+    g, h = cell_geometry(a, 0), cell_geometry(a, 0)
+    assert g == g and g != h
+    assert {g: 1, h: 2}[h] == 2
+
+
 def test_edge_shared_by_three_cells_rejected():
     # three positively oriented triangles on the edge (0, 1)
     verts = np.array([[0., 0.], [1., 0.], [0.5, 1.], [0.5, -1.], [0.3, 0.5]])

@@ -403,22 +403,179 @@ def test_sparse_lu_singular_raises():
         solver.solve((D @ laplacian_1d(n) @ D).tocsr(), np.ones(n))
 
 
-def test_sparse_lu_peak_memory_per_nonzero():
+def _study_operator(problem, family, N):
+    el = parse_element(family)
+    A = assembly.assemble_operator(build_unit_square_mesh(N, 0.2), el,
+                                   study_form(problem, el))
+    assert A.n > solver.DENSE_CUTOVER
+    return A
+
+
+def _csr_bytes(A):
+    return tuple(getattr(A, name).tobytes()
+                 for name in ("data", "indices", "indptr"))
+
+
+def _splu_spy(monkeypatch, A):
+    """Record, for each matrix that splu receives, its format, whether its
+    data share A's memory, and the bytes of its arrays."""
+    import scipy.sparse.linalg
+    splu_real, calls = scipy.sparse.linalg.splu, []
+
+    def spy(M, **kw):
+        calls.append((M.format, np.shares_memory(M.data, A.data),
+                      _csr_bytes(M)))
+        return splu_real(M, **kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    return calls
+
+
+def _arrowhead():
+    # a last row and column of 1,501 entries, so the ranks of the entries
+    # above the diagonal reach 1,499 and take uint16; the values differ
+    # from their transposes' in the last bits
+    n = solver.DENSE_CUTOVER + 1
+    edge = np.full(n - 1, 2.0 ** -10)
+    A = scipy.sparse.block_array([[scipy.sparse.identity(n - 1),
+                                   edge[:, None]],
+                                  [[edge + 2.0 ** -40], [[8.0]]]],
+                                 format="csr")
+    A.sort_indices()
+    return A
+
+
+@pytest.mark.parametrize("case", ["argyris", "arrowhead"])
+def test_sparse_factor_reads_a_csc_view_on_the_operators_arrays(case,
+                                                               monkeypatch):
+    # the Argyris N=16 plate operator, like every study operator, and the
+    # arrowhead are structurally symmetric with sorted indices: splu reads
+    # a CSC matrix on A's own data, whose arrays are A.tocsc()'s byte for
+    # byte, and A's bytes are back afterwards
+    A = (_study_operator("biharmonic", "argyris", 16) if case == "argyris"
+         else _arrowhead())
+    assert A.has_canonical_format and (A != A.T).nnz > 0
+    before, csc = _csr_bytes(A), _csr_bytes(A.tocsc())
+    calls = _splu_spy(monkeypatch, A)
+    rep = solver.solve(A, np.ones(A.shape[0]))
+    assert rep.method == "sparse_lu_sym"
+    assert calls == [("csc", True, csc)]
+    assert _csr_bytes(A) == before
+
+
+def _singular():
+    # the singular matrix above, its values made asymmetric in their bits
+    n = solver.DENSE_CUTOVER + 1
+    keep = np.ones(n)
+    keep[5] = 0.0
+    T = laplacian_1d(n)
+    T.data[T.indices < np.repeat(np.arange(n), np.diff(T.indptr))] -= 2 ** -20
+    D = scipy.sparse.diags_array(keep)
+    return (D @ T @ D).tocsr()
+
+
+@pytest.mark.parametrize("case", ["spd", "indefinite", "singular", "stats"])
+def test_sparse_factor_leaves_the_operator_bytes_as_they_were(case,
+                                                             monkeypatch):
+    # the values are swapped into column order for the factor and back
+    # after it, also when splu raises: a symmetric solve (IP-P3 N=16), the
+    # pivoting fallback of the indefinite IP-P5 N=8, a singular matrix and
+    # the condition number all leave A's arrays byte for byte as they were
+    A = {"spd": lambda: _study_operator("biharmonic", "lagrange:3", 16),
+         "indefinite": lambda: _study_operator("biharmonic", "lagrange:5", 8),
+         "singular": _singular,
+         "stats": lambda: _study_operator("poisson", "lagrange:3", 16)}[case]()
+    assert (A != A.T).nnz > 0  # so that a swap left in place would show
+    before = _csr_bytes(A)
+    calls = _splu_spy(monkeypatch, A)
+    if case == "singular":
+        with pytest.raises(RuntimeError, match="singular"):
+            solver.solve(A, np.ones(A.shape[0]))
+    elif case == "stats":
+        assert solver.matrix_stats(A)["condition_estimate"] > 1
+    else:
+        rep = solver.solve(A, np.ones(A.shape[0]))
+        assert rep.method == {"spd": "sparse_lu_sym",
+                              "indefinite": "sparse_lu"}[case]
+    assert len(calls) == (2 if case == "indefinite" else 1)
+    assert all(shares for _, shares, _ in calls)
+    assert _csr_bytes(A) == before
+
+
+def _unsorted(A):
+    """A with each row's entries stored in reverse column order."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    order = np.lexsort((-A.indices, rows))
+    B = scipy.sparse.csr_array((A.data[order], A.indices[order], A.indptr),
+                               shape=A.shape)
+    assert not B.has_sorted_indices
+    return B
+
+
+@pytest.mark.parametrize("case", ["asymmetric", "unsorted", "duplicates",
+                                  "read_only"])
+def test_sparse_factor_copies_what_it_cannot_view(case, monkeypatch):
+    # a pattern that is not its transpose's, unsorted indices, duplicate
+    # entries (which splu would sum in place) or read-only data: splu gets
+    # A.tocsc(), a copy, and the solve is the one the symmetric LU of that
+    # copy gives, bit for bit
+    n = solver.DENSE_CUTOVER + 1
+    T = laplacian_1d(n)
+    if case == "asymmetric":
+        A = (T + scipy.sparse.csr_array(([1e-3], ([0], [2])),
+                                        shape=(n, n))).tocsr()
+    elif case == "unsorted":
+        A = _unsorted(T)
+    elif case == "duplicates":  # each 2.0 on the diagonal as 1.5 + 0.5
+        diag = np.flatnonzero(
+            T.indices == np.repeat(np.arange(n), np.diff(T.indptr)))
+        data = T.data.copy()
+        data[diag] = 1.5
+        A = scipy.sparse.csr_array((
+            np.insert(data, diag + 1, 0.5),
+            np.insert(T.indices, diag + 1, T.indices[diag]),
+            T.indptr + np.arange(n + 1)), shape=(n, n))
+        assert A.has_sorted_indices and not A.has_canonical_format
+    else:
+        A = T
+        A.data.flags.writeable = False
+    before, csc = _csr_bytes(A), _csr_bytes(A.tocsc())
+    b = np.sin(np.arange(n) + 1.0)
+    lu = splu(A.tocsc(), **solver._SYMMETRIC_LU)
+    x = lu.solve(b)
+    x = x + lu.solve(b - A @ x)
+    calls = _splu_spy(monkeypatch, A)
+    rep = solver.solve(A, b)
+    assert rep.method == "sparse_lu_sym"
+    assert calls == [("csc", False, csc)]
+    assert rep.x.tobytes() == x.tobytes()
+    assert _csr_bytes(A) == before
+
+
+def test_sparse_lu_peak_memory_per_nonzero(monkeypatch):
     # IP-P3 at N=16 (2,401 DoFs) and the indefinite IP-P5 at N=8 (1,681
     # DoFs), which takes the rejection and the pivoting fallback.  SuperLU
     # allocates its factor in C, and the pivots are read in place, so
-    # tracemalloc sees only the CSC copy of A that each splu call reads:
-    # 12 bytes per nonzero (float64 data, int32 indices), measured at 12.15
-    # and 12.31.  The margin, under 2 bytes per nonzero, is less than half
-    # of one more int32 index array.  Reading the pivots through lu.U's CSC
-    # copies of L and U gave 55.2 and 30.0.
+    # tracemalloc sees only the CSC copy of A that each splu call reads
+    # when _sparse_lu is handed a CSR A: 12 bytes per nonzero (float64
+    # data, int32 indices), measured at 12.15 and 12.31.  The margin, under
+    # 2 bytes per nonzero, is less than half of one more int32 index array.
+    # Reading the pivots through lu.U's CSC copies of L and U gave 55.2 and
+    # 30.0.  Through _factor, splu reads a CSC view on A's own arrays, and
+    # what is live while it runs is the transposes' ranks, one byte per
+    # nonzero here, and the view: measured at 1.01-1.03, and at 1.01 and 1.24
+    # for the two factors of IP-P5.  The CSC copy under it gave 12.1-12.3.
     import tracemalloc
+    import scipy.sparse.linalg
+    splu_real, live = scipy.sparse.linalg.splu, []
+
+    def spy(M, **kw):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return splu_real(M, **kw)
+
     for family, N, expected in (("lagrange:3", 16, "sparse_lu_sym"),
                                 ("lagrange:5", 8, "sparse_lu")):
-        el = parse_element(family)
-        A = assembly.assemble_operator(build_unit_square_mesh(N, 0.2), el,
-                                       study_form("biharmonic", el))
-        assert A.n > solver.DENSE_CUTOVER
+        A = _study_operator("biharmonic", family, N)
         tracemalloc.start()
         try:
             _, method = solver._sparse_lu(A)
@@ -427,6 +584,16 @@ def test_sparse_lu_peak_memory_per_nonzero():
             tracemalloc.stop()
         assert method == expected
         assert peak <= 14 * A.nnz, (family, peak / A.nnz)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        live.clear()
+        tracemalloc.start()
+        try:
+            assert solver._factor(A)[1] == expected
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert len(live) == (1 if expected == "sparse_lu_sym" else 2)
+        assert max(live) <= 5 * A.nnz, (family, max(live) / A.nnz)
 
 
 @pytest.mark.parametrize("family,N", [("argyris", 8), ("lagrange:3", 12)])
@@ -486,14 +653,15 @@ def test_factor_trims_the_heap_before_a_sparse_factor_only(monkeypatch):
 def test_study_ladder_peak_rss_with_the_heap_released():
     # the default biharmonic ladders (N = 8, 16, 32) in a fresh process
     # raise its peak RSS over the value after the imports.  IP-P3's: by
-    # 44-46 MB when the freed heap goes back to the OS before each sparse
-    # factor, and by 57-59 MB when SuperLU's factor lands above it.
-    # Argyris's then Bell's, as the plate-h2 benchmark runs them: by
-    # 45.4-45.7 MB with M held by its entries and a trim before every
-    # sparse factor, and by 50.5-51.0 MB with M held whole and a trim only
-    # before the largest factor so far.  The peak is VmHWM, this process
-    # image's own: a child's ru_maxrss starts at the peak of the process
-    # that spawned it, here the test runner's
+    # 40.4-44.4 MB (44 runs) when splu reads A through the in-place CSC
+    # view, 44.1-46.1 MB (24 runs) with the CSC copy of A under the factor,
+    # and by 57-59 MB when SuperLU's factor lands above the heap the
+    # operator pass freed.  Argyris's then Bell's, as the plate-h2
+    # benchmark runs them: by 40.6-44.0 MB (44 runs) with the view,
+    # 44.8-46.8 MB (24 runs) with the copy, and by 50.5-51.0 MB with M
+    # held whole and a trim only before the largest factor so far.  The
+    # peak is VmHWM, this process image's own: a child's ru_maxrss starts
+    # at the peak of the process that spawned it, here the test runner's
     import os
     import pathlib
     import subprocess
@@ -503,8 +671,8 @@ def test_study_ladder_peak_rss_with_the_heap_released():
     src = str(pathlib.Path(trifem.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for elements, bound in ((("lagrange:3",), 50.0),
-                            (("argyris", "bell"), 48.0)):
+    for elements, bound in ((("lagrange:3",), 47.0),
+                            (("argyris", "bell"), 46.0)):
         script = (
             "import scipy.sparse.linalg, trifem\n"
             "from trifem.harness import StudySpec, run_convergence_study\n"
