@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -32,8 +33,6 @@ REF_EDGE_MIDPOINTS = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
 BARYCENTER = np.array([1.0 / 3.0, 1.0 / 3.0])
 
 FAMILY_DEGREES = {"hermite": 3, "morley": 2, "argyris": 5, "bell": 5}
-
-_SECOND_DERIV_ALPHAS = {"xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}
 
 
 def ref_edge_points(e, s):
@@ -163,54 +162,48 @@ def build_poly_basis(degree: int) -> PolyBasis:
 
 @dataclass(frozen=True)
 class NodalFunctional:
-    """One degree of freedom: a typed point functional on the reference cell.
-
-    kind is one of "point_eval", "point_deriv" (with unit direction),
-    "point_second_deriv" (with component "xx"/"xy"/"yy") or
-    "edge_normal_deriv" (with the reference edge index).  entity is the
-    (dimension, local index) the DoF attaches to.
+    """One degree of freedom on the reference cell: the partial derivative
+    d^alpha at point, alpha = (ax, ay) of order at most 2, or, with normal
+    set, the derivative along the normal of reference edge entity[1].
+    entity is the (dimension, local index) the DoF attaches to.
     """
 
-    kind: str
     point: tuple
     entity: tuple
-    direction: tuple = None
-    component: str = None
-    edge: int = None
+    alpha: tuple = (0, 0)
+    normal: bool = False
 
     def __post_init__(self):
         x, y = self.point
         if min(x, y) < -1e-14 or x + y > 1.0 + 1e-14:
             raise ValueError(f"functional point {self.point} outside reference triangle")
-        if self.kind == "point_deriv":
-            d = np.asarray(self.direction)
-            if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-14:
-                raise ValueError("point_deriv direction must have unit norm")
-        if self.kind == "point_second_deriv" and self.component not in _SECOND_DERIV_ALPHAS:
-            raise ValueError(f"bad second-derivative component {self.component}")
+        if self.alpha not in _FUNCTIONAL_ALPHAS:
+            raise ValueError(f"functional multi-index {self.alpha} is not one "
+                             "of order at most 2")
+        if self.normal and (self.entity[0] != 1 or self.alpha != (0, 0)):
+            raise ValueError("an edge-normal derivative needs an edge entity "
+                             "and alpha (0, 0)")
 
     @property
     def derivative_order(self) -> int:
-        return {"point_eval": 0, "point_deriv": 1,
-                "edge_normal_deriv": 1, "point_second_deriv": 2}[self.kind]
+        return 1 if self.normal else sum(self.alpha)
+
+
+_FUNCTIONAL_ALPHAS = tuple(a for k in range(3) for a in derivative_alphas(k))
 
 
 def apply_functionals(functionals, tab, normals) -> np.ndarray:
     """Functional k applied to column k of a tabulation: tab maps alpha to
-    arrays (..., n) and normals (..., 3, 2) are the edge normals the
-    edge-normal derivatives read.  Returns (..., n)."""
+    arrays (..., n), a functional reads its own alpha's entry, and an
+    edge-normal one n . (tab[(1, 0)], tab[(0, 1)]) along its edge's normal
+    in normals (..., 3, 2).  Returns (..., n)."""
     cols = []
     for k, f in enumerate(functionals):
-        if f.kind == "point_eval":
-            cols.append(tab[(0, 0)][..., k])
-        elif f.kind in ("point_deriv", "edge_normal_deriv"):
-            d = (f.direction if f.kind == "point_deriv"
-                 else np.moveaxis(normals[..., f.edge, :], -1, 0))
-            cols.append(d[0] * tab[(1, 0)][..., k] + d[1] * tab[(0, 1)][..., k])
-        elif f.kind == "point_second_deriv":
-            cols.append(tab[_SECOND_DERIV_ALPHAS[f.component]][..., k])
+        if f.normal:
+            n = np.moveaxis(normals[..., f.entity[1], :], -1, 0)
+            cols.append(n[0] * tab[(1, 0)][..., k] + n[1] * tab[(0, 1)][..., k])
         else:
-            raise ValueError(f"unknown functional kind {f.kind}")
+            cols.append(tab[f.alpha][..., k])
     return np.stack(cols, axis=-1)
 
 
@@ -290,31 +283,23 @@ class ReferenceElement:
 
 
 def _lagrange_functionals(k):
-    fns = [NodalFunctional("point_eval", tuple(REF_VERTICES[v]), (0, v))
-           for v in range(3)]
+    fns = [NodalFunctional(tuple(REF_VERTICES[v]), (0, v)) for v in range(3)]
     for e in range(3):
         for pt in ref_edge_points(e, np.arange(1, k) / k):
-            fns.append(NodalFunctional("point_eval", tuple(pt), (1, e)))
+            fns.append(NodalFunctional(tuple(pt), (1, e)))
     for i in range(1, k):
         for j in range(1, k - i):
-            fns.append(NodalFunctional("point_eval", (i / k, j / k), (2, 0)))
+            fns.append(NodalFunctional((i / k, j / k), (2, 0)))
     return fns
 
 
 def _vertex_jet_functionals(v, order):
-    pt = tuple(REF_VERTICES[v])
-    fns = [NodalFunctional("point_eval", pt, (0, v)),
-           NodalFunctional("point_deriv", pt, (0, v), direction=(1.0, 0.0)),
-           NodalFunctional("point_deriv", pt, (0, v), direction=(0.0, 1.0))]
-    if order == 2:
-        fns += [NodalFunctional("point_second_deriv", pt, (0, v), component=c)
-                for c in ("xx", "xy", "yy")]
-    return fns
+    return [NodalFunctional(tuple(REF_VERTICES[v]), (0, v), alpha)
+            for k in range(order + 1) for alpha in derivative_alphas(k)]
 
 
 def _edge_normal_functionals():
-    return [NodalFunctional("edge_normal_deriv", tuple(REF_EDGE_MIDPOINTS[e]),
-                            (1, e), edge=e)
+    return [NodalFunctional(tuple(REF_EDGE_MIDPOINTS[e]), (1, e), normal=True)
             for e in range(3)]
 
 
@@ -326,6 +311,9 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
     the three quartic-edge-mode constraints to square up its 18x21 system.
     """
     family = family.lower()
+    if degree is not None and (isinstance(degree, bool)
+                               or not isinstance(degree, Integral)):
+        raise ValueError(f"element degree {degree!r} is not an integer")
     if family == "lagrange":
         if degree is None or not 1 <= degree <= 5:
             raise ValueError(f"lagrange degree {degree} out of range [1, 5]")
@@ -337,10 +325,9 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
             raise ValueError(f"{family} is fixed at degree {k}")
         if family == "hermite":
             fns = sum((_vertex_jet_functionals(v, 1) for v in range(3)), [])
-            fns.append(NodalFunctional("point_eval", tuple(BARYCENTER), (2, 0)))
+            fns.append(NodalFunctional(tuple(BARYCENTER), (2, 0)))
         elif family == "morley":
-            fns = [NodalFunctional("point_eval", tuple(REF_VERTICES[v]), (0, v))
-                   for v in range(3)]
+            fns = sum((_vertex_jet_functionals(v, 0) for v in range(3)), [])
             fns += _edge_normal_functionals()
         elif family == "argyris":
             fns = sum((_vertex_jet_functionals(v, 2) for v in range(3)), [])

@@ -112,25 +112,25 @@ def pushforward_M(element: ReferenceElement, geom: CellGeometry,
                   normals=None) -> np.ndarray:
     """M = V^T of an element of point values, vertex gradient pairs and
     Hessian triples and edge-normal derivatives, V filled in place as each
-    functional pushes forward: 1, J^{-T}, T(J)^{-1}, and B^e_00 on an
-    edge-normal derivative plus B^e_01 times the midpoint rule of its
-    endpoint jets.  Edge-normal DoFs follow normals (..., 3, 2), each
-    cell's outward normals by default.  M's layout fixes the summation
-    order of M Atilde M^T, so the study digits: Hermite's M stays C-ordered
+    functional pushes forward: 1, J^{-T} from the pair's alpha (1, 0),
+    T(J)^{-1} from the triple's alpha (2, 0), and B^e_00 on an edge-normal
+    derivative plus B^e_01 times the midpoint rule of its endpoint jets.
+    Edge-normal DoFs follow normals (..., 3, 2), each cell's outward
+    normals by default.  M's layout fixes the summation order of
+    M Atilde M^T, so the study digits: Hermite's M stays C-ordered
     (transposed, its N=32 digits move), the others a transposed view of V."""
     fns, jets = element.functionals, element.entity_dofs()[0]
-    kinds = {f.kind for f in fns}
     V = _eye(element.n_dofs, geom.J.shape[:-2])
     Theta = (np.linalg.inv(hessian_pushforward(geom.J))
-             if "point_second_deriv" in kinds else None)
-    B = edge_blocks(geom, normals) if "edge_normal_deriv" in kinds else None
+             if any(f.alpha == (2, 0) for f in fns) else None)
+    B = edge_blocks(geom, normals) if any(f.normal for f in fns) else None
     for i, f in enumerate(fns):
-        if f.kind == "point_deriv" and f.direction == (1.0, 0.0):
+        if f.alpha == (1, 0):
             V[..., i:i + 2, i:i + 2] = np.swapaxes(geom.Jinv, -1, -2)
-        elif f.kind == "point_second_deriv" and f.component == "xx":
+        elif f.alpha == (2, 0):
             V[..., i:i + 3, i:i + 3] = Theta
-        elif f.kind == "edge_normal_deriv":
-            e = f.edge
+        elif f.normal:
+            e = f.entity[1]
             ja, jb = (jets[v] for v in EDGE_VERTICES[e])
             V[..., i, i] = B[..., e, 0, 0]
             _fill_midpoint_rule(V[..., i, :], ja, jb,
@@ -169,7 +169,7 @@ def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
 
 def scaling_diagonal(element: ReferenceElement, geom: CellGeometry) -> np.ndarray:
     """Diagonal S equilibrating basis magnitudes across DoF kinds, read off
-    the element's functionals.
+    each functional's derivative order and entity.
 
     Value DoFs keep 1; a DoF of derivative order k at vertex v gets
     h(v)^{-k} and an edge-normal derivative gets 1/l_i.  A unit-derivative
@@ -185,7 +185,7 @@ def scaling_diagonal(element: ReferenceElement, geom: CellGeometry) -> np.ndarra
         k = f.derivative_order
         if k:
             dim, idx = f.entity
-            size = h[..., idx] if dim == 0 else geom.edge_lengths[..., f.edge]
+            size = h[..., idx] if dim == 0 else geom.edge_lengths[..., idx]
             S[..., i] = 1.0 / size ** k
     return S
 

@@ -75,22 +75,24 @@ def physical_functional_matrix(element, geom):
     coeffs = element.coeffs
     J = geom.J
     T = transform.hessian_pushforward(J)
-    comp_index = {"xx": 0, "xy": 1, "yy": 2}
     rows = []
     for fn in element.functionals:
         pt = np.asarray(fn.point)[None, :]
         tab = tabulate_coeffs(element.poly, coeffs, pt, 2)
-        if fn.kind == "point_eval":
+        if fn.alpha == (0, 0) and not fn.normal:
             rows.append(tab[(0, 0)][:, 0])
             continue
         ghat = np.array([tab[(1, 0)][:, 0], tab[(0, 1)][:, 0]])
-        if fn.kind == "point_deriv":
-            rows.append((J @ np.asarray(fn.direction)) @ ghat)
-        elif fn.kind == "edge_normal_deriv":
-            rows.append((J @ geom.normals[fn.edge]) @ ghat)
+        if fn.normal:
+            rows.append((J @ geom.normals[fn.entity[1]]) @ ghat)
+        elif sum(fn.alpha) == 1:
+            # d/dx_b of a pullback is column b of J against the reference
+            # gradient, b = 0 for alpha (1, 0) and 1 for (0, 1)
+            rows.append(J[:, fn.alpha[1]] @ ghat)
         else:
+            # T's rows are the Voigt order xx, xy, yy: alpha (2 - r, r) is row r
             hhat = np.array([tab[(2, 0)][:, 0], tab[(1, 1)][:, 0], tab[(0, 2)][:, 0]])
-            rows.append(T[comp_index[fn.component]] @ hhat)
+            rows.append(T[fn.alpha[1]] @ hhat)
     return np.array(rows)
 
 
@@ -102,15 +104,14 @@ def interpolate_on_cell(element, geom, field: ScalarField, normals=None):
     vals = np.zeros(element.n_dofs)
     for i, fn in enumerate(element.functionals):
         x = geom.ref_to_phys(np.asarray(fn.point)[None, :])[0]
-        if fn.kind == "point_eval":
-            vals[i] = field.f(x[0], x[1])
-        elif fn.kind == "point_deriv":
-            vals[i] = np.dot(fn.direction, field.grad(x[0], x[1]))
-        elif fn.kind == "edge_normal_deriv":
-            vals[i] = np.dot(normals[fn.edge], field.grad(x[0], x[1]))
+        if fn.normal:
+            vals[i] = np.dot(normals[fn.entity[1]], field.grad(x[0], x[1]))
         else:
-            comp = {"xx": (0, 0), "xy": (0, 1), "yy": (1, 1)}[fn.component]
-            vals[i] = np.asarray(field.hess(x[0], x[1]))[comp]
+            # d^alpha is the entry of f, grad f or hess f at ax axes 0 and
+            # ay axes 1
+            axes = (0,) * fn.alpha[0] + (1,) * fn.alpha[1]
+            derivative = (field.f, field.grad, field.hess)[len(axes)]
+            vals[i] = np.asarray(derivative(x[0], x[1]))[axes]
     return vals
 
 

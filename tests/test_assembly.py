@@ -106,8 +106,8 @@ def test_cell_blocks_M_orients_edge_normal_rows(monkeypatch, name, scale):
     monkeypatch.setattr(assembly, "BLOCK", 7)
     m = build_unit_square_mesh(4, 0.2)
     el = parse_element(name)
-    normal = [(i, f.edge) for i, f in enumerate(el.functionals)
-              if f.kind == "edge_normal_deriv"]
+    normal = [(i, f.entity[1]) for i, f in enumerate(el.functionals)
+              if f.normal]
     assert bool(normal) == (el.family in ("morley", "argyris"))
     data = assembly.cell_blocks(m, el, scale)
     assert len(data.blocks) == 5

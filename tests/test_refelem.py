@@ -115,17 +115,11 @@ def _independent_functional_rows(element):
     for fn in element.functionals:
         pt = np.asarray(fn.point)[None, :]
         tab = tabulate(element, pt, max_order=2)
-        if fn.kind == "point_eval":
-            rows.append(tab[(0, 0)][:, 0])
-        elif fn.kind == "point_deriv":
-            d = fn.direction
-            rows.append(d[0] * tab[(1, 0)][:, 0] + d[1] * tab[(0, 1)][:, 0])
-        elif fn.kind == "edge_normal_deriv":
-            n = geom.normals[fn.edge]
+        if fn.normal:
+            n = geom.normals[fn.entity[1]]
             rows.append(n[0] * tab[(1, 0)][:, 0] + n[1] * tab[(0, 1)][:, 0])
         else:
-            alpha = {"xx": (2, 0), "xy": (1, 1), "yy": (0, 2)}[fn.component]
-            rows.append(tab[alpha][:, 0])
+            rows.append(tab[fn.alpha][:, 0])
     return np.array(rows)
 
 
@@ -276,14 +270,39 @@ def test_unsupported_families():
 def test_functional_validation():
     from trifem.refelem import NodalFunctional
     with pytest.raises(ValueError):
-        NodalFunctional("point_eval", (0.7, 0.7), (2, 0))
-    with pytest.raises(ValueError):
-        NodalFunctional("point_deriv", (0.0, 0.0), (0, 0), direction=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        NodalFunctional("point_second_deriv", (0.0, 0.0), (0, 0), component="zz")
-    n = NodalFunctional("point_deriv", (0.0, 0.0), (0, 0),
-                        direction=(np.sqrt(0.5), np.sqrt(0.5)))
-    assert n.derivative_order == 1
+        NodalFunctional((0.7, 0.7), (2, 0))
+    for alpha in [(3, 0), (-1, 1), (1, 0, 0)]:
+        with pytest.raises(ValueError):
+            NodalFunctional((0.0, 0.0), (0, 0), alpha)
+    with pytest.raises(ValueError):  # an edge-normal derivative at a vertex
+        NodalFunctional((0.0, 0.0), (0, 0), normal=True)
+    with pytest.raises(ValueError):  # an edge-normal derivative's alpha is (0, 0)
+        NodalFunctional((0.5, 0.0), (1, 2), (1, 0), normal=True)
+    assert NodalFunctional((0.0, 0.0), (0, 0), (1, 1)).derivative_order == 2
+    assert NodalFunctional((0.5, 0.0), (1, 2), normal=True).derivative_order == 1
+
+
+def test_apply_functionals_reads_the_tabulated_derivative():
+    # a derivative functional returns its alpha's entry as tabulated, its
+    # sign of zero included: no 1.0 * d/dx + 0.0 * d/dy, which turns -0 to +0
+    from trifem.refelem import NodalFunctional, apply_functionals
+    fns = [NodalFunctional((0.0, 0.0), (0, 0), alpha)
+           for alpha in [(0, 0), (1, 0), (0, 1)]]
+    fns.append(NodalFunctional((0.5, 0.0), (1, 2), normal=True))
+    tab = {(0, 0): np.array([2.0, 0.0, 0.0, 0.0]),
+           (1, 0): np.array([0.0, -0.0, 0.0, 3.0]),
+           (0, 1): np.array([0.0, 5.0, 7.0, 4.0])}
+    got = apply_functionals(fns, tab, REF_NORMALS)
+    expect = np.array([2.0, -0.0, 7.0, REF_NORMALS[2] @ [3.0, 4.0]])
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("family, degree", [
+    ("lagrange", True), ("lagrange", 2.5), ("lagrange", 3.0),
+    ("argyris", 5.0)])
+def test_degree_that_is_not_an_integer_is_a_value_error(family, degree):
+    with pytest.raises(ValueError, match="not an integer"):
+        build_reference_element(family, degree)
 
 
 def test_third_derivatives_match_finite_differences():
