@@ -178,13 +178,14 @@ def _write_triplets(n, size, blocks, composite):
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Local-to-global DoF indices with entity-block layout.
 
     Global DoFs are laid out vertex blocks first, then edge blocks, then
     cell blocks.  The map holds no orientation (cell_blocks' M carries it);
-    cell_dofs is read-only, like the mesh's arrays.
+    cell_dofs is read-only, like the mesh's arrays, and maps compare and
+    hash by identity, as meshes do.
     """
 
     cell_dofs: np.ndarray
@@ -218,7 +219,7 @@ def build_dof_map(mesh: TriangleMesh, element: ReferenceElement) -> DofMap:
 BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellData:
     """The per-cell data every pass of one (mesh, element, scale) reads.
 
@@ -232,8 +233,7 @@ class CellData:
     values; both are None for Lagrange, whose M is the identity.  M(i)
     gives block i's M back whole, in the layout of cell_transform's M
     (transposed says whether that is a transposed view).  All arrays are
-    read-only.  element is kept so that its id, in the mesh's cache key,
-    cannot be reused while the mesh lives.
+    read-only, and cell data compare and hash by identity.
     """
 
     element: ReferenceElement
@@ -278,8 +278,9 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
     each of them once.  M's edge-normal DoFs follow the global edge
     normals (_global_normals), so a DoF that two cells share is the same
     derivative in both.  Each block keeps the entries of M that are not +0
-    in one of its cells, so M(i) gives M back bit for bit."""
-    key = (id(element), bool(scale))
+    in one of its cells, so M(i) gives M back bit for bit.  The mesh keys
+    it by (element, scale); elements compare by identity."""
+    key = (element, bool(scale))
     data = mesh._cell_data.get(key)
     if data is None:
         geom = batch_geometry(mesh, vertex_size_field(mesh) if scale else None)
@@ -314,8 +315,9 @@ IP_PENALTY = 20.0
 
 @dataclass(frozen=True)
 class FormSpec:
-    """Which bilinear form to assemble: its kind and Poisson ratio nu, which
-    only the plate forms read.
+    """Which bilinear form to assemble, FormSpec(kind, nu), the one way a
+    form is made: kind is one of FORM_KINDS, and the Poisson ratio nu only
+    the plate forms read.  Only _Kernels decodes the kind.
 
     The plate and interior-penalty forms always carry consistent symmetric
     Nitsche terms for the clamped conditions u = du/dn = 0 on the boundary,
@@ -334,22 +336,6 @@ class FormSpec:
             raise ValueError(f"unknown form kind {self.kind}")
         if not 0.0 <= self.nu <= 0.5:
             raise ValueError("Poisson ratio must lie in [0, 1/2]")
-
-
-def poisson_nitsche(**kw) -> FormSpec:
-    return FormSpec(kind="poisson_nitsche", **kw)
-
-
-def plate(**kw) -> FormSpec:
-    return FormSpec(kind="plate", **kw)
-
-
-def plate_ip(**kw) -> FormSpec:
-    return FormSpec(kind="plate_ip", **kw)
-
-
-def plate_clamped_nitsche(**kw) -> FormSpec:
-    return FormSpec(kind="plate_clamped_nitsche", **kw)
 
 
 def _check_compatible(element: ReferenceElement, form: FormSpec):
@@ -432,17 +418,17 @@ class _Kernels:
     Kernels work pointwise: rows (B, n, q) of physical derivatives at the
     quadrature points, weighted and contracted by batched matmul.  A batch
     is one block of cells (or facets), which bounds these arrays.  The form
-    is read once, here: boundary is its boundary kernel, alpha and beta its
-    penalties, ip_facets says whether interior-penalty facet blocks follow,
-    and c is the plate forms' (1 - nu) weight, None where no twist or
-    tangential row is read.
+    is read once, here, and not kept: poisson says it is Poisson-Nitsche,
+    boundary is its boundary kernel, alpha and beta its penalties,
+    ip_facets says whether interior-penalty facet blocks follow, and c is
+    the plate forms' (1 - nu) weight, None where no twist or tangential
+    row is read.
     """
 
     def __init__(self, element, form):
         _check_compatible(element, form)
-        self.form = form
         coeffs, poly, p = element.coeffs, element.poly, element.degree
-        poisson = form.kind == "poisson_nitsche"
+        self.poisson = poisson = form.kind == "poisson_nitsche"
         verbatim = form.kind == "plate_clamped_nitsche"
         self.ip_facets = form.kind == "plate_ip"
         self.c = None if poisson or self.ip_facets else 1.0 - form.nu
@@ -474,7 +460,7 @@ class _Kernels:
         """
         tab, c = self.cell_tab, self.c
         w = (self.cell_rule.weights * geom.detJinv_abs[:, None])[:, None, :]
-        if self.form.kind == "poisson_nitsche":
+        if self.poisson:
             gx = _directional_first(tab, geom.J, _EX)
             gy = _directional_first(tab, geom.J, _EY)
             return (gx * w) @ _T(gx) + (gy * w) @ _T(gy)
@@ -605,8 +591,7 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
         interior = mesh.n_edges - len(mesh.boundary_edges)
         size += interior * (2 * element.n_dofs) ** 2
     A = _csr_from_blocks(dofmap.total_dofs, size, blocks())
-    if kern.form.kind == "poisson_nitsche" and element.family == "lagrange" \
-            and element.degree >= 2:
+    if kern.poisson and element.family == "lagrange" and element.degree >= 2:
         A.coarse = p1_prolongation(mesh, element, dofmap)
     return A
 

@@ -94,21 +94,22 @@ def study_form(problem: str, element: ReferenceElement) -> FormSpec:
         if fam == "morley":
             raise ValueError("Morley is not H1-conforming; "
                              "it is excluded from Poisson studies")
-        return assembly.poisson_nitsche()
+        return FormSpec("poisson_nitsche")
     if problem == "biharmonic":
         if fam == "lagrange":
-            return assembly.plate_ip()
+            return FormSpec("plate_ip")
         if fam == "morley":
-            return assembly.plate(nu=0.5)
+            return FormSpec("plate", nu=0.5)
         if fam in ("argyris", "bell"):
-            return assembly.plate()
+            return FormSpec("plate")
         raise ValueError(f"{fam} cannot discretize the biharmonic problem")
     raise ValueError(f"unknown problem {problem!r}")
 
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One convergence study: a refinement ladder for one element/problem."""
+    """One convergence study: a refinement ladder for one element/problem.
+    levels may be any iterable; the spec keeps it as a tuple of int."""
 
     problem: str
     element: str
@@ -120,7 +121,8 @@ class StudySpec:
 
     def __post_init__(self):
         levels = tuple(self.levels)
-        if not levels or not all(isinstance(n, Integral) for n in levels) \
+        if not levels or not all(isinstance(n, Integral)
+                                 and not isinstance(n, bool) for n in levels) \
                 or min(levels) < 1:
             raise ValueError("levels must be a non-empty list of integer "
                              "mesh sizes >= 1")
@@ -131,6 +133,7 @@ class StudySpec:
             raise ValueError("levels must be power-of-2 multiples of the coarsest")
         if self.solver not in ("lu", "cg"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        object.__setattr__(self, "levels", tuple(map(int, levels)))
 
 
 @dataclass
@@ -228,7 +231,7 @@ def run_stats_report(problem: str, element_name: str, n: int = 8,
     # the Poisson operator assembles for every family (Morley included,
     # nonconforming); only the convergence study excludes Morley
     if problem == "poisson":
-        form = assembly.poisson_nitsche()
+        form = FormSpec("poisson_nitsche")
     else:
         form = study_form(problem, element)
     msh = build_unit_square_mesh(n, 0.0)

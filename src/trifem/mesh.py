@@ -151,7 +151,7 @@ def build_unit_square_mesh(n: int, perturb: float = 0.0) -> TriangleMesh:
     boundary vertices stay put.  Raises ValueError unless n is an integer
     >= 1, and if the perturbation inverts a cell.
     """
-    if not isinstance(n, Integral) or n < 1:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
         raise ValueError("mesh resolution must be an integer >= 1")
     if not 0.0 <= perturb < 0.5:
         raise ValueError("perturbation amplitude must lie in [0, 0.5)")

@@ -16,13 +16,13 @@ MAX_TRIANGLE_DEGREE = 12
 MAX_INTERVAL_DEGREE = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadRule:
     """Quadrature points and weights.
 
     ``points`` has shape (n, 2) for triangle rules and (n,) for interval
     rules.  Instances are immutable and safe to share: both arrays are
-    read-only.
+    read-only.  Rules compare and hash by identity.
     """
 
     points: np.ndarray

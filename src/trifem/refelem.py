@@ -239,7 +239,7 @@ def _edge_quartic_moment_rows(poly: PolyBasis) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceElement:
     """A nodal finite element on the reference triangle.
 
@@ -248,7 +248,8 @@ class ReferenceElement:
     of the quartic edge-mode constraints, so that its 21 rows span the full
     quintic space used when mapping Bell cells.  bell_tables holds that
     space's geometry-independent arrays (see _bell_tables).  Instances are
-    shared read-only, their arrays included.
+    shared read-only, their arrays included, and compare and hash by
+    identity, as meshes do.
     """
 
     family: str

@@ -265,25 +265,26 @@ def _sparse_lu(A):
     pivots are read in place (_diagonal_pivots), so no copy of the factor
     is made, and the rejected symmetric factor is freed before the
     fallback builds its own.  A CSC A is read as it is (_factor's view),
-    any other A through a CSC copy that nothing holds after each call.
+    any other A, sparse or a dense ndarray, through a CSC copy that nothing
+    holds after each call.
     """
     from scipy.sparse.linalg import splu  # kept out of `import trifem`
     # with a zero diagonal SuperLU still pivots off it, so this raises only
     # when A is singular, as the fallback would
-    lu = splu(A.tocsc(), **_SYMMETRIC_LU)
+    lu = splu(scipy.sparse.csc_array(A), **_SYMMETRIC_LU)
     if np.array_equal(lu.perm_r, lu.perm_c) and _diagonal_pivots(lu).min() > 0:
         return lu, "sparse_lu_sym"
     del lu
-    return splu(A.tocsc()), "sparse_lu"
+    return splu(scipy.sparse.csc_array(A)), "sparse_lu"
 
 
 def _column_order(A):
     """Swap A's off-diagonal values with their transposes' in place, and
     return the rank of each entry's transpose within its row, by which
     _swap_transposes swaps them back; None, and A as it was, unless A is
-    canonical CSR with writable data and a symmetric pattern."""
-    if not (A.format == "csr" and A.has_canonical_format
-            and A.data.flags.writeable):
+    a canonical sparse CSR with writable data and a symmetric pattern."""
+    if not (scipy.sparse.issparse(A) and A.format == "csr"
+            and A.has_canonical_format and A.data.flags.writeable):
         return None
     T = scipy.sparse.csr_array((np.arange(A.nnz, dtype=A.indptr.dtype),
                                 A.indices, A.indptr), shape=A.shape).tocsc()

@@ -398,7 +398,8 @@ def test_operator_pass_peak_memory_per_triplet():
     # whole, 34 with the stable argsort and 68 when the blocks were
     # concatenated; the bound adds 1.1, less than one more live row of a
     # cell block (1.6)
-    peak, triplets = _operator_pass_peak(lagrange(3), assembly.poisson_nitsche())
+    peak, triplets = _operator_pass_peak(lagrange(3),
+                                         assembly.FormSpec("poisson_nitsche"))
     assert peak <= 28 * triplets
 
 
@@ -485,15 +486,15 @@ def test_csr_sort_paths_match_reference_at_int64_bound(monkeypatch, size,
 
 
 FORM_CASES = [
-    (lambda: lagrange(2), assembly.poisson_nitsche()),
-    (lambda: HERMITE, assembly.poisson_nitsche()),
-    (lambda: ARGYRIS, assembly.poisson_nitsche()),
-    (lambda: MORLEY, assembly.plate(nu=0.5)),
-    (lambda: ARGYRIS, assembly.plate(nu=0.3)),
-    (lambda: BELL, assembly.plate()),
-    (lambda: lagrange(2), assembly.plate_ip()),
-    (lambda: MORLEY, assembly.plate_clamped_nitsche()),
-    (lambda: ARGYRIS, assembly.plate_clamped_nitsche(nu=0.3)),
+    (lambda: lagrange(2), assembly.FormSpec("poisson_nitsche")),
+    (lambda: HERMITE, assembly.FormSpec("poisson_nitsche")),
+    (lambda: ARGYRIS, assembly.FormSpec("poisson_nitsche")),
+    (lambda: MORLEY, assembly.FormSpec("plate", nu=0.5)),
+    (lambda: ARGYRIS, assembly.FormSpec("plate", nu=0.3)),
+    (lambda: BELL, assembly.FormSpec("plate")),
+    (lambda: lagrange(2), assembly.FormSpec("plate_ip")),
+    (lambda: MORLEY, assembly.FormSpec("plate_clamped_nitsche")),
+    (lambda: ARGYRIS, assembly.FormSpec("plate_clamped_nitsche", nu=0.3)),
 ]
 
 
@@ -507,7 +508,7 @@ def test_operator_symmetry(make_el, form):
 
 def test_poisson_p1_single_cell_spd():
     m = build_unit_square_mesh(1)
-    A = assemble_operator(m, lagrange(1), assembly.poisson_nitsche())
+    A = assemble_operator(m, lagrange(1), assembly.FormSpec("poisson_nitsche"))
     D = A.toarray()
     assert np.abs(D - D.T).max() < 1e-12
     assert np.linalg.eigvalsh(D).min() > 0
@@ -518,7 +519,7 @@ def test_clamped_plate_kernel_contains_linears_away_from_boundary():
     # DoF lies only on cells without a boundary edge; the clamped terms
     # penalize u and du/dn, so the rows they reach do not vanish
     m = build_unit_square_mesh(4, 0.2)
-    A = assemble_operator(m, MORLEY, assembly.plate())
+    A = assemble_operator(m, MORLEY, assembly.FormSpec("plate"))
     cell_dofs = build_dof_map(m, MORLEY).cell_dofs
     near = np.isin(m.cell_edges, m.boundary_edges).any(axis=1)
     reached = np.zeros(A.n, dtype=bool)
@@ -541,21 +542,22 @@ def test_plate_ip_facet_terms_vanish_on_c1_data(monkeypatch):
     act = []
     for penalty in (20.0, 2000.0):
         monkeypatch.setattr(assembly, "IP_PENALTY", penalty)
-        act.append(assemble_operator(m, el, assembly.plate_ip()).matvec(u))
+        A = assemble_operator(m, el, assembly.FormSpec("plate_ip"))
+        act.append(A.matvec(u))
     assert np.abs(act[0] - act[1]).max() < 1e-9
 
 
 def test_load_zero_source():
     m = build_unit_square_mesh(2)
     f = ScalarField(f=lambda x, y: 0.0 * x)
-    b = assemble_load(m, HERMITE, f, assembly.poisson_nitsche())
+    b = assemble_load(m, HERMITE, f, assembly.FormSpec("poisson_nitsche"))
     assert np.abs(b).max() == 0.0
 
 
 def test_load_constant_on_reference_cell():
     m = TriangleMesh(REF_VERTICES, np.array([[0, 1, 2]]))
     f = ScalarField(f=lambda x, y: np.ones_like(x))
-    b = assemble_load(m, lagrange(1), f, assembly.poisson_nitsche())
+    b = assemble_load(m, lagrange(1), f, assembly.FormSpec("poisson_nitsche"))
     assert np.allclose(b, 1.0 / 6.0, atol=1e-14)
 
 
@@ -564,7 +566,7 @@ def test_load_energy_pairing():
     # the integral of f*u, computed here by independent quadrature
     m = build_unit_square_mesh(8)
     u, f = poisson_problem()
-    b = assemble_load(m, HERMITE, f, assembly.poisson_nitsche())
+    b = assemble_load(m, HERMITE, f, assembly.FormSpec("poisson_nitsche"))
     uI = interpolate(m, HERMITE, u)
     rule = triangle_rule(12)
     exact = 0.0
@@ -674,7 +676,7 @@ def test_poisson_nitsche_patch_test(k):
     field = poly_field(expr)
     lap = sympy.expand(-(expr.diff(X, 2) + expr.diff(Y, 2)))
     f = poly_field(lap)
-    form = assembly.poisson_nitsche()
+    form = assembly.FormSpec("poisson_nitsche")
     A = assemble_operator(m, el, form)
     b = assemble_load(m, el, f, form)
     x = solver.solve(A, b).x
@@ -688,21 +690,22 @@ import sympy  # noqa: E402  (used in the patch test above)
 def test_incompatible_forms_rejected():
     m = build_unit_square_mesh(2)
     with pytest.raises(ValueError):
-        assemble_operator(m, lagrange(1), assembly.plate_ip())
+        assemble_operator(m, lagrange(1), assembly.FormSpec("plate_ip"))
     with pytest.raises(ValueError):
-        assemble_operator(m, HERMITE, assembly.plate())
+        assemble_operator(m, HERMITE, assembly.FormSpec("plate"))
     with pytest.raises(ValueError):
-        assemble_operator(m, lagrange(3), assembly.plate_clamped_nitsche())
+        assemble_operator(m, lagrange(3),
+                          assembly.FormSpec("plate_clamped_nitsche"))
     with pytest.raises(ValueError):
         assembly.FormSpec(kind="nonsense")
     for nu in (0.7, -0.1, np.nan):
         with pytest.raises(ValueError, match="Poisson ratio"):
-            assembly.plate(nu=nu)
+            assembly.FormSpec("plate", nu=nu)
 
 
 def test_form_penalties_are_constants_of_kind_and_degree():
-    # a form is its kind and nu: the factory and a bare FormSpec agree, and
-    # the penalties the kernels read are fixed by the kind and the degree
+    # a form is its kind and nu: the penalties the kernels read are fixed
+    # by the kind and the degree
     cases = [(lagrange(1), "poisson_nitsche", 10.0, None),
              (lagrange(2), "poisson_nitsche", 40.0, None),
              (lagrange(2), "plate_ip", 20.0, 20.0),
@@ -713,9 +716,7 @@ def test_form_penalties_are_constants_of_kind_and_degree():
              (MORLEY, "plate_clamped_nitsche", None, 100.0),
              (ARGYRIS, "plate_clamped_nitsche", None, 100.0)]
     for el, kind, alpha, beta in cases:
-        form = getattr(assembly, kind)()
-        assert form == assembly.FormSpec(kind=kind)
-        kern = assembly._Kernels(el, form)
+        kern = assembly._Kernels(el, assembly.FormSpec(kind))
         if alpha is not None:
             assert kern.alpha == alpha
         if beta is not None:
@@ -735,7 +736,8 @@ def test_text_writers_keep_their_bytes(tmp_path):
 
 def _condition(el, n, scale):
     m = build_unit_square_mesh(n)
-    A = assemble_operator(m, el, assembly.poisson_nitsche(), scale=scale)
+    A = assemble_operator(m, el, assembly.FormSpec("poisson_nitsche"),
+                          scale=scale)
     return matrix_stats(A)["condition_estimate"]
 
 
@@ -764,7 +766,7 @@ def test_p1_prolongation_interpolates_linears(k):
     # the P_k interpolant of g; a node shared by cells is written once
     m = build_unit_square_mesh(6, 0.2)
     el = lagrange(k)
-    A = assemble_operator(m, el, assembly.poisson_nitsche())
+    A = assemble_operator(m, el, assembly.FormSpec("poisson_nitsche"))
     g = ScalarField(f=lambda x, y: 0.3 - 1.7 * x + 2.9 * y)
     P = A.coarse
     assert P.shape == (A.n, m.n_vertices)
@@ -773,8 +775,8 @@ def test_p1_prolongation_interpolates_linears(k):
 
 def test_no_coarse_space_outside_lagrange_poisson():
     m = build_unit_square_mesh(6, 0.2)
-    poisson = assembly.poisson_nitsche()
+    poisson = assembly.FormSpec("poisson_nitsche")
     for el in (lagrange(1), HERMITE, ARGYRIS, BELL):
         assert assemble_operator(m, el, poisson).coarse is None
-    ip = assemble_operator(m, lagrange(3), assembly.plate_ip())
+    ip = assemble_operator(m, lagrange(3), assembly.FormSpec("plate_ip"))
     assert ip.coarse is None

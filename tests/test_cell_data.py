@@ -9,6 +9,7 @@ import pytest
 from trifem import assembly, harness, transform
 from trifem.assembly import _Kernels, _physical_hessian
 from trifem.mesh import TriangleMesh, batch_geometry, build_unit_square_mesh
+from trifem.quadrature import QuadRule, triangle_rule
 from trifem.refelem import build_reference_element
 from trifem.transform import hessian_pushforward
 
@@ -98,6 +99,29 @@ def test_cell_data_held_by_its_mesh():
     assert assembly.cell_blocks(m1, ARGYRIS, np.True_) is d1
     assert assembly.cell_blocks(m2, ARGYRIS, True) is not d1
     assert d1.element is ARGYRIS
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # two built alike are unequal, each equals itself and hashes, as meshes
+    # do; so the mesh keys its cell data by the element object itself
+    m1, m2 = build_unit_square_mesh(2, 0.2), build_unit_square_mesh(2, 0.2)
+    rule = triangle_rule(4)
+    pairs = {
+        "element": (build_reference_element("hermite"),
+                    build_reference_element("hermite")),
+        "rule": (rule, QuadRule(rule.points.copy(), rule.weights.copy())),
+        "dofmap": (assembly.build_dof_map(m1, ARGYRIS),
+                   assembly.build_dof_map(m1, ARGYRIS)),
+        "cell data": (assembly.cell_blocks(m1, ARGYRIS, True),
+                      assembly.cell_blocks(m2, ARGYRIS, True)),
+    }
+    for name, (a, b) in pairs.items():
+        assert a != b and not a == b, name
+        assert a == a and hash(a) == hash(a), name
+        assert len({a, b}) == 2, name
+    assembly.cell_blocks(m1, ARGYRIS, False)
+    assert list(m1._cell_data) == [(ARGYRIS, True), (ARGYRIS, False)]
+    assert all(key[0] is ARGYRIS for key in m1._cell_data)
 
 
 def test_mesh_dofmap_and_cell_data_are_read_only():

@@ -25,9 +25,13 @@ def test_parse_element():
     lambda: build_unit_square_mesh(8.0),
     lambda: run_stats_report("poisson", "lagrange:1", n=4.0),
     lambda: StudySpec(problem="poisson", element="hermite", levels=(8, 16.0)),
-], ids=["mesh", "stats", "study"])
+    lambda: build_unit_square_mesh(True),
+    lambda: run_stats_report("poisson", "lagrange:1", n=True),
+    lambda: StudySpec(problem="poisson", element="hermite", levels=(True, 2)),
+], ids=["mesh", "stats", "study", "mesh-bool", "stats-bool", "study-bool"])
 def test_non_integer_mesh_size_is_a_value_error(make):
-    # these raised TypeError, which the CLI does not report as a bad argument
+    # these raised TypeError, which the CLI does not report as a bad
+    # argument; a bool is an Integral, but True is not the mesh size 1
     with pytest.raises(ValueError, match="integer"):
         make()
 
@@ -46,6 +50,24 @@ def test_study_spec_validation():
 def test_study_spec_rejects_empty_or_nonpositive_levels(levels):
     with pytest.raises(ValueError, match="levels"):
         StudySpec(problem="poisson", element="hermite", levels=levels)
+
+
+def test_study_spec_keeps_the_ladder_it_validated(tmp_path):
+    # a list, mutated after the spec is made, and a generator, which
+    # validation consumes, both give the ladder as a tuple of int
+    levels = [np.int64(2), 4]
+    spec = StudySpec(problem="poisson", element="lagrange:1", levels=levels)
+    levels.append(3)
+    assert spec.levels == (2, 4)
+    assert [type(n) for n in spec.levels] == [int, int]
+    assert hash(spec) == hash(StudySpec(problem="poisson", element="lagrange:1",
+                                        levels=(2, 4)))
+    assert [r.n for r in run_convergence_study(spec)] == [2, 4]
+    out = tmp_path / "g.csv"
+    spec = StudySpec(problem="poisson", element="lagrange:1",
+                     levels=(n for n in (2, 4)), out=str(out))
+    assert [r.n for r in run_convergence_study(spec)] == [2, 4]
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_cli_study_rejects_zero_level(tmp_path, capsys):

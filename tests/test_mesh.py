@@ -239,7 +239,8 @@ def test_replaced_cells_rederive_the_connectivity():
                                   getattr(fresh, f.name)), f.name
     assert not np.array_equal(replaced.cell_edges, m.cell_edges)
     argyris = build_reference_element("argyris")
-    A, B = (assembly.assemble_operator(mesh, argyris, assembly.plate())
+    plate = assembly.FormSpec("plate")
+    A, B = (assembly.assemble_operator(mesh, argyris, plate)
             for mesh in (replaced, fresh))
     for name in ("indptr", "indices", "data"):
         assert getattr(A, name).tobytes() == getattr(B, name).tobytes()

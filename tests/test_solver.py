@@ -133,7 +133,7 @@ def test_cg_scaling_lowers_iterations():
     u, f = poisson_problem()
     iters = {}
     for scale in (True, False):
-        form = assembly.poisson_nitsche()
+        form = assembly.FormSpec("poisson_nitsche")
         A = assembly.assemble_operator(m, HERMITE, form, scale=scale)
         b = assembly.assemble_load(m, HERMITE, f, form, scale=scale)
         steps = []
@@ -147,7 +147,7 @@ def test_cg_scaling_lowers_iterations():
 def test_lu_and_cg_agree():
     m = build_unit_square_mesh(8, 0.2)
     u, f = poisson_problem()
-    form = assembly.poisson_nitsche()
+    form = assembly.FormSpec("poisson_nitsche")
     A = assembly.assemble_operator(m, HERMITE, form)
     b = assembly.assemble_load(m, HERMITE, f, form)
     x_lu = solve(A, b).x
@@ -160,7 +160,7 @@ def test_lu_and_cg_agree():
 
 def test_sparse_lu_matches_dense(monkeypatch):
     m = build_unit_square_mesh(6, 0.2)
-    form = assembly.poisson_nitsche()
+    form = assembly.FormSpec("poisson_nitsche")
     A = assembly.assemble_operator(m, HERMITE, form)
     b = np.sin(np.arange(A.n))
     xd = solve(A, b).x
@@ -249,7 +249,8 @@ def test_matrix_stats_matches_dense_eigenvalues():
     # Hermite Poisson N=8 (371 DoFs), the stats report's operator: Lanczos
     # on A and A^-1 gives the dense eigvalsh ratio, not just a lower bound
     m = build_unit_square_mesh(8)
-    A = assembly.assemble_operator(m, HERMITE, assembly.poisson_nitsche())
+    A = assembly.assemble_operator(m, HERMITE,
+                                   assembly.FormSpec("poisson_nitsche"))
     assert A.shape[0] == 371
     lam = scipy.linalg.eigvalsh(A.toarray())
     exact = lam[-1] / lam[0]
@@ -278,6 +279,15 @@ def test_solve_policy_dense_then_sparse():
     small, large = laplacian_1d(n - 1), laplacian_1d(n)
     assert solver.solve(small, np.ones(n - 1)).method == "lu"
     assert solver.solve(large, np.ones(n)).method == "sparse_lu_sym"
+    # a dense ndarray takes the same policy, through a CSC copy, and is
+    # left as it was; T x = 1 has the solution x_i = (i + 1)(n - i) / 2
+    dense = large.toarray()
+    rep = solver.solve(dense, np.ones(n))
+    assert rep.method == "sparse_lu_sym"
+    assert np.array_equal(dense, large.toarray())
+    i = np.arange(n)
+    exact = (i + 1) * (n - i) / 2.0
+    assert np.abs(rep.x - exact).max() <= 1e-9 * exact.max()
     rep = solver.solve(large, np.ones(n), "cg")
     assert rep.method == "cg" and rep.converged
 
@@ -642,7 +652,7 @@ def test_factor_trims_the_heap_before_a_sparse_factor_only(monkeypatch):
     assert calls == []
     m = build_unit_square_mesh(8, 0.2)
     A = assembly.assemble_operator(m, parse_element("lagrange:3"),
-                                   assembly.poisson_nitsche())
+                                   assembly.FormSpec("poisson_nitsche"))
     rep = cg_solve(A, np.ones(A.n))
     assert rep.preconditioner == "two_level"
     assert calls == [("sparse_lu", A.coarse.shape[1])]
@@ -725,7 +735,7 @@ def test_two_level_preconditioner_is_symmetric():
     # and after the coarse solve, so <B r, s> = <r, B s>
     m = build_unit_square_mesh(8, 0.2)
     A = assembly.assemble_operator(m, parse_element("lagrange:3"),
-                                   assembly.poisson_nitsche())
+                                   assembly.FormSpec("poisson_nitsche"))
     B = solver._two_level(A, A.coarse)
     r, s = np.random.default_rng(0).standard_normal((2, A.n))
     Br, Bs = B(r), B(s)
@@ -737,7 +747,7 @@ def test_two_level_cg_iterations_stay_flat_for_p5():
     # this case catches an unstable smoother: damped Jacobi at a fixed
     # omega = 0.6 diverges for P5, and its iteration count grows with N
     el = parse_element("lagrange:5")
-    form = assembly.poisson_nitsche()
+    form = assembly.FormSpec("poisson_nitsche")
     _, f = poisson_problem()
     iters = []
     for n in (8, 32):
@@ -749,7 +759,7 @@ def test_two_level_cg_iterations_stay_flat_for_p5():
     assert abs(iters[1] - iters[0]) <= 0.2 * iters[0]
 
 
-def test_names_the_frozen_benchmark_reads():
+def test_names_the_frozen_benchmark_reads(monkeypatch):
     # studybench/child.py calls and wraps these one-cell helpers and the
     # error pass on assembly and solver; each is its home module's object
     from trifem import mesh, transform
@@ -762,3 +772,33 @@ def test_names_the_frozen_benchmark_reads():
     geom = mesh.cell_geometry(m, 0, mesh.vertex_size_field(m))
     M = transform.cell_transform(HERMITE, geom, scale=True).matrix
     assert M.shape == (HERMITE.n_dofs, HERMITE.n_dofs)
+    # it also counts IP triplets off the form's kind, solves through
+    # harness._study_solve, reads A.n, A.matvec and these row and report
+    # fields, and wraps assembly.build_dof_map to time the DoF map, so
+    # cell_blocks must call it through the module
+    from trifem import harness
+    assert study_form("biharmonic", parse_element("lagrange:3")).kind == "plate_ip"
+    for name in ("argyris", "bell"):
+        assert study_form("biharmonic", parse_element(name)).kind == "plate"
+    assert harness._study_solve is solver.solve
+    row = harness.ConvergenceRow(n=4, dofs=9, error=0.5, rate=2.0, iterations=3)
+    assert (row.n, row.dofs, row.error, row.rate, row.iterations) == (
+        4, 9, 0.5, 2.0, 3)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_dof_map(*args)
+    build_dof_map = assembly.build_dof_map
+    monkeypatch.setattr(assembly, "build_dof_map", spy)
+    m = build_unit_square_mesh(4, 0.2)
+    form = study_form("poisson", HERMITE)
+    A = assembly.assemble_operator(m, HERMITE, form)
+    assert calls == [(m, HERMITE)]
+    assert A.n == A.shape[0]
+    x = np.random.default_rng(3).standard_normal(A.n)
+    assert np.array_equal(A.matvec(x), A @ x)
+    rep = harness._study_solve(A, assembly.assemble_load(
+        m, HERMITE, poisson_problem()[1], form), "cg")
+    assert isinstance(rep.x, np.ndarray) and rep.x.shape == (A.n,)
+    assert (rep.method, rep.converged) == ("cg", True) and rep.iterations > 0
