@@ -82,28 +82,27 @@ def biharmonic_source(x, y):
 
 
 def study_form(problem: str, element: ReferenceElement) -> FormSpec:
-    """The bilinear form each study runs.
+    """The bilinear form of every study and stats report: Poisson-Nitsche
+    for Poisson; for the biharmonic problem, C0 interior penalty on
+    Lagrange and the plate form otherwise, checked by
+    assembly._check_compatible as every pass checks it.
 
     Morley gets the Poisson ratio 1/2 variant of the plate form: its cell
     integrand is then the full Hessian inner product, which stays coercive
     on the nonconforming (broken) Morley space; the conforming quintic
     elements are insensitive to the choice.
     """
-    fam = element.family
     if problem == "poisson":
-        if fam == "morley":
-            raise ValueError("Morley is not H1-conforming; "
-                             "it is excluded from Poisson studies")
         return FormSpec("poisson_nitsche")
-    if problem == "biharmonic":
-        if fam == "lagrange":
-            return FormSpec("plate_ip")
-        if fam == "morley":
-            return FormSpec("plate", nu=0.5)
-        if fam in ("argyris", "bell"):
-            return FormSpec("plate")
-        raise ValueError(f"{fam} cannot discretize the biharmonic problem")
-    raise ValueError(f"unknown problem {problem!r}")
+    if problem != "biharmonic":
+        raise ValueError(f"unknown problem {problem!r}")
+    fam = element.family
+    if fam == "lagrange":
+        form = FormSpec("plate_ip")
+    else:
+        form = FormSpec("plate", nu=0.5 if fam == "morley" else 0.0)
+    assembly._check_compatible(element, form)
+    return form
 
 
 @dataclass(frozen=True)
@@ -178,6 +177,9 @@ def run_convergence_study(spec: StudySpec):
     """
     _check_out(spec.out)
     element = parse_element(spec.element)
+    if spec.problem == "poisson" and element.family == "morley":
+        raise ValueError("Morley is not H1-conforming; "
+                         "it is excluded from Poisson studies")
     form = study_form(spec.problem, element)
     u, f = poisson_problem() if spec.problem == "poisson" else biharmonic_problem()
 
@@ -189,9 +191,9 @@ def run_convergence_study(spec: StudySpec):
         b = assembly.assemble_load(msh, element, f, form, scale=spec.scaling)
         try:
             rep = _study_solve(A, b, spec.solver)
-        # singular matrix (LinAlgError is a ValueError), dense budget
-        # (ValueError), singular sparse factor (RuntimeError); anything else
-        # is a fault of the program and propagates
+        # singular matrix (LinAlgError is a ValueError), a diagonal CG
+        # cannot use (ValueError), singular sparse factor (RuntimeError);
+        # anything else is a fault of the program and propagates
         except (ValueError, RuntimeError) as exc:
             failure = exc
             break
@@ -222,24 +224,19 @@ def write_study_csv(rows, path) -> None:
 
 def run_stats_report(problem: str, element_name: str, n: int = 8,
                      out: str = None) -> dict:
-    """DoFs, mean nonzeros per row and condition number of one operator."""
+    """DoFs, mean nonzeros per row and condition number of study_form's
+    operator on the unperturbed mesh; unlike the study, it takes Morley
+    for Poisson too (the operator assembles, nonconforming)."""
     if n > 32:
         raise ValueError("stats reports are limited to N <= 32 "
                          "(condition number cost)")
     _check_out(out)
     element = parse_element(element_name)
-    # the Poisson operator assembles for every family (Morley included,
-    # nonconforming); only the convergence study excludes Morley
-    if problem == "poisson":
-        form = FormSpec("poisson_nitsche")
-    else:
-        form = study_form(problem, element)
-    msh = build_unit_square_mesh(n, 0.0)
-    A = assembly.assemble_operator(msh, element, form)
-    stats = solver.matrix_stats(A)
-    row = {"element": element.describe(), "dofs": stats["total_dofs"],
-           "nnz_per_row": stats["nnz_per_row"],
-           "condition": stats["condition_estimate"]}
+    A = assembly.assemble_operator(build_unit_square_mesh(n, 0.0), element,
+                                   study_form(problem, element))
+    row = {"element": element.describe(), "dofs": A.shape[0],
+           "nnz_per_row": A.nnz / A.shape[0],
+           "condition": solver.condition_number(A)}
     if out is not None:
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)

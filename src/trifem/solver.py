@@ -3,9 +3,9 @@
 Every direct solve factors through _factor, the one place that chooses
 between dense LU with partial pivoting (up to DENSE_CUTOVER) and sparse
 LU (beyond it): solve() adds one step of iterative refinement, and
-matrix_stats() reuses the factor as A^-1.  The scalable path is
+condition_number() reuses the factor as A^-1.  The scalable path is
 preconditioned conjugate gradients (scipy's cg); solve() runs it on
-request and falls back to the direct path.  matrix_stats() finds the
+request and falls back to the direct path.  condition_number() finds the
 extreme eigenvalues of A and A^-1 with scipy's Lanczos (eigsh).
 
 CG is preconditioned by a two-level V-cycle when the operator carries a
@@ -195,8 +195,6 @@ def _diagonal_pivots(lu):
 # Dense LU runs up to this order, sparse LU (SuperLU) beyond it: dense LU
 # is the reference path but too slow past a few thousand DoFs
 DENSE_CUTOVER = 1500
-# memory budget of dense LU: A plus its LU copy, 16 n^2 bytes
-DENSE_BUDGET = 1 << 30
 # CG iteration cap: 50 n would allow millions of iterations on large systems
 CG_MAX_ITER = 10_000
 # rows per block of _two_level's l1 row sums
@@ -233,13 +231,10 @@ def _dense_lu(A):
     """Dense LU with partial pivoting of a sparse or dense A, checked.
 
     Returns the dense A, lu_factor's (lu, piv) and the pivot growth.  Raises
-    ValueError past the memory budget, before densifying, and LinAlgError
-    when A is singular to working precision.
+    LinAlgError when A is singular to working precision.  _factor calls it
+    up to DENSE_CUTOVER only, where A and its LU take 16 n^2 <= 36 MB.
     """
     n = A.shape[0]
-    if 16 * n * n > DENSE_BUDGET:
-        raise ValueError(f"dense LU of order {n} needs {16 * n * n} bytes, "
-                         f"over the budget of {DENSE_BUDGET}")
     dense = A.toarray() if scipy.sparse.issparse(A) else A
     with warnings.catch_warnings():
         # singularity is detected and raised below; silence scipy's warning
@@ -375,9 +370,9 @@ def solve(A, b, method: str = "lu") -> SolveReport:
                        pivot_growth=growth, method=kind)
 
 
-def matrix_stats(A) -> dict:
-    """DoF count, mean nonzeros per row and the condition number of a
-    symmetric A, max |lambda| / min |lambda|.
+def condition_number(A) -> float:
+    """The condition number of a symmetric A, max |lambda| / min |lambda|,
+    sparse or a dense ndarray.
 
     Both extreme eigenvalues are the largest in magnitude of A and of A^-1,
     found by Lanczos (eigsh) to working precision, with A^-1 applied
@@ -392,8 +387,7 @@ def matrix_stats(A) -> dict:
     lam_max, lam_max_inv = (
         abs(eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
         for op in (A, inv))
-    return {"total_dofs": n, "nnz_per_row": A.nnz / n,
-            "condition_estimate": float(lam_max * lam_max_inv)}
+    return float(lam_max * lam_max_inv)
 
 
 def _two_level(A, P):

@@ -165,6 +165,30 @@ def test_study_rejects_bad_combinations():
         run_convergence_study(StudySpec(problem="biharmonic", element="lagrange:1"))
 
 
+def test_study_form_picks_every_production_form():
+    morley = parse_element("morley")
+    assert harness.study_form("poisson", morley).kind == "poisson_nitsche"
+    assert harness.study_form("biharmonic", morley).nu == 0.5
+    # P1 cannot carry the interior-penalty form, as Hermite cannot carry
+    # the plate form: study_form raises what every pass would
+    for name, message in (("lagrange:1", "Lagrange k >= 2"),
+                          ("hermite", "plate needs an H2-type element")):
+        with pytest.raises(ValueError, match=message):
+            harness.study_form("biharmonic", parse_element(name))
+
+
+def test_morley_poisson_study_fails_before_its_form_and_mesh(monkeypatch):
+    # the exclusion is the study's own policy: no form is chosen and no
+    # mesh is built for it
+    def called(*args, **kw):
+        raise AssertionError("a form was chosen or a mesh built")
+
+    for name in ("study_form", "build_unit_square_mesh"):
+        monkeypatch.setattr(harness, name, called)
+    with pytest.raises(ValueError, match="excluded from Poisson studies"):
+        run_convergence_study(StudySpec(problem="poisson", element="morley"))
+
+
 def test_cg_solver_study_matches_lu(tmp_path):
     a = run_convergence_study(StudySpec(problem="poisson", element="lagrange:2",
                                         levels=(4, 8), solver="lu"))
@@ -318,6 +342,38 @@ def test_stats_report_values(tmp_path):
     assert row["dofs"] == 4225
     with pytest.raises(ValueError, match="N <= 32"):
         run_stats_report("poisson", "hermite", 64)
+
+
+def test_stats_report_takes_its_form_from_study_form(monkeypatch):
+    calls = []
+    study_form = harness.study_form
+
+    def spy(*args):
+        calls.append(args)
+        return study_form(*args)
+
+    monkeypatch.setattr(harness, "study_form", spy)
+    run_stats_report("poisson", "morley", 2)
+    assert [(p, el.family) for p, el in calls] == [("poisson", "morley")]
+
+
+@pytest.mark.parametrize("problem, element", [("poisson", "morley"),
+                                              ("biharmonic", "lagrange:3")])
+def test_stats_row_is_read_off_the_operator(monkeypatch, problem, element):
+    # the row's DoF count and mean nonzeros per row are the operator's
+    # shape and nnz, exactly
+    operators = []
+    assemble = harness.assembly.assemble_operator
+
+    def spy(*args, **kw):
+        operators.append(assemble(*args, **kw))
+        return operators[-1]
+
+    monkeypatch.setattr(harness.assembly, "assemble_operator", spy)
+    row = run_stats_report(problem, element, 4)
+    [A] = operators
+    assert row["dofs"] == A.shape[0]
+    assert row["nnz_per_row"] == A.nnz / A.shape[0]
 
 
 def test_write_csv_format(tmp_path):

@@ -18,6 +18,10 @@ from trifem.refelem import build_reference_element
 from trifem.solver import SolveReport, cg_solve, solve
 
 HERMITE = build_reference_element("hermite")
+# the order of the fixtures that only need to be past the dense cutover,
+# fixed so that they stay as they are when DENSE_CUTOVER moves; not 2,000:
+# T - I of the 1-D Laplacian T is exactly singular when 3 divides n + 1
+PAST_CUTOVER = 1501
 
 
 def laplacian_1d(n):
@@ -65,7 +69,19 @@ def test_factorized_singular_raises():
     A = scipy.sparse.csr_array(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
                                          [0.0, 0.0, 1.0]]))
     with pytest.raises(np.linalg.LinAlgError):
-        solver.matrix_stats(A)
+        solver.condition_number(A)
+
+
+def test_past_cutover_fixtures_take_the_sparse_path():
+    assert PAST_CUTOVER > solver.DENSE_CUTOVER
+
+
+def test_condition_number_of_a_dense_ndarray():
+    # condition_number takes every A that solve takes, a dense ndarray too
+    A = assembly.assemble_operator(build_unit_square_mesh(4), HERMITE,
+                                   study_form("poisson", HERMITE))
+    kappa = solver.condition_number(A)
+    assert abs(solver.condition_number(A.toarray()) - kappa) <= 1e-10 * kappa
 
 
 def test_blas_pin_warns_when_an_openblas_setter_is_missing(monkeypatch):
@@ -227,24 +243,6 @@ def test_l2_projection_reproduces_quartic(family):
     assert l2_error(m, el, l2_projection(m, el, field), field) < 1e-10
 
 
-def test_dense_guard_rail(monkeypatch):
-    # the size check fires before any densification happens
-    def densified(self):
-        raise AssertionError("densified before the guard")
-
-    monkeypatch.setattr(assembly.SparseMatrix, "toarray", densified)
-    big = assembly.SparseMatrix((np.zeros(0), np.zeros(0, dtype=np.int64),
-                                 np.zeros(30001, dtype=np.int64)),
-                                shape=(30000, 30000))
-    with pytest.raises(ValueError):
-        solver._dense_lu(big)
-    # just over the budget: A and its LU copy need 16 n^2 bytes
-    n = int(np.sqrt(solver.DENSE_BUDGET / 16)) + 1
-    assert 16 * (n - 1) ** 2 <= solver.DENSE_BUDGET < 16 * n * n
-    with pytest.raises(ValueError, match="budget"):
-        solver._dense_lu(assembly.SparseMatrix((n, n)))
-
-
 def test_matrix_stats_matches_dense_eigenvalues():
     # Hermite Poisson N=8 (371 DoFs), the stats report's operator: Lanczos
     # on A and A^-1 gives the dense eigvalsh ratio, not just a lower bound
@@ -254,10 +252,10 @@ def test_matrix_stats_matches_dense_eigenvalues():
     assert A.shape[0] == 371
     lam = scipy.linalg.eigvalsh(A.toarray())
     exact = lam[-1] / lam[0]
-    stats = solver.matrix_stats(A)
-    assert abs(stats["condition_estimate"] - exact) < 1e-8 * exact
+    kappa = solver.condition_number(A)
+    assert abs(kappa - exact) < 1e-8 * exact
     # the Lanczos start vector is seeded: a second call gives the same bits
-    assert solver.matrix_stats(A) == stats
+    assert solver.condition_number(A) == kappa
 
 
 def test_cg_default_iterations_capped(monkeypatch):
@@ -293,7 +291,7 @@ def test_solve_policy_dense_then_sparse():
 
 
 def _non_spd_cases():
-    n = solver.DENSE_CUTOVER + 1
+    n = PAST_CUTOVER
     T = laplacian_1d(n)
     eye = scipy.sparse.identity(n, format="csr")
     return {"indefinite": (T - eye).tocsr(),
@@ -390,7 +388,7 @@ def test_diagonal_pivots_fall_back_to_lu_U(monkeypatch):
     assert np.array_equal(copied.view(np.int64), lu.U.diagonal().view(np.int64))
 
     import scipy.sparse.linalg
-    cases = {"spd": laplacian_1d(solver.DENSE_CUTOVER + 1),
+    cases = {"spd": laplacian_1d(PAST_CUTOVER),
              **_non_spd_cases()}
     methods = {k: solver._sparse_lu(A)[1] for k, A in cases.items()}
     splu_real = scipy.sparse.linalg.splu
@@ -405,7 +403,7 @@ def test_diagonal_pivots_fall_back_to_lu_U(monkeypatch):
 
 def test_sparse_lu_singular_raises():
     # a zero row and column: the symmetric mode raises as the fallback would
-    n = solver.DENSE_CUTOVER + 1
+    n = PAST_CUTOVER
     keep = np.ones(n)
     keep[5] = 0.0
     D = scipy.sparse.diags_array(keep)
@@ -445,7 +443,7 @@ def _arrowhead():
     # a last row and column of 1,501 entries, so the ranks of the entries
     # above the diagonal reach 1,499 and take uint16; the values differ
     # from their transposes' in the last bits
-    n = solver.DENSE_CUTOVER + 1
+    n = PAST_CUTOVER
     edge = np.full(n - 1, 2.0 ** -10)
     A = scipy.sparse.block_array([[scipy.sparse.identity(n - 1),
                                    edge[:, None]],
@@ -475,7 +473,7 @@ def test_sparse_factor_reads_a_csc_view_on_the_operators_arrays(case,
 
 def _singular():
     # the singular matrix above, its values made asymmetric in their bits
-    n = solver.DENSE_CUTOVER + 1
+    n = PAST_CUTOVER
     keep = np.ones(n)
     keep[5] = 0.0
     T = laplacian_1d(n)
@@ -502,7 +500,7 @@ def test_sparse_factor_leaves_the_operator_bytes_as_they_were(case,
         with pytest.raises(RuntimeError, match="singular"):
             solver.solve(A, np.ones(A.shape[0]))
     elif case == "stats":
-        assert solver.matrix_stats(A)["condition_estimate"] > 1
+        assert solver.condition_number(A) > 1
     else:
         rep = solver.solve(A, np.ones(A.shape[0]))
         assert rep.method == {"spd": "sparse_lu_sym",
@@ -529,7 +527,7 @@ def test_sparse_factor_copies_what_it_cannot_view(case, monkeypatch):
     # entries (which splu would sum in place) or read-only data: splu gets
     # A.tocsc(), a copy, and the solve is the one the symmetric LU of that
     # copy gives, bit for bit
-    n = solver.DENSE_CUTOVER + 1
+    n = PAST_CUTOVER
     T = laplacian_1d(n)
     if case == "asymmetric":
         A = (T + scipy.sparse.csr_array(([1e-3], ([0], [2])),
