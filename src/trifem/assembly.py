@@ -31,6 +31,9 @@ COO entries come in a fixed order, so results are deterministic.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+from operator import add, iadd, mul
 
 import numpy as np
 import scipy.sparse
@@ -39,8 +42,8 @@ from . import transform
 from .mesh import (CellGeometry, TriangleMesh, batch_geometry,
                    vertex_size_field)
 from .quadrature import interval_rule, triangle_rule
-from .refelem import (ReferenceElement, apply_functionals, ref_edge_points,
-                      tabulate_coeffs)
+from .refelem import (ReferenceElement, apply_functionals, derivative_alphas,
+                      ref_edge_points, tabulate_coeffs)
 from .transform import hessian_pushforward, scaling_diagonal
 
 # The one-cell entry points stay importable from here for per-cell callers
@@ -250,7 +253,7 @@ class CellData:
         if values is None:
             return None
         n, m = self.element.n_dofs, len(self.element.coeffs)
-        M = (_T(np.zeros((len(values), m, n))) if self.transposed
+        M = (np.zeros((len(values), m, n)).mT if self.transposed
              else np.zeros((len(values), n, m)))
         M[:, positions[0], positions[1]] = values
         M.flags.writeable = False
@@ -355,54 +358,40 @@ def _per(x):
     return x[:, None, None]
 
 
-def _T(x):
-    return np.swapaxes(x, -1, -2)
-
-
-def _push(J, d):
-    """J d for Jacobians (B, 2, 2) and directions (B, 2) or (2,), as (2, B)."""
-    return (J @ np.broadcast_to(d, J.shape[:-1])[:, :, None])[:, :, 0].T
-
-
 def _physical_hessian(tab, J, components):
     """Physical hxx, hxy, hyy (components 0, 1, 2) of the pullbacks: the
     Voigt pushforward T contracted with the reference second derivatives of
     a cell table (n, q) or a facet table (F, n, q), as a tuple of the
-    components asked for."""
+    components asked for.
+
+    This stays apart from _directional: T's batched matmul returns the
+    mixed coefficient J00 J11 + J10 J01 as one fused multiply-add, which
+    the elementwise products of _directional round twice, so folding the
+    second-order rows into it would move the plate operators' bits."""
     T = hessian_pushforward(J)
     href = np.stack([tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]])
     spec = "bj,jnq->bnq" if href.ndim == 3 else "bj,jbnq->bnq"
     return tuple(np.einsum(spec, T[:, k], href) for k in components)
 
 
-def _directional_first(tab, J, d):
-    """d . grad of the pullbacks: reference gradients contracted with J d."""
-    e = _push(J, d)
-    out = _per(e[0]) * tab[(1, 0)]
-    out += _per(e[1]) * tab[(0, 1)]
-    return out
-
-
-def _directional_third(tab, J, d1, d2, d3):
-    """Third directional derivative of pullbacks: contract reference third
-    derivatives with J d1, J d2, J d3 (affine cells only)."""
-    e1, e2, e3 = _push(J, d1), _push(J, d2), _push(J, d3)
-    t30, t21, t12, t03 = tab[(3, 0)], tab[(2, 1)], tab[(1, 2)], tab[(0, 3)]
-    return (_per(e1[0] * e2[0] * e3[0]) * t30
-            + _per(e1[0] * e2[0] * e3[1] + e1[0] * e2[1] * e3[0]
-                   + e1[1] * e2[0] * e3[0]) * t21
-            + _per(e1[0] * e2[1] * e3[1] + e1[1] * e2[0] * e3[1]
-                   + e1[1] * e2[1] * e3[0]) * t12
-            + _per(e1[1] * e2[1] * e3[1]) * t03)
+def _directional(tab, J, *dirs):
+    """The derivative of the pullbacks along dirs, each (2,) or one per
+    cell (B, 2), of order k = len(dirs) (affine cells only): the reference
+    derivatives of order k, alpha weighted by the products of the pushed
+    directions J d over the component picks that give alpha.  Picks go in
+    product order; products, weights and terms (into the first, in place)
+    fold left to right with no 0 to start from, so a -0 stays -0."""
+    e = [(J @ np.broadcast_to(d, J.shape[:-1])[:, :, None])[:, :, 0]
+         for d in dirs]
+    weights = [[] for _ in range(len(dirs) + 1)]  # by alpha's y order
+    for pick in product((0, 1), repeat=len(dirs)):
+        weights[sum(pick)].append(reduce(mul, [x[:, i] for x, i in zip(e, pick)]))
+    return reduce(iadd, (_per(reduce(add, weights[ay])) * tab[(ax, ay)]
+                         for ax, ay in derivative_alphas(len(dirs))))
 
 
 _EX = np.array([1.0, 0.0])
 _EY = np.array([0.0, 1.0])
-
-
-def _congruence(M, A):
-    """M A M^T for a batch; Lagrange (M None) skips it, since M = I."""
-    return A if M is None else M @ A @ _T(M)
 
 
 def _interior_facets(mesh: TriangleMesh):
@@ -461,19 +450,19 @@ class _Kernels:
         tab, c = self.cell_tab, self.c
         w = (self.cell_rule.weights * geom.detJinv_abs[:, None])[:, None, :]
         if self.poisson:
-            gx = _directional_first(tab, geom.J, _EX)
-            gy = _directional_first(tab, geom.J, _EY)
-            return (gx * w) @ _T(gx) + (gy * w) @ _T(gy)
+            gx = _directional(tab, geom.J, _EX)
+            gy = _directional(tab, geom.J, _EY)
+            return (gx * w) @ gx.mT + (gy * w) @ gy.mT
         if c is None:  # interior penalty: the Laplacian product alone
             hxx, hyy = _physical_hessian(tab, geom.J, (0, 2))
             lap = hxx + hyy
-            return (lap * w) @ _T(lap)
+            return (lap * w) @ lap.mT
         hxx, hxy, hyy = _physical_hessian(tab, geom.J, (0, 1, 2))
-        twist = 4.0 * ((hxy * w) @ _T(hxy))
-        bend = c * (2.0 * ((hxx * w) @ _T(hyy)) + 2.0 * ((hyy * w) @ _T(hxx))
+        twist = 4.0 * ((hxy * w) @ hxy.mT)
+        bend = c * (2.0 * ((hxx * w) @ hyy.mT) + 2.0 * ((hyy * w) @ hxx.mT)
                     - twist)
         lap = hxx + hyy
-        return (lap * w) @ _T(lap) - bend
+        return (lap * w) @ lap.mT - bend
 
     def _facet_rows(self, geom, e_loc, order):
         """Trace rows (F, n, q) on local edges e_loc (F,) of the cells in
@@ -486,20 +475,20 @@ class _Kernels:
         n = geom.normals[np.arange(len(e_loc)), e_loc]
         rows = {"v": tab[(0, 0)]}
         if order >= 1:
-            rows["vn"] = _directional_first(tab, J, n)
+            rows["vn"] = _directional(tab, J, n)
         if order >= 2:
             h = _physical_hessian(tab, J, (0, 2) if c is None else (0, 1, 2))
             rows["lap"] = rows["gl"] = h[0] + h[-1]  # hxx + hyy
         if order >= 3:
-            rows["gn"] = (_directional_third(tab, J, n, _EX, _EX)
-                          + _directional_third(tab, J, n, _EY, _EY))
+            rows["gn"] = (_directional(tab, J, n, _EX, _EX)
+                          + _directional(tab, J, n, _EY, _EY))
             if c is not None:
                 t = np.stack([-n[:, 1], n[:, 0]], axis=-1)  # CCW rotation of n
                 tt = (t[:, 0] ** 2, 2.0 * t[:, 0] * t[:, 1], t[:, 1] ** 2)
                 vtt = (_per(tt[0]) * h[0] + _per(tt[1]) * h[1]
                        + _per(tt[2]) * h[2])
                 rows["gl"] = rows["lap"] - 2.0 * c * vtt
-                rows["gn"] -= 2.0 * c * _directional_third(tab, J, n, t, t)
+                rows["gn"] -= 2.0 * c * _directional(tab, J, n, t, t)
         return rows
 
     def boundary_matrices(self, geom, e_loc):
@@ -511,26 +500,26 @@ class _Kernels:
     def poisson_boundary_matrices(self, geom, e_loc, ell, w):
         r = self._facet_rows(geom, e_loc, order=1)
         v, vn = r["v"], r["vn"]
-        return (-(vn * w) @ _T(v) - (v * w) @ _T(vn)
-                + (self.alpha / ell) * (v * w) @ _T(v))
+        return (-(vn * w) @ v.mT - (v * w) @ vn.mT
+                + (self.alpha / ell) * (v * w) @ v.mT)
 
     def clamped_matrices(self, geom, e_loc, ell, w):
         """Consistent symmetric Nitsche terms for u = du/dn = 0 on the boundary."""
         r = self._facet_rows(geom, e_loc, order=3)
         gn, gl, v, vn = r["gn"], r["gl"], r["v"], r["vn"]
-        return ((gn * w) @ _T(v) + (v * w) @ _T(gn)
-                - (gl * w) @ _T(vn) - (vn * w) @ _T(gl)
-                + (self.beta / ell ** 3) * (v * w) @ _T(v)
-                + (self.beta / ell) * (vn * w) @ _T(vn))
+        return ((gn * w) @ v.mT + (v * w) @ gn.mT
+                - (gl * w) @ vn.mT - (vn * w) @ gl.mT
+                + (self.beta / ell ** 3) * (v * w) @ v.mT
+                + (self.beta / ell) * (vn * w) @ vn.mT)
 
     def clamped_nitsche_verbatim_matrices(self, geom, e_loc, ell, w):
         """The six boundary terms of the clamped-plate form as printed."""
         r = self._facet_rows(geom, e_loc, order=3)
         gn, gl, v, vn, lap = r["gn"], r["gl"], r["v"], r["vn"], r["lap"]
-        return ((self.beta / ell ** 2) * (v * w) @ _T(v)
-                + (self.beta / ell) * (lap * w) @ _T(lap)
-                + (gn * w) @ _T(v) + (v * w) @ _T(gn)
-                + (gl * w) @ _T(vn) + (vn * w) @ _T(gl))
+        return ((self.beta / ell ** 2) * (v * w) @ v.mT
+                + (self.beta / ell) * (lap * w) @ lap.mT
+                + (gn * w) @ v.mT + (v * w) @ gn.mT
+                + (gl * w) @ vn.mT + (vn * w) @ gl.mT)
 
     def ip_facet_triplets(self, mesh, dofmap, geom):
         """Interior-penalty jump/average blocks over all interior edges of
@@ -558,8 +547,8 @@ class _Kernels:
             avg *= 0.5
             ell = _per(geom.edge_lengths[cA[blk], eA[blk]])
             w = self.facet_rule.weights * ell
-            local = ((self.alpha / ell) * (jump * w) @ _T(jump)
-                     - (avg * w) @ _T(jump) - (jump * w) @ _T(avg))
+            local = ((self.alpha / ell) * (jump * w) @ jump.mT
+                     - (avg * w) @ jump.mT - (jump * w) @ avg.mT)
             dofs = np.concatenate([dofmap.cell_dofs[c] for c, _ in sides], axis=1)
             yield dofs[:, :, None], dofs[:, None, :], local
 
@@ -579,8 +568,10 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
             # terms are added in local edge order
             fc, fe = np.nonzero(on_boundary[cells])
             np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
+            if M is not None:  # the congruence; Lagrange's M is the identity
+                A = M @ A @ M.mT
             dofs = dofmap.cell_dofs[cells]  # COO rows and cols, row by row
-            yield dofs[:, :, None], dofs[:, None, :], _congruence(M, A)
+            yield dofs[:, :, None], dofs[:, None, :], A
         if kern.ip_facets:
             yield from kern.ip_facet_triplets(mesh, dofmap, data.geom)
 

@@ -204,7 +204,7 @@ class CellGeometry:
     def ref_to_phys(self, points):
         """Reference points (n, 2) to physical points (..., n, 2)."""
         pts = np.atleast_2d(points)
-        return self.vertices[..., :1, :] + pts @ np.swapaxes(self.Jinv, -1, -2)
+        return self.vertices[..., :1, :] + pts @ self.Jinv.mT
 
 
 def _edge_vectors(verts):

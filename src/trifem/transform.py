@@ -45,8 +45,8 @@ def edge_blocks(geom: CellGeometry, normals=None) -> np.ndarray:
     Ghat = np.stack([REF_NORMALS, REF_TANGENTS], axis=1)
     n = geom.normals if normals is None else normals
     G = np.stack([n, geom.tangents], axis=-2)
-    JinvT = np.swapaxes(geom.Jinv, -1, -2)[..., None, :, :]
-    return Ghat @ JinvT @ np.swapaxes(G, -1, -2)
+    JinvT = geom.Jinv.mT[..., None, :, :]
+    return Ghat @ JinvT @ G.mT
 
 
 _VOIGT_UNITS = np.array([[[1.0, 0.0], [0.0, 0.0]],
@@ -57,7 +57,7 @@ _VOIGT_UNITS = np.array([[[1.0, 0.0], [0.0, 0.0]],
 def hessian_pushforward(J: np.ndarray) -> np.ndarray:
     """3x3 matrix T with voigt(J^T H J) = T voigt(H), Voigt order (xx, xy, yy)."""
     J = J[..., None, :, :]
-    P = np.swapaxes(J, -1, -2) @ _VOIGT_UNITS @ J
+    P = J.mT @ _VOIGT_UNITS @ J
     return np.stack([P[..., 0, 0], P[..., 0, 1], P[..., 1, 1]], axis=-2)
 
 
@@ -126,7 +126,7 @@ def pushforward_M(element: ReferenceElement, geom: CellGeometry,
     B = edge_blocks(geom, normals) if any(f.normal for f in fns) else None
     for i, f in enumerate(fns):
         if f.alpha == (1, 0):
-            V[..., i:i + 2, i:i + 2] = np.swapaxes(geom.Jinv, -1, -2)
+            V[..., i:i + 2, i:i + 2] = geom.Jinv.mT
         elif f.alpha == (2, 0):
             V[..., i:i + 3, i:i + 3] = Theta
         elif f.normal:
@@ -136,7 +136,7 @@ def pushforward_M(element: ReferenceElement, geom: CellGeometry,
             _fill_midpoint_rule(V[..., i, :], ja, jb,
                                 fns[ja[-1]].derivative_order, B[..., e, 0, 1],
                                 geom, e)
-    M = np.swapaxes(V, -1, -2)
+    M = V.mT
     return np.ascontiguousarray(M) if element.family == "hermite" else M
 
 
@@ -151,7 +151,7 @@ def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
     jets, moments = element.bell_tables
     J = geom.J
     T = hessian_pushforward(J)
-    JT = np.swapaxes(J, -1, -2)
+    JT = J.mT
 
     W = np.zeros(J.shape[:-2] + (21, 21))
     for v in range(3):
@@ -164,7 +164,7 @@ def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
         dvec = (J @ geom.normals[..., e, :, None])[..., 0]
         W[..., 18 + e, :] = (dvec[..., 0, None] * moments[e, 0]
                              + dvec[..., 1, None] * moments[e, 1])
-    return np.linalg.inv(np.swapaxes(W, -1, -2))[..., :18, :]
+    return np.linalg.inv(W.mT)[..., :18, :]
 
 
 def scaling_diagonal(element: ReferenceElement, geom: CellGeometry) -> np.ndarray:

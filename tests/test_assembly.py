@@ -256,6 +256,14 @@ def test_csr_roundtrip_and_sorted_columns():
     assert np.allclose(A.diagonal(), np.diag(D))
 
 
+def test_csr_step_rejects_a_wrong_triplet_count():
+    # the buffers are sized by the count the caller gives; blocks that
+    # fill fewer of them are a fault of the caller, not a short matrix
+    rows = np.array([0, 1], dtype=np.int64)
+    with pytest.raises(ValueError, match="blocks hold 2 triplets, not 5"):
+        assembly._csr_from_blocks(2, 5, [(rows, rows, np.ones(2))])
+
+
 def index_dtype_policy(n, size):
     """The CSR index dtype for order n from size triplets: int32 while both
     are below 2^31, int64 past that."""
@@ -640,13 +648,13 @@ def test_interpolate_names_a_missing_derivative(name, given, missing):
         interpolate(build_unit_square_mesh(2), parse_element(name), field)
 
 
-def test_matrix_stats_identity():
+def test_condition_number_of_the_identity():
     A = scipy.sparse.csr_array((np.ones(10), (np.arange(10), np.arange(10))),
                                shape=(10, 10))
     assert abs(condition_number(A) - 1.0) < 1e-6
 
 
-def test_matrix_stats_tridiagonal_fixture():
+def test_condition_number_of_the_tridiagonal_fixture():
     n = 32
     rows, cols, vals = [], [], []
     for i in range(n):

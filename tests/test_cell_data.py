@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from trifem import assembly, harness, transform
-from trifem.assembly import _Kernels, _physical_hessian
+from trifem.assembly import _EX, _EY, _Kernels, _directional, _physical_hessian
 from trifem.mesh import TriangleMesh, batch_geometry, build_unit_square_mesh
 from trifem.quadrature import QuadRule, triangle_rule
-from trifem.refelem import build_reference_element
+from trifem.refelem import build_reference_element, derivative_alphas
 from trifem.transform import hessian_pushforward
 
 ARGYRIS = build_reference_element("argyris")
@@ -202,3 +202,57 @@ def test_physical_hessian_matches_three_term_expression(element):
         # the subset the interior-penalty form reads: hxx and hyy, same bits
         hxx, hyy = _physical_hessian(tab, geom.J, (0, 2))
         assert np.array_equal(hxx, full[0]) and np.array_equal(hyy, full[2])
+
+
+def _chain_rule(tab, J, *dirs):
+    """The first- or third-order derivative along dirs (each (B, 2)) of a
+    facet table, written out cell by cell: J d is each cell's own matmul,
+    as in the kernels, and the coefficient of each alpha sums its
+    component picks in lexicographic order."""
+    out = []
+    for b in range(len(J)):
+        e = [J[b] @ d[b] for d in dirs]
+        t = {alpha: x[b] for alpha, x in tab.items()}
+        if len(dirs) == 1:
+            (x, y), = e
+            out.append(x * t[(1, 0)] + y * t[(0, 1)])
+            continue
+        (a0, a1), (b0, b1), (c0, c1) = e
+        out.append(a0 * b0 * c0 * t[(3, 0)]
+                   + (a0 * b0 * c1 + a0 * b1 * c0 + a1 * b0 * c0) * t[(2, 1)]
+                   + (a0 * b1 * c1 + a1 * b0 * c1 + a1 * b1 * c0) * t[(1, 2)]
+                   + a1 * b1 * c1 * t[(0, 3)])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2])
+def test_directional_matches_the_chain_rule_bit_for_bit(perturb):
+    # orders 1 and 3 along the directions the facet kernels read, on the
+    # Argyris facet tables; the unperturbed mesh's J holds -0 entries
+    kern = _Kernels(ARGYRIS, harness.study_form("biharmonic", ARGYRIS))
+    geom = batch_geometry(build_unit_square_mesh(8, perturb))
+    J = geom.J
+    if perturb == 0.0:
+        assert np.any(np.signbit(J[J == 0]))
+    ex, ey = (np.broadcast_to(d, (len(J), 2)) for d in (_EX, _EY))
+    for e in range(3):
+        e_loc = np.full(len(J), e)
+        tab = {alpha: t[e_loc] for alpha, t in kern.facet_tab.items()}
+        n = geom.normals[:, e]
+        t = np.stack([-n[:, 1], n[:, 0]], axis=-1)
+        for dirs in ((n,), (ex,), (ey,), (n, ex, ex), (n, ey, ey), (n, t, t)):
+            new, old = _directional(tab, J, *dirs), _chain_rule(tab, J, *dirs)
+            assert new.shape == old.shape
+            assert np.array_equal(new, old)
+            assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_directional_keeps_a_row_of_negative_zeros(order):
+    # J = -I pushes (1, 1) to (-1, -1): every weight is negative, so every
+    # term on a zero table is -0, and a fold that started from +0 would
+    # return +0
+    J = -np.eye(2)[None]
+    tab = {alpha: np.zeros((1, 2, 3)) for alpha in derivative_alphas(order)}
+    row = _directional(tab, J, *[np.ones(2)] * order)
+    assert row.shape == (1, 2, 3) and np.all(np.signbit(row))

@@ -177,6 +177,17 @@ def test_study_form_picks_every_production_form():
             harness.study_form("biharmonic", parse_element(name))
 
 
+def test_unknown_problem_fails_before_a_mesh_is_built(monkeypatch):
+    with pytest.raises(ValueError, match="unknown problem 'nope'"):
+        harness.study_form("nope", parse_element("lagrange:1"))
+    built = []
+    monkeypatch.setattr(harness, "build_unit_square_mesh",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="unknown problem 'nope'"):
+        run_convergence_study(StudySpec(problem="nope", element="lagrange:1"))
+    assert built == []
+
+
 def test_morley_poisson_study_fails_before_its_form_and_mesh(monkeypatch):
     # the exclusion is the study's own policy: no form is chosen and no
     # mesh is built for it

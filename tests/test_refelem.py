@@ -36,6 +36,13 @@ def test_poly_basis_constant_is_sqrt2():
     assert abs(vals[0, 0] - np.sqrt(2.0)) < 1e-14
 
 
+def test_poly_basis_tabulates_up_to_third_derivatives():
+    pts = np.array([[0.25, 0.3]])
+    assert (0, 3) in refelem.PolyBasis(3).tabulate(pts, 3)
+    with pytest.raises(ValueError, match="derivative order 4 unsupported"):
+        refelem.PolyBasis(3).tabulate(pts, 4)
+
+
 def test_poly_basis_gram_condition():
     pb = build_poly_basis(5)
     rule = triangle_rule(10)

@@ -64,7 +64,7 @@ def test_lu_singular_raises():
         solve(A, np.array([1.0, 1.0]))
 
 
-def test_factorized_singular_raises():
+def test_condition_number_of_a_singular_matrix_raises():
     # the stats path factors through the same checked dense LU
     A = scipy.sparse.csr_array(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
                                          [0.0, 0.0, 1.0]]))
@@ -100,9 +100,38 @@ def test_blas_pin_warns_when_an_openblas_setter_is_missing(monkeypatch):
         solver._pin_blas_threads()
 
 
+def test_blas_pin_reads_each_package_build_for_a_missing_setter(monkeypatch):
+    # the packages' own build configurations decide the warning: a package
+    # built on scipy-openblas whose setter is missing is reported
+    monkeypatch.setattr(solver, "_OPENBLAS_THREADS", (
+        ("numpy", "numpy", "no_such_set_num_threads"),
+        ("scipy", "scipy", "no_such_set_num_threads")))
+    openblas = [p for p in ("numpy", "scipy")
+                if solver._blas_name(p) == "scipy-openblas"]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        solver._pin_blas_threads()
+    assert all(w.category is RuntimeWarning for w in record)
+    assert [str(w.message).split()[0] for w in record] == openblas
+    assert solver._blas_name("no_such_package") is None
+
+
 def test_solve_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown solve method"):
         solver.solve(laplacian_1d(4), np.ones(4), "bogus")
+
+
+def test_solve_of_a_zero_load_reports_a_zero_residual():
+    # the residual is relative to |b|; with b = 0 it is |A x| itself
+    rep = solve(laplacian_1d(4), np.zeros(4))
+    assert not rep.x.any()
+    assert rep.residual == 0.0
+
+
+def test_cg_rejects_a_non_positive_diagonal():
+    A = scipy.sparse.csr_array(np.diag([2.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="positive diagonal"):
+        cg_solve(A, np.ones(3))
 
 
 def test_refinement_never_increases_residual():
@@ -243,7 +272,7 @@ def test_l2_projection_reproduces_quartic(family):
     assert l2_error(m, el, l2_projection(m, el, field), field) < 1e-10
 
 
-def test_matrix_stats_matches_dense_eigenvalues():
+def test_condition_number_matches_dense_eigenvalues():
     # Hermite Poisson N=8 (371 DoFs), the stats report's operator: Lanczos
     # on A and A^-1 gives the dense eigvalsh ratio, not just a lower bound
     m = build_unit_square_mesh(8)

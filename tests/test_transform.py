@@ -48,6 +48,11 @@ def test_bell_identity_geometry_matches_reference_basis():
     assert np.abs(transformed - reference).max() < 1e-10
 
 
+def test_bell_M_rejects_another_family():
+    with pytest.raises(ValueError, match="bell reference element"):
+        bell_M(reference_cell_geometry(), ELEMENTS["argyris"])
+
+
 def test_bell_physical_quartic_edge_modes_vanish():
     # Bell's space has cubic normal derivatives along every edge.  The
     # vertex functionals of criterion 2 do not see the three constraint
