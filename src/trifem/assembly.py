@@ -233,7 +233,7 @@ class CellData:
     entries that are not +0 in some cell of the block, M's nonzeros as it
     stores no -0 (the sign test keeps the round trip exact regardless).
     positions (2, k) holds their (row, col) and values (cells, k) their
-    values; both are None for Lagrange, whose M is the identity.  M(i)
+    values; both are None for an identity-map element, whose M is I.  M(i)
     gives block i's M back whole, in the layout of cell_transform's M
     (transposed says whether that is a transposed view).  All arrays are
     read-only, and cell data compare and hash by identity.
@@ -248,7 +248,7 @@ class CellData:
     def M(self, i):
         """Block i's M, shape (cells, n_dofs, n_tab), read-only, with the
         bytes and the row and column strides of the M that cell_blocks
-        compacted; None for Lagrange."""
+        compacted; None for an identity-map element."""
         _, _, values, positions = self.blocks[i]
         if values is None:
             return None
@@ -295,7 +295,7 @@ def cell_blocks(mesh: TriangleMesh, element: ReferenceElement,
         for lo in range(0, mesh.n_cells, BLOCK):
             cells = slice(lo, lo + BLOCK)
             g, values, positions = geom[cells], None, None
-            if element.family != "lagrange":
+            if element.mapping != "identity":
                 M = transform.cell_transform(element, g, scale,
                                              normals[cells]).matrix
                 transposed = M.strides[-1] > M.strides[-2]
@@ -342,15 +342,12 @@ class FormSpec:
 
 
 def _check_compatible(element: ReferenceElement, form: FormSpec):
-    fam = element.family
-    if form.kind == "poisson_nitsche":
-        return
     if form.kind == "plate_ip":
-        if fam != "lagrange" or element.degree < 2:
+        # its facet kernel applies no M, so the element maps by the identity
+        if element.mapping != "identity" or element.degree < 2:
             raise ValueError("interior-penalty plate form needs Lagrange k >= 2")
-        return
-    if fam not in ("morley", "argyris", "bell"):
-        raise ValueError(f"{form.kind} needs an H2-type element, got {fam}")
+    elif form.kind != "poisson_nitsche" and element.space == "H1":
+        raise ValueError(f"{form.kind} needs an H2-type element, got {element.family}")
 
 
 def _per(x):
@@ -530,8 +527,8 @@ class _Kernels:
         other's, so [vn_A, vn_B] is the jump along side A's normal.  The
         facet quadrature runs along the stored edge direction, so a side
         whose local edge does not (mesh.cell_edge_forward false) gets its
-        point axis flipped (the Gauss rule is symmetric).  Only Lagrange
-        elements take this form, so M = I and there is no congruence.
+        point axis flipped (the Gauss rule is symmetric).  Only identity-map
+        elements take this form, so there is no congruence.
         """
         (cA, eA), (cB, eB) = _interior_facets(mesh)
         for lo in range(0, len(cA), BLOCK):
@@ -568,7 +565,7 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
             # terms are added in local edge order
             fc, fe = np.nonzero(on_boundary[cells])
             np.add.at(A, fc, kern.boundary_matrices(geom[fc], fe))
-            if M is not None:  # the congruence; Lagrange's M is the identity
+            if M is not None:  # the congruence; an identity map keeps no M
                 A = M @ A @ M.mT
             dofs = dofmap.cell_dofs[cells]  # COO rows and cols, row by row
             yield dofs[:, :, None], dofs[:, None, :], A
@@ -582,7 +579,7 @@ def assemble_operator(mesh: TriangleMesh, element: ReferenceElement,
         interior = mesh.n_edges - len(mesh.boundary_edges)
         size += interior * (2 * element.n_dofs) ** 2
     A = _csr_from_blocks(dofmap.total_dofs, size, blocks())
-    if kern.poisson and element.family == "lagrange" and element.degree >= 2:
+    if kern.poisson and element.mapping == "identity" and element.degree >= 2:
         A.coarse = p1_prolongation(mesh, element, dofmap)
     return A
 

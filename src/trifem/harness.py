@@ -83,24 +83,23 @@ def biharmonic_source(x, y):
 
 def study_form(problem: str, element: ReferenceElement) -> FormSpec:
     """The bilinear form of every study and stats report: Poisson-Nitsche
-    for Poisson; for the biharmonic problem, C0 interior penalty on
-    Lagrange and the plate form otherwise, checked by
+    for Poisson; for the biharmonic problem, C0 interior penalty on an
+    identity-map element and the plate form otherwise, checked by
     assembly._check_compatible as every pass checks it.
 
-    Morley gets the Poisson ratio 1/2 variant of the plate form: its cell
-    integrand is then the full Hessian inner product, which stays coercive
-    on the nonconforming (broken) Morley space; the conforming quintic
-    elements are insensitive to the choice.
+    The nonconforming H2 space (Morley's) gets the Poisson ratio 1/2
+    variant of the plate form: its cell integrand is then the full Hessian
+    inner product, which stays coercive on the broken space; the
+    conforming quintic elements are insensitive to the choice.
     """
     if problem == "poisson":
         return FormSpec("poisson_nitsche")
     if problem != "biharmonic":
         raise ValueError(f"unknown problem {problem!r}")
-    fam = element.family
-    if fam == "lagrange":
+    if element.mapping == "identity":
         form = FormSpec("plate_ip")
     else:
-        form = FormSpec("plate", nu=0.5 if fam == "morley" else 0.0)
+        form = FormSpec("plate", nu=0.5 if element.space == "H2nc" else 0.0)
     assembly._check_compatible(element, form)
     return form
 
@@ -177,7 +176,7 @@ def run_convergence_study(spec: StudySpec):
     """
     _check_out(spec.out)
     element = parse_element(spec.element)
-    if spec.problem == "poisson" and element.family == "morley":
+    if spec.problem == "poisson" and element.space == "H2nc":
         raise ValueError("Morley is not H1-conforming; "
                          "it is excluded from Poisson studies")
     form = study_form(spec.problem, element)

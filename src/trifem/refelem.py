@@ -32,7 +32,9 @@ REF_TANGENTS[0] /= np.sqrt(2.0)
 REF_EDGE_MIDPOINTS = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
 BARYCENTER = np.array([1.0 / 3.0, 1.0 / 3.0])
 
-FAMILY_DEGREES = {"hermite": 3, "morley": 2, "argyris": 5, "bell": 5}
+# Each family's degree (None: Lagrange's runs 1-5) and the space it spans
+FAMILIES = {"lagrange": (None, "H1"), "hermite": (3, "H1"),
+            "morley": (2, "H2nc"), "argyris": (5, "H2"), "bell": (5, "H2")}
 
 
 def ref_edge_points(e, s):
@@ -250,6 +252,11 @@ class ReferenceElement:
     space's geometry-independent arrays (see _bell_tables).  Instances are
     shared read-only, their arrays included, and compare and hash by
     identity, as meshes do.
+
+    space ("H1", "H2", or "H2nc" for Morley's nonconforming H2) and mapping
+    ("identity" when every functional is a point value, "restriction" when
+    constraint rows extend the basis, as bell_tables says, else
+    "pushforward") are the facts the passes read in place of the family.
     """
 
     family: str
@@ -266,6 +273,18 @@ class ReferenceElement:
     @property
     def n_dofs(self) -> int:
         return len(self.functionals)
+
+    @property
+    def space(self) -> str:
+        return FAMILIES[self.family][1]
+
+    @property
+    def mapping(self) -> str:
+        if self.bell_tables is not None:
+            return "restriction"
+        if any(f.derivative_order for f in self.functionals):
+            return "pushforward"
+        return "identity"
 
     def entity_dofs(self):
         """dict dim -> {entity index -> list of local DoF indices}."""
@@ -284,19 +303,17 @@ class ReferenceElement:
 
 
 def _lagrange_functionals(k):
-    fns = [NodalFunctional(tuple(REF_VERTICES[v]), (0, v)) for v in range(3)]
-    for e in range(3):
-        for pt in ref_edge_points(e, np.arange(1, k) / k):
-            fns.append(NodalFunctional(tuple(pt), (1, e)))
-    for i in range(1, k):
-        for j in range(1, k - i):
-            fns.append(NodalFunctional((i / k, j / k), (2, 0)))
-    return fns
+    edges = [NodalFunctional(tuple(pt), (1, e)) for e in range(3)
+             for pt in ref_edge_points(e, np.arange(1, k) / k)]
+    interior = [NodalFunctional((i / k, j / k), (2, 0))
+                for i in range(1, k) for j in range(1, k - i)]
+    return _vertex_jets(0) + edges + interior
 
 
-def _vertex_jet_functionals(v, order):
+def _vertex_jets(order):
     return [NodalFunctional(tuple(REF_VERTICES[v]), (0, v), alpha)
-            for k in range(order + 1) for alpha in derivative_alphas(k)]
+            for v in range(3) for k in range(order + 1)
+            for alpha in derivative_alphas(k)]
 
 
 def _edge_normal_functionals():
@@ -320,21 +337,18 @@ def build_reference_element(family: str, degree: int = None) -> ReferenceElement
             raise ValueError(f"lagrange degree {degree} out of range [1, 5]")
         k = degree
         fns = _lagrange_functionals(k)
-    elif family in FAMILY_DEGREES:
-        k = FAMILY_DEGREES[family]
+    elif family in FAMILIES:
+        k = FAMILIES[family][0]
         if degree is not None and degree != k:
             raise ValueError(f"{family} is fixed at degree {k}")
         if family == "hermite":
-            fns = sum((_vertex_jet_functionals(v, 1) for v in range(3)), [])
-            fns.append(NodalFunctional(tuple(BARYCENTER), (2, 0)))
+            fns = _vertex_jets(1) + [NodalFunctional(tuple(BARYCENTER), (2, 0))]
         elif family == "morley":
-            fns = sum((_vertex_jet_functionals(v, 0) for v in range(3)), [])
-            fns += _edge_normal_functionals()
+            fns = _vertex_jets(0) + _edge_normal_functionals()
         elif family == "argyris":
-            fns = sum((_vertex_jet_functionals(v, 2) for v in range(3)), [])
-            fns += _edge_normal_functionals()
+            fns = _vertex_jets(2) + _edge_normal_functionals()
         else:  # bell
-            fns = sum((_vertex_jet_functionals(v, 2) for v in range(3)), [])
+            fns = _vertex_jets(2)
     else:
         raise ValueError(f"unsupported element family {family!r}")
 

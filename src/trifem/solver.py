@@ -9,12 +9,7 @@ request and falls back to the direct path.  condition_number() finds the
 extreme eigenvalues of A and A^-1 with scipy's Lanczos (eigsh).
 
 CG is preconditioned by a two-level V-cycle when the operator carries a
-coarse space, and by Jacobi otherwise.  assembly attaches the exact P1
-coarse space (A.coarse) to the Poisson operators of Lagrange P_k, k >= 2:
-on one mesh continuous P1 lies inside continuous P_k, and the iteration
-count then stays flat under refinement.  Hermite, Argyris and Bell keep
-Jacobi: their gradients are single-valued at the vertices, so the P1 hat
-functions are not in their spaces.
+coarse space, and by Jacobi otherwise (see cg_solve).
 
 The sparse LU is symmetric first: SuperLU orders A + A^T by multiple
 minimum degree and eliminates on the diagonal, without pivoting.  The
@@ -350,12 +345,7 @@ def solve(A, b, method: str = "lu") -> SolveReport:
     ("lu") factors A once (see _factor) and takes one iterative-refinement
     step.
 
-    CG takes its preconditioner from A (see cg_solve): the two-level
-    cycle on A.coarse, which assembly attaches to the Poisson operators of
-    Lagrange k >= 2, and Jacobi on every other operator.  The Hermite,
-    Argyris and Bell spaces cannot take the P1 coarse space: their
-    gradients are single-valued at the vertices, so the P1 hat functions
-    are not in their spaces."""
+    CG takes its preconditioner from A, as cg_solve says."""
     if method not in ("lu", "cg"):
         raise ValueError(f"unknown solve method {method!r}")
     if method == "cg":
@@ -422,8 +412,9 @@ def cg_solve(A, b, rtol: float = 1e-10) -> SolveReport:
     rtol |b|; the report carries the true relative residual |A x - b| / |b|,
     as the direct path's does, and cg's iteration count.
 
-    An operator that carries a coarse space (A.coarse, the P1 prolongation
-    that assembly attaches to Lagrange k >= 2 Poisson operators) gets the
+    An operator that carries a coarse space (A.coarse, the exact P1
+    prolongation that assembly attaches to the Poisson operators of
+    identity-map elements of degree k >= 2, whose P_k holds P1) gets the
     two-level preconditioner of _two_level, whose iteration count does not
     grow as the mesh is refined; any other operator gets Jacobi.  Hermite,
     Argyris and Bell have no such coarse space: their gradients are

@@ -1,13 +1,13 @@
 """Per-cell transformation matrices relating physical nodal bases to pullbacks.
 
-For each element family this module builds the matrix M with
-psi_i = sum_j M_ij (psihat_j o F), where F maps the physical cell to the
-reference cell and J = d xhat / d x is its Jacobian (as provided by
-mesh.CellGeometry).  Affine-equivalent families (Lagrange) get the
-identity; Hermite, Morley and Argyris share pushforward_M, which reads
-V = M^T off how each functional pushes forward, edge-normal derivatives
-through B^i = Ghat_i J^{-T} G_i^T along the normals the caller passes;
-Bell restricts a mapped enriched quintic.
+The matrix M has psi_i = sum_j M_ij (psihat_j o F), where F maps the
+physical cell to the reference cell and J = d xhat / d x is its Jacobian
+(as provided by mesh.CellGeometry).  The element's mapping picks its
+builder: the identity for point values only (Lagrange); pushforward_M,
+which reads V = M^T off how each functional pushes forward, edge-normal
+derivatives through B^i = Ghat_i J^{-T} G_i^T along the normals the caller
+passes (Hermite, Morley, Argyris); the restriction of a mapped enriched
+quintic, bell_M, where constraint rows extend the basis (Bell).
 
 Every builder takes the geometry of one cell or of a batch of cells
 (mesh.batch_geometry) and returns M as an array with the same leading
@@ -136,7 +136,7 @@ def pushforward_M(element: ReferenceElement, geom: CellGeometry,
             _fill_midpoint_rule(V[..., i, :], ja, jb,
                                 fns[ja[-1]].derivative_order, B[..., e, 0, 1],
                                 geom, e)
-    M = V.mT
+    M = V.mT  # Hermite's layout is a fact of its digits, not of its map
     return np.ascontiguousarray(M) if element.family == "hermite" else M
 
 
@@ -146,7 +146,7 @@ def bell_M(geom: CellGeometry, element: ReferenceElement) -> np.ndarray:
 
     Row k of W is physical functional k (vertex jets, then quartic edge
     modes) applied to the pulled-back enriched quintic basis."""
-    if element.family != "bell":
+    if element.mapping != "restriction":
         raise ValueError("bell_M needs a bell reference element")
     jets, moments = element.bell_tables
     J = geom.J
@@ -194,12 +194,11 @@ def cell_transform(element: ReferenceElement, geom: CellGeometry,
                    scale: bool, normals=None) -> TransformMatrix:
     """M of one cell, or of every cell of a batched geometry, with its rows
     scaled by scaling_diagonal when scale is set, edge-normal DoFs along
-    normals.  Unscaled Lagrange gets one identity for every cell."""
-    fam = element.family
-    if fam == "lagrange":
+    normals.  An unscaled identity map gets one identity for every cell."""
+    if element.mapping == "identity":
         M = np.eye(element.n_dofs)
     else:
-        M = (bell_M(geom, element) if fam == "bell"
+        M = (bell_M(geom, element) if element.mapping == "restriction"
              else pushforward_M(element, geom, normals))
         M += 0.0  # the -0 of inv and w * -0, which dump-m would print
     if scale:

@@ -691,6 +691,15 @@ def test_poisson_nitsche_patch_test(k):
 import sympy  # noqa: E402  (used in the patch test above)
 
 
+@pytest.mark.parametrize("family", ["hermite", "morley", "argyris", "bell"])
+def test_interior_penalty_needs_the_identity_map(family):
+    # its facet kernel applies no M, so it takes only the identity map:
+    # Hermite spans H1 as Lagrange does, but maps by pushforward
+    el, m = build_reference_element(family), build_unit_square_mesh(2)
+    with pytest.raises(ValueError, match="Lagrange k >= 2"):
+        assemble_operator(m, el, assembly.FormSpec("plate_ip"))
+
+
 def test_incompatible_forms_rejected():
     m = build_unit_square_mesh(2)
     with pytest.raises(ValueError):

@@ -96,6 +96,34 @@ def test_biharmonic_source_against_finite_differences():
         assert abs(fd - exact) < 1e-4 * max(1.0, abs(exact))
 
 
+@pytest.mark.parametrize("problem", ["poisson", "biharmonic"])
+def test_exact_solution_derivatives_against_finite_differences(problem):
+    # independent oracle: central differences of u.f, for the gradient and
+    # Hessian that interpolation and the H2 elements' DoFs read
+    u, _ = (harness.poisson_problem() if problem == "poisson"
+            else harness.biharmonic_problem())
+    pts = np.random.default_rng(7).uniform(0.05, 0.95, (2, 20))
+    h = 1e-4
+    e = np.eye(2)[:, :, None] * h  # e[i]: a step h along axis i
+    grad = np.array([(u.f(*(pts + e[i])) - u.f(*(pts - e[i]))) / (2 * h)
+                     for i in range(2)])
+    hess = np.array([[(u.f(*(pts + e[i] + e[j])) - u.f(*(pts + e[i] - e[j]))
+                       - u.f(*(pts - e[i] + e[j])) + u.f(*(pts - e[i] - e[j])))
+                      / (4 * h * h) for j in range(2)] for i in range(2)])
+    for fd, exact in ((grad, u.grad(*pts)), (hess, u.hess(*pts))):
+        assert np.abs(fd - exact).max() < 1e-5 * np.abs(exact).max()
+
+
+def test_study_runs_a_one_cell_wide_rung(tmp_path):
+    # N = 1, the smallest mesh StudySpec admits: two cells, four P1 DoFs
+    out = tmp_path / "n1.csv"
+    rows = run_convergence_study(StudySpec(problem="poisson",
+                                           element="lagrange:1",
+                                           levels=(1, 2), out=str(out)))
+    assert [(r.n, r.dofs) for r in rows] == [(1, 4), (2, 9)]
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_poisson_p1_study_rate(tmp_path):
     out = tmp_path / "p1.csv"
     spec = StudySpec(problem="poisson", element="lagrange:1",

@@ -6,7 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from trifem.quadrature import interval_rule, triangle_rule
+from trifem.quadrature import MAX_INTERVAL_DEGREE, interval_rule, triangle_rule
 
 
 def exact_triangle_moment(a, b):
@@ -41,7 +41,7 @@ def test_triangle_reference_values():
     assert abs(v - 1 / 33264) <= 1e-12 / 33264
 
 
-@pytest.mark.parametrize("degree", range(12))
+@pytest.mark.parametrize("degree", [*range(12), MAX_INTERVAL_DEGREE])
 def test_interval_exactness(degree):
     rule = interval_rule(degree)
     assert np.all(rule.weights > 0)
@@ -69,6 +69,8 @@ def test_degree_out_of_range():
         triangle_rule(-1)
     with pytest.raises(ValueError):
         interval_rule(-2)
+    with pytest.raises(ValueError):
+        interval_rule(MAX_INTERVAL_DEGREE + 1)
 
 
 @pytest.mark.parametrize("rule_of, degree", [(triangle_rule, 6),

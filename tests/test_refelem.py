@@ -1,5 +1,7 @@
 """Reference element construction: duality, reproduction, tabulation."""
 
+import ast
+import inspect
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 import sympy
 
 from conftest import X, Y, interpolate_on_cell, poly_field, sample_points
-from trifem import refelem
+from trifem import assembly, harness, refelem, transform
 from trifem.mesh import reference_cell_geometry
 from trifem.quadrature import interval_rule, triangle_rule
 from trifem.refelem import (EDGE_VERTICES, REF_NORMALS, REF_VERTICES,
@@ -351,3 +353,47 @@ def test_reference_element_is_frozen():
         bell.coeffs = np.zeros_like(bell.coeffs)
     assert bell.bell_tables is not None
     assert build_reference_element("argyris").bell_tables is None
+
+
+@pytest.mark.parametrize("family, degree, space, mapping", [
+    *[("lagrange", k, "H1", "identity") for k in range(1, 6)],
+    ("hermite", None, "H1", "pushforward"),
+    ("morley", None, "H2nc", "pushforward"),
+    ("argyris", None, "H2", "pushforward"),
+    ("bell", None, "H2", "restriction")])
+def test_element_states_its_space_and_mapping(family, degree, space, mapping):
+    el = build_reference_element(family, degree)
+    assert (el.space, el.mapping) == (space, mapping)
+    # the identity exactly when every functional is a point value, the
+    # restriction exactly when constraint rows extend the basis
+    values_only = all(f.derivative_order == 0 for f in el.functionals)
+    assert (el.mapping == "identity") == values_only
+    assert (el.mapping == "restriction") == (el.bell_tables is not None)
+    for fact in ("space", "mapping"):
+        with pytest.raises(AttributeError):
+            setattr(el, fact, "H1")
+
+
+def _family_reads(module):
+    """Lines of module that read .family, except inside the f-string of a
+    raise (naming the element in an error message) and in pushforward_M's
+    return (Hermite's layout, a fact of the bits and not of the map)."""
+    tree = ast.parse(inspect.getsource(module))
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exempt.update(id(n) for s in ast.walk(node)
+                          if isinstance(s, ast.JoinedStr) for n in ast.walk(s))
+        if isinstance(node, ast.FunctionDef) and node.name == "pushforward_M":
+            exempt.update(id(n) for r in ast.walk(node)
+                          if isinstance(r, ast.Return) for n in ast.walk(r))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "family"
+            and id(node) not in exempt]
+
+
+@pytest.mark.parametrize("module", [assembly, harness, transform],
+                         ids=lambda m: m.__name__)
+def test_passes_read_the_elements_facts_not_its_family(module):
+    # every read counts, a local alias of element.family included
+    assert _family_reads(module) == []

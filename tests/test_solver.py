@@ -152,6 +152,15 @@ def test_cg_identity_one_iteration():
     assert np.abs(rep.x - b).max() < 1e-14
 
 
+def test_jacobi_cg_solves_a_diagonal_system_in_one_iteration():
+    # Jacobi is exact on a diagonal A, whatever the spread of its entries;
+    # multiplying by the diagonal instead would square that spread
+    d = np.logspace(-3.0, 3.0, 40)
+    rep = cg_solve(scipy.sparse.diags_array(d, format="csr"), np.ones(40))
+    assert (rep.preconditioner, rep.iterations) == ("jacobi", 1)
+    assert np.abs(d * rep.x - 1.0).max() < 1e-14
+
+
 def test_cg_finite_termination_bound():
     A = laplacian_1d(100)
     b = np.ones(100)
@@ -220,6 +229,18 @@ def test_l2_error_exact_reproduction():
     field = poly_field(X ** 3 - X * Y ** 2 + 2 * Y)
     uh = interpolate(m, HERMITE, field)
     assert l2_error(m, HERMITE, uh, field) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [True, False])
+@pytest.mark.parametrize("family", ["argyris", "bell"])
+def test_interpolant_reproduces_a_quadratic_to_roundoff(family, scale):
+    # hxx, hxy and hyy differ (2, 0.3, 1.4), so a Hessian DoF that reads
+    # another entry of the field's Hessian shows in the error
+    m = build_unit_square_mesh(4, 0.2)
+    el = build_reference_element(family)
+    field = poly_field(X ** 2 + 0.3 * X * Y + 0.7 * Y ** 2)
+    uh = interpolate(m, el, field, scale)
+    assert l2_error(m, el, uh, field, scale) < 1e-13
 
 
 def test_l2_error_constant():
